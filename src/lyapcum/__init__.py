@@ -8,7 +8,6 @@ from .engine import (
     ParameterMatrix,
     SingularSystem,
     UnstableMatrix,
-    forward_stack,
     random_omegas,
     recover_noise,
     recursive_residual,
@@ -29,6 +28,7 @@ from .graphs import (
     enumerate_equitreks,
     equitrek_exists,
     equitrek_graph,
+    equitrek_multisets,
     implied_conditional_independence,
     implied_marginal_independence,
 )

@@ -52,9 +52,10 @@ from .identify import (
     SingularBlock,
     auto_identify,
     count_equations_vs_parameters,
+    model_stack,
 )
 from .jacobian import local_identifiability_verdict
-from .tensors import SymmetricTensor
+from .tensors import DimensionMismatch, SymmetricTensor
 from .treks import placement_table_csv
 
 EXIT_OK = 0
@@ -78,7 +79,7 @@ def _load_json(path: str):
 def _load_graph(path: str) -> DirectedGraph:
     try:
         return DirectedGraph.from_json_dict(_load_json(path))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -132,6 +133,9 @@ def _materialize_parameters(g: DirectedGraph, args) -> tuple[ParameterMatrix, di
         missing = [n for n in orders if n not in omegas]
         if missing:
             raise InputError(f"parameter file lacks omega for orders {missing}")
+        wrong = [n for n in orders if omegas[n].p != g.p]
+        if wrong:
+            raise InputError(f"omega for orders {wrong} must have {g.p} entries")
         return pm, {n: omegas[n] for n in orders}
     pm = sample_stable_matrix(g, seed=args.seed, target_radius=args.radius)
     rng = np.random.default_rng(args.seed + 1)
@@ -171,8 +175,8 @@ def cmd_cumulants(args) -> int:
 
 def _load_stack(path: str) -> CumulantStack:
     data = _load_json(path)
-    tensors = data.get("tensors", data)
     try:
+        tensors = data.get("tensors", data)
         s = SymmetricTensor.from_json_dict(tensors["2"])
         t = SymmetricTensor.from_json_dict(tensors["3"])
         r = (
@@ -181,13 +185,15 @@ def _load_stack(path: str) -> CumulantStack:
             else None
         )
         return CumulantStack(s=s, t=t, r=r)
-    except (KeyError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed stack file: {exc}") from exc
 
 
 def cmd_identify(args) -> int:
     g = _load_graph(args.graph)
     stack = _load_stack(args.stack)
+    if stack.p != g.p:
+        raise InputError(f"stack has p={stack.p}, graph has p={g.p}")
     document = {
         "version": __version__,
         "config": _config_dict(args),
@@ -208,9 +214,7 @@ def cmd_identify(args) -> int:
         _write(args.out, _dump(document))
         return EXIT_IDENTIFY
     except NoMethodApplies:
-        verdict = local_identifiability_verdict(
-            g, trials=args.trials, seed=args.seed, threads=args.threads
-        )
+        verdict = local_identifiability_verdict(g, trials=args.trials, seed=args.seed)
         document["report"] = {
             "method": "jacobian",
             "verdict": verdict.verdict,
@@ -257,9 +261,7 @@ def cmd_analyze(args) -> int:
         and implied_conditional_independence(g, [i], [j], [k])
     ]
 
-    verdict = local_identifiability_verdict(
-        g, trials=args.trials, seed=args.seed, threads=args.threads
-    )
+    verdict = local_identifiability_verdict(g, trials=args.trials, seed=args.seed)
     if args.format == "csv":
         _write(args.out, verdict.singular_values_csv())
         return EXIT_OK
@@ -268,12 +270,8 @@ def cmd_analyze(args) -> int:
 
     pm = sample_stable_matrix(g, seed=args.seed, target_radius=args.radius)
     rng = np.random.default_rng(args.seed + 1)
-    omegas = random_omegas(rng, g.p, (2, 3, 4))
-    stack = CumulantStack(
-        s=solve_cumulant(pm, omegas[2]),
-        t=solve_cumulant(pm, omegas[3]),
-        r=solve_cumulant(pm, omegas[4]),
-    )
+    # the rank scan reads S and T only
+    stack = model_stack(pm, random_omegas(rng, g.p, (2, 3)))
     document["rank_constraints"] = [
         res.to_json_dict()
         for res in rank_constraints_scan(g, stack, max_subset=args.max_subset)
@@ -292,6 +290,20 @@ def cmd_ppoly(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _radius(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"radius must lie in (0, 1), got {text}")
+    return value
+
+
+def _trials(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least one trial, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lyapcum",
@@ -304,12 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", required=True, help="graph JSON path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--orders", default="2,3,4")
-        p.add_argument("--trials", type=int, default=5)
+        p.add_argument("--trials", type=_trials, default=5)
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--radius", type=float, default=0.6)
+        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+        p.add_argument("--radius", type=_radius, default=0.6)
 
     p_cum = sub.add_parser("cumulants", help="solve and dump steady-state cumulants")
     common(p_cum)
@@ -339,7 +351,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, DimensionMismatch) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except UnstableMatrix as exc:

@@ -178,8 +178,8 @@ def toric_matrix(g: DirectedGraph, order: int) -> ToricMatrix:
     return ToricMatrix(matrix=matrix, row_labels=row_labels, col_labels=col_labels)
 
 
-def integer_kernel(matrix: np.ndarray) -> list[np.ndarray]:
-    """Integer basis of the rational kernel via exact elimination."""
+def _rref(matrix: np.ndarray) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact reduced row echelon form: (nonzero rows, pivot columns)."""
     rows, cols = matrix.shape
     work = [[Fraction(int(matrix[r, c])) for c in range(cols)] for r in range(rows)]
     pivots: list[int] = []
@@ -199,39 +199,25 @@ def integer_kernel(matrix: np.ndarray) -> list[np.ndarray]:
         r += 1
         if r == rows:
             break
+    return work[: len(pivots)], pivots
+
+
+def integer_kernel(matrix: np.ndarray) -> list[np.ndarray]:
+    """Integer basis of the rational kernel via exact elimination."""
+    reduced, pivots = _rref(matrix)
+    cols = matrix.shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
         vec = [Fraction(0)] * cols
         vec[f] = Fraction(1)
-        for row_idx, c in enumerate(pivots):
-            vec[c] = -work[row_idx][f]
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row[f]
         denom = 1
         for x in vec:
             denom = denom * x.denominator // gcd(denom, x.denominator)
         basis.append(np.array([int(x * denom) for x in vec], dtype=object))
     return basis
-
-
-def _rref(matrix: np.ndarray) -> list[list[Fraction]]:
-    rows, cols = matrix.shape
-    work = [[Fraction(int(matrix[r, c])) for c in range(cols)] for r in range(rows)]
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][c]
-        work[r] = [x / inv for x in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c] != 0:
-                factor = work[i][c]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == rows:
-            break
-    return [row for row in work if any(x != 0 for x in row)]
 
 
 def kernel_binomial_values(

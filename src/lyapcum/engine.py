@@ -263,13 +263,6 @@ def sample_stable_matrix(
     return pm
 
 
-def forward_stack(
-    a: ParameterMatrix, omegas: dict[int, DiagonalCumulant]
-) -> dict[int, SymmetricTensor]:
-    """Solve the Lyapunov equation at every supplied order."""
-    return {n: solve_cumulant(a, omega) for n, omega in sorted(omegas.items())}
-
-
 def random_omegas(
     rng: np.random.Generator, p: int, orders=(2, 3, 4)
 ) -> dict[int, DiagonalCumulant]:

@@ -135,20 +135,6 @@ class DirectedGraph:
         return tuple(tuple(sorted(s)) for s in nbrs)
 
     @cached_property
-    def is_skeleton_connected(self) -> bool:
-        if self.p == 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in self.skeleton_neighbors[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.p
-
-    @cached_property
     def skeleton_components(self) -> tuple[tuple[int, ...], ...]:
         seen: set[int] = set()
         comps = []
@@ -166,6 +152,10 @@ class DirectedGraph:
             seen |= comp
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
+
+    @cached_property
+    def is_skeleton_connected(self) -> bool:
+        return len(self.skeleton_components) == 1
 
     @cached_property
     def is_polytree(self) -> bool:
@@ -220,6 +210,11 @@ class DirectedGraph:
                         stack.append(c)
             out.append(frozenset(seen))
         return tuple(out)
+
+    @cached_property
+    def equitrek_graph(self) -> "EquitrekGraph":
+        """Bidirected equitrek graph: the two-leg case of :func:`equitrek_multisets`."""
+        return EquitrekGraph(p=self.p, biedges=frozenset(equitrek_multisets(self, 2)))
 
     def relabel(self, perm: Sequence[int]) -> "DirectedGraph":
         """New graph with vertex v renamed to perm[v]."""
@@ -337,45 +332,37 @@ def enumerate_equitreks(
     return list(iter_equitreks(g, leaves, max_len))
 
 
-def equitrek_graph(g: DirectedGraph) -> EquitrekGraph:
-    """Bidirected equitrek graph, decided exactly on the pair-product graph.
+def equitrek_multisets(g: DirectedGraph, order: int) -> set[tuple[int, ...]]:
+    """Sorted leaf multisets of the equitreks with ``order`` legs.
 
-    A pair {i, j} gets a biedge iff the state (i, j) is forward-reachable
-    from some diagonal state (r, r) under synchronized steps, which is
-    equivalent to existence of an equitrek between i and j.
+    A multiset is joined by an equitrek iff it is forward-reachable from a
+    diagonal state ``(r,) * order`` under synchronized steps, every leg
+    moving along one edge at a time.
     """
-    seen = {(r, r) for r in range(g.p)}
+    seen = {(r,) * order for r in range(g.p)}
     frontier = list(seen)
     while frontier:
         nxt = []
-        for x, y in frontier:
-            for cx in g.children[x]:
-                for cy in g.children[y]:
-                    state = (cx, cy)
-                    if state not in seen:
-                        seen.add(state)
-                        nxt.append(state)
+        for state in frontier:
+            for combo in itertools.product(*(g.children[v] for v in state)):
+                succ = tuple(sorted(combo))
+                if succ not in seen:
+                    seen.add(succ)
+                    nxt.append(succ)
         frontier = nxt
-    biedges = frozenset((min(x, y), max(x, y)) for x, y in seen)
-    return EquitrekGraph(p=g.p, biedges=biedges)
+    return seen
 
 
-_EQUITREK_CACHE: dict[DirectedGraph, EquitrekGraph] = {}
-
-
-def _cached_equitrek_graph(g: DirectedGraph) -> EquitrekGraph:
-    eg = _EQUITREK_CACHE.get(g)
-    if eg is None:
-        eg = equitrek_graph(g)
-        _EQUITREK_CACHE[g] = eg
-    return eg
+def equitrek_graph(g: DirectedGraph) -> EquitrekGraph:
+    """Bidirected equitrek graph of ``g``, memoized on the graph."""
+    return g.equitrek_graph
 
 
 def equitrek_exists(g: DirectedGraph, i: int, j: int) -> bool:
     """True iff some equitrek joins i and j (the empty trek covers i == j)."""
     if i == j:
         return True
-    return _cached_equitrek_graph(g).has_biedge(i, j)
+    return g.equitrek_graph.has_biedge(i, j)
 
 
 def implied_marginal_independence(
@@ -387,7 +374,7 @@ def implied_marginal_independence(
         raise ValueError("vertex groups must be nonempty")
     if set_i & set_j:
         raise ValueError("vertex groups must be disjoint")
-    eg = _cached_equitrek_graph(g)
+    eg = g.equitrek_graph
     return not any(eg.has_biedge(a, b) for a in set_i for b in set_j)
 
 
@@ -408,7 +395,7 @@ def implied_conditional_independence(
         raise ValueError("I and J must be nonempty")
     if set_i & set_j or set_i & set_k or set_j & set_k:
         raise ValueError("I, J, K must be pairwise disjoint")
-    eg = _cached_equitrek_graph(g)
+    eg = g.equitrek_graph
     allowed = set_i | set_j | set_k
     frontier = list(set_i)
     seen = set(set_i)

@@ -10,7 +10,6 @@ silent garbage.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb
 
@@ -23,7 +22,7 @@ from .engine import (
     recover_noise,
     solve_cumulant,
 )
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, equitrek_multisets
 from .tensors import SymmetricTensor, multiset_indices
 
 DEGENERACY_TOL = 1e-12
@@ -237,21 +236,8 @@ def identify_two_node(
 # ---------------------------------------------------------------------------
 
 
-def _ancestors(g: DirectedGraph, v: int) -> set[int]:
-    seen = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for u in g.parents[x]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
-
-
 def _min_source_ancestor(g: DirectedGraph, v: int) -> int:
-    anc = _ancestors(g, v)
-    candidates = [s for s in g.sources if s in anc]
+    candidates = [s for s in g.sources if v in g.descendant_sets[s]]
     if not candidates:
         raise HypothesisViolated(f"vertex {v} has no source ancestor")
     return min(candidates)
@@ -513,22 +499,6 @@ class EquationCount:
         }
 
 
-def _equitrek_multisets(g: DirectedGraph, order: int) -> set[tuple[int, ...]]:
-    """Index multisets joined by an order-leg equitrek: synchronized BFS."""
-    seen = {(r,) * order for r in range(g.p)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for combo in itertools.product(*(g.children[v] for v in state)):
-                succ = tuple(sorted(combo))
-                if succ not in seen:
-                    seen.add(succ)
-                    nxt.append(succ)
-        frontier = nxt
-    return seen
-
-
 def count_equations_vs_parameters(g: DirectedGraph, n_max: int) -> EquationCount:
     """Parameter count |E| + p(n-1) against nonzero cumulant equations.
 
@@ -542,7 +512,7 @@ def count_equations_vs_parameters(g: DirectedGraph, n_max: int) -> EquationCount
     zero_entries = {}
     equations = 0
     for order in range(2, n_max + 1):
-        reachable = _equitrek_multisets(g, order)
+        reachable = equitrek_multisets(g, order)
         total = comb(order + g.p - 1, order)
         nonzero = sum(1 for key in multiset_indices(g.p, order) if key in reachable)
         zero_entries[order] = total - nonzero

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -198,30 +198,18 @@ def build_modified_jacobian(
 # ---------------------------------------------------------------------------
 
 
-def default_rank_policy(singular_values: np.ndarray, shape: tuple[int, int]) -> int:
-    if len(singular_values) == 0 or singular_values[0] == 0.0:
-        return 0
-    threshold = singular_values[0] * max(shape) * RANK_EPS
-    return int(np.sum(singular_values > threshold))
-
-
-def numeric_rank(
-    matrix: np.ndarray,
-    tol_policy: Callable[[np.ndarray, tuple[int, int]], int] | None = None,
-) -> tuple[int, np.ndarray]:
+def numeric_rank(matrix: np.ndarray) -> tuple[int, np.ndarray]:
+    """Rank at the threshold ``smax * max_dim * RANK_EPS``, and the singular values."""
     if matrix.size == 0:
         return 0, np.array([])
     sing = np.linalg.svd(matrix, compute_uv=False)
-    policy = tol_policy or default_rank_policy
-    return policy(sing, matrix.shape), sing
+    threshold = sing[0] * max(matrix.shape) * RANK_EPS
+    return int(np.sum(sing > threshold)), sing
 
 
-def offdiag_rank(
-    mj: ModifiedJacobian,
-    tol_policy: Callable[[np.ndarray, tuple[int, int]], int] | None = None,
-) -> tuple[int, np.ndarray]:
+def offdiag_rank(mj: ModifiedJacobian) -> tuple[int, np.ndarray]:
     """Numeric rank (and singular values) of the off-diagonal edge block."""
-    return numeric_rank(mj.offdiag_a_block(), tol_policy)
+    return numeric_rank(mj.offdiag_a_block())
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +289,7 @@ class LocalIdReport:
 
 
 def local_identifiability_verdict(
-    g: DirectedGraph, trials: int = 5, seed: int = 0, threads: int = 1
+    g: DirectedGraph, trials: int = 5, seed: int = 0
 ) -> LocalIdReport:
     """Sample-based generic-rank verdict for local identifiability.
 
@@ -355,14 +343,7 @@ def local_identifiability_verdict(
             singular_values=tuple(float(s) for s in sing),
         )
 
-    # trials are independent; reduction order stays deterministic either way
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_trial, range(trials)))
-    else:
-        records = [run_trial(trial) for trial in range(trials)]
+    records = [run_trial(trial) for trial in range(trials)]
     best_rank = max(r.rank for r in records)
 
     used_orders = (2, 3, 4) if any(r.augmented for r in records) else (2, 3)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from math import comb, isfinite
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -152,7 +153,15 @@ class SymmetricTensor:
             }
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"malformed tensor JSON: {exc}") from exc
-        return cls(order, p, values)
+        tensor = cls(order, p, values)
+        expected = comb(p + order - 1, order)
+        if len(tensor.values) != expected:
+            raise ValueError(
+                f"tensor JSON needs all {expected} entries, got {len(tensor.values)}"
+            )
+        if not all(isfinite(v) for v in tensor.values.values()):
+            raise ValueError("tensor JSON has non-finite entries")
+        return tensor
 
     def to_csv(self) -> str:
         """Dense matrix CSV; only defined for order 2."""

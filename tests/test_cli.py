@@ -1,8 +1,11 @@
+import copy
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import lyapcum
 from lyapcum import __version__
 from lyapcum.cli import main
 
@@ -132,6 +135,80 @@ class TestIdentify:
         stack = tmp_path / "stack.json"
         stack.write_text('{"tensors": {"2": {"oops": 1}}}')
         assert main(["identify", "--graph", fig1_graph, "--stack", str(stack), "--out", "-"]) == 2
+
+
+# one row per malformed input, files under {d}; each must exit 2 with a
+# message and no traceback
+BAD_INPUTS = {
+    "radius-above-one": "cumulants --graph {d}/g2.json --radius 1.5",
+    "zero-trials": "analyze --graph {d}/g2.json --trials 0",
+    "short-omega": "cumulants --graph {d}/g2.json --params {d}/short-omega.json",
+    "p9-cumulants": "cumulants --graph {d}/g9.json",
+    "stack-missing-entry": "identify --graph {d}/g2.json --stack {d}/missing.json",
+    "stack-nonfinite-entry": "identify --graph {d}/g2.json --stack {d}/nan.json",
+    "stack-p-mismatch": "identify --graph {d}/g3.json --stack {d}/stack.json",
+    "stack-not-an-object": "identify --graph {d}/g2.json --stack {d}/list.json",
+    "graph-edges-not-a-list": "cumulants --graph {d}/edges5.json",
+}
+
+
+@pytest.fixture(scope="module")
+def bad_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("bad")
+    write_json(d / "g2.json", {"p": 2, "edges": [[0, 0], [0, 1]]})
+    write_json(d / "g3.json", {"p": 3, "edges": [[0, 0], [0, 1], [1, 2]]})
+    write_json(d / "g9.json", {"p": 9, "edges": [[v, v] for v in range(9)]})
+    write_json(d / "edges5.json", {"p": 2, "edges": 5})
+    write_json(
+        d / "short-omega.json",
+        {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": {"2": [1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
+    )
+    write_json(d / "list.json", [1, 2])
+    assert main(["cumulants", "--graph", str(d / "g2.json"), "--out", str(d / "stack.json")]) == 0
+    good = json.loads((d / "stack.json").read_text())
+    missing = copy.deepcopy(good)
+    del missing["tensors"]["3"]["entries"]["0,1,1"]
+    write_json(d / "missing.json", missing)
+    nonfinite = copy.deepcopy(good)
+    nonfinite["tensors"]["2"]["entries"]["0,1"] = float("nan")
+    write_json(d / "nan.json", nonfinite)
+    return d
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_2(bad_dir, tmp_path, capsys, case):
+    out = tmp_path / "out.json"
+    argv = [tok.format(d=bad_dir) for tok in BAD_INPUTS[case].split()] + ["--out", str(out)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert "error" in err.strip().splitlines()[-1]
+    assert not out.exists()
+
+
+def test_analyze_solves_no_order4(tmp_path, monkeypatch):
+    # the rank scan reads only S and T; the collider square has no two-cycle,
+    # so the verdict needs no fourth-order augmentation either
+    real = lyapcum.engine.solve_cumulant
+    orders = []
+
+    def spy(a, omega):
+        orders.append(omega.order)
+        return real(a, omega)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lyapcum") and getattr(module, "solve_cumulant", None) is real:
+            monkeypatch.setattr(module, "solve_cumulant", spy)
+    graph = write_json(
+        tmp_path / "sq.json",
+        {"p": 4, "edges": [[0, 1], [0, 3], [2, 3], [0, 0], [1, 1], [2, 2], [3, 3]]},
+    )
+    assert main(["analyze", "--graph", graph, "--trials", "2", "--out", str(tmp_path / "an.json")]) == 0
+    assert orders and 4 not in orders
 
 
 class TestAnalyze:

@@ -1,21 +1,28 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyapcum import (
     CyclicGraph,
     DiagonalCumulant,
     DirectedGraph,
     DisconnectedGraph,
+    ParameterMatrix,
     classify_star,
     enumerate_equitreks,
     equitrek_exists,
     equitrek_graph,
+    equitrek_multisets,
     implied_conditional_independence,
     implied_marginal_independence,
     sample_stable_matrix,
+    series_cumulant,
     solve_cumulant,
+    spectral_radius,
 )
 from conftest import (
     bare_two_cycle,
@@ -178,6 +185,38 @@ class TestEquitrekGraph:
             for i in range(p):
                 for j in range(p):
                     assert eg.has_biedge(i, j) == bool(ancestors[i] & ancestors[j])
+
+
+@st.composite
+def positive_models(draw):
+    """Random digraph (p <= 5) with positive weights scaled to radius 0.5."""
+    p = draw(st.integers(1, 5))
+    slots = [(i, j) for i in range(p) for j in range(p)]
+    g = DirectedGraph(p, draw(st.sets(st.sampled_from(slots))))
+    entries = np.zeros((p, p))
+    for i, j in g.sorted_edges:
+        entries[j, i] = draw(st.floats(0.1, 1.0))
+    rho = spectral_radius(entries)
+    if rho > 0.0:
+        entries *= 0.5 / rho
+    w = draw(st.lists(st.floats(0.5, 2.0), min_size=p, max_size=p))
+    return ParameterMatrix(g, entries), np.array(w)
+
+
+class TestEquitrekMultisets:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(positive_models(), st.integers(2, 3))
+    def test_matches_positive_series_support(self, model, order):
+        # with positive weights and noise no walk sum cancels, so an entry of
+        # the truncated series is positive iff an equitrek of length below
+        # the number of multisets (the synchronized BFS depth bound) joins it
+        a, w = model
+        terms = comb(a.p + order - 1, order) + 2
+        series = series_cumulant(a, DiagonalCumulant(order, w), terms=terms)
+        support = {key for key, value in series.values.items() if value > 0.0}
+        assert equitrek_multisets(a.g, order) == support
+        if order == 2:
+            assert equitrek_graph(a.g).biedges == support
 
 
 class TestIndependence:

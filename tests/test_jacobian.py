@@ -316,12 +316,6 @@ class TestVerdict:
         assert report.verdict == "locally-identifiable"
         assert report.generic_rank == len(g.edges)
 
-    def test_threads_agree(self):
-        g = collider_square()
-        seq = local_identifiability_verdict(g, trials=4, seed=3, threads=1)
-        par = local_identifiability_verdict(g, trials=4, seed=3, threads=3)
-        assert seq.to_json_dict() == par.to_json_dict()
-
 
 class TestComponentZeroPattern:
     def test_cross_component_blocks_vanish(self):
