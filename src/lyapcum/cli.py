@@ -10,7 +10,8 @@ analyze     one combined report: independence statements, skeleton shape,
             rank constraints, and the local-identifiability verdict
 ppoly       CSV table of the self-loop placement polynomials
 
-Exit codes: 0 ok, 2 input error, 3 instability, 4 identification failure.
+Exit codes: 0 ok, 2 input error, 3 instability or solver breakdown,
+4 identification failure.
 Reports embed the config, seed, and library version, and identical
 config+seed reproduce byte-identical output.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from .constraints import rank_constraints_scan
 from .engine import (
     DiagonalCumulant,
     ParameterMatrix,
+    SingularSystem,
     UnstableMatrix,
     random_omegas,
     recursive_residual,
@@ -304,6 +307,20 @@ def _trials(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {text}")
+    return value
+
+
+def _tol(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"tol must be finite and positive, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lyapcum",
@@ -314,10 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--graph", required=True, help="graph JSON path")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--orders", default="2,3,4")
         p.add_argument("--trials", type=_trials, default=5)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument(
+            "--tol", type=_tol, default=1e-8, help="certificate tolerance, relative to max|T_n|"
+        )
         p.add_argument("--out", default="-", help="output path, '-' for stdout")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
@@ -356,6 +375,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except UnstableMatrix as exc:
         print(f"instability: {exc}", file=sys.stderr)
+        return EXIT_UNSTABLE
+    except SingularSystem as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
 
 

@@ -6,37 +6,33 @@ the order-n discrete Lyapunov equation
 
     T_n = T_n x_1 A ... x_n A + Omega_n.
 
-This module solves that equation exactly by the vectorized Kronecker form,
-cross-checks it with the truncated mode-product series, recovers the noise
-cumulants from a solution, and simulates the process for empirical
-estimates.
+This module solves that equation by squared-Smith doubling (Smith 1968,
+"Matrix equation XA + BX = C"), cross-checks it with the truncated
+mode-product series, recovers the noise cumulants from a solution, and
+simulates the process for empirical estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .graphs import DirectedGraph
-from .tensors import (
-    DimensionMismatch,
-    SymmetricTensor,
-    k_mode_product,
-    tucker_product,
-)
+from .tensors import DimensionMismatch, SymmetricTensor, tucker_product
 
 # rho(A) must stay below 1 - STABILITY_MARGIN to certify stability
 STABILITY_MARGIN = 1e-9
 
-# dense Kronecker solves are capped at p^n <= 8^4 unknowns
-MAX_VERTICES = 8
-MAX_ORDER = 4
+# doubling steps before giving up; rho < 1 - STABILITY_MARGIN needs about 35
+MAX_DOUBLINGS = 64
+# the default series stops once its last term is this small against the sum
+SERIES_RTOL = 1e-16
+SERIES_MAX_TERMS = 500
 
 
 class SingularSystem(Exception):
-    """The vectorized Lyapunov system is numerically singular."""
+    """The Lyapunov solve turned non-finite or did not converge."""
 
 
 class UnstableMatrix(Exception):
@@ -130,50 +126,64 @@ class ParameterMatrix:
         return f"ParameterMatrix(p={self.p}, radius={self.radius():.4g})"
 
 
-def _check_size(p: int, order: int) -> None:
-    if p > MAX_VERTICES or order > MAX_ORDER:
-        raise DimensionMismatch(
-            f"dense solve capped at p<={MAX_VERTICES}, order<={MAX_ORDER}; "
-            f"got p={p}, order={order}"
-        )
-
-
 def solve_cumulant(a: ParameterMatrix, omega: DiagonalCumulant) -> SymmetricTensor:
-    """Exact steady-state cumulant via the vectorized Kronecker solve.
+    """Steady-state cumulant by squared-Smith doubling.
 
-    Solves ``vec(T) = (I - A (x) ... (x) A)^{-1} vec(Omega)`` densely, then
-    folds back to canonical storage; the fold records the symmetry defect of
-    the raw solution on the result.
+    After k steps ``T = sum_{i < 2^k} Omega x_1 A^i ... x_n A^i`` and
+    ``M = A^(2^k)``; the step ``T <- T + T x_1 M ... x_n M, M <- M M``
+    doubles the number of summed terms.  The omitted tail is
+    ``T_inf x_1 M ... x_n M``, at most ``||M||_inf^n max|T_inf|`` entrywise,
+    so the loop stops once ``||M||_inf^n`` is below machine epsilon, or at
+    once when M is exactly zero (nilpotent A).  Entries that no equitrek
+    reaches stay exactly zero.
     """
     p, n = a.p, omega.order
     if omega.p != p:
         raise DimensionMismatch("noise cumulant dimension does not match matrix")
-    _check_size(p, n)
     a.require_stable()
-    kron = reduce(np.kron, [a.entries] * n)
-    lhs = np.eye(p**n) - kron
-    try:
-        flat = np.linalg.solve(lhs, omega.to_dense().reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
-    return SymmetricTensor.from_dense(flat.reshape((p,) * n))
+    t = omega.to_dense()
+    m = a.entries
+    eps = np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_DOUBLINGS):
+            if np.max(np.sum(np.abs(m), axis=1)) ** n < eps:
+                return SymmetricTensor.from_dense(t)
+            t = t + tucker_product(t, m)
+            m = m @ m
+            if not np.isfinite(t).all():  # a non-finite M reaches T one step later
+                raise SingularSystem("doubling produced non-finite values")
+    raise SingularSystem(f"doubling did not converge in {MAX_DOUBLINGS} steps")
 
 
 def _diagonal_tucker(w: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """Dense Tucker product of a diagonal tensor diag(w) with matrix b."""
-    letters = "ijkl"[:order]
-    spec = ",".join(f"{c}r" for c in letters) + ",r->" + letters
-    return np.einsum(spec, *([b] * order), w)
+    """Dense Tucker product of a diagonal tensor diag(w) with matrix b.
+
+    Entry ``(i_1, ..., i_n)`` is ``sum_r w_r b[i_1, r] ... b[i_n, r]``: one
+    matrix product of the column-wise Kronecker powers of b for the first
+    and the last modes.
+    """
+    p = b.shape[0]
+
+    def column_kron_power(k: int) -> np.ndarray:
+        out = np.ones((1, p))
+        for _ in range(k):
+            out = (out[:, None, :] * b[None, :, :]).reshape(-1, p)
+        return out
+
+    half = order // 2
+    return ((column_kron_power(order - half) * w) @ column_kron_power(half).T).reshape(
+        (p,) * order
+    )
 
 
 def default_series_terms(a: ParameterMatrix, omega: DiagonalCumulant) -> int:
-    """Truncation length: first L with rho^(n L) * ||Omega|| < 1e-14, capped at 500."""
+    """Shortest default series: first L with rho^(n L) * ||Omega|| < 1e-14, capped."""
     rho = a.radius()
     norm = float(np.max(np.abs(omega.w)))
     if rho == 0.0 or norm == 0.0:
         return a.p + 1
     length = 1
-    while rho ** (omega.order * length) * norm >= 1e-14 and length < 500:
+    while rho ** (omega.order * length) * norm >= 1e-14 and length < SERIES_MAX_TERMS:
         length += 1
     return length
 
@@ -183,21 +193,28 @@ def series_cumulant(
 ) -> SymmetricTensor:
     """Partial sum of ``sum_i Omega x_1 A^i ... x_n A^i``.
 
-    The independent oracle for :func:`solve_cumulant`; with ``terms=None``
-    the truncation length follows the geometric tail bound.
+    The independent oracle for :func:`solve_cumulant`.  With ``terms=None``
+    the sum runs past the geometric tail bound of :func:`default_series_terms`
+    until its last term is below ``SERIES_RTOL`` of the running sum (which
+    catches transient growth of non-normal A), at most ``SERIES_MAX_TERMS``.
     """
     p, n = a.p, omega.order
     if omega.p != p:
         raise DimensionMismatch("noise cumulant dimension does not match matrix")
     if terms is None:
         a.require_stable()
-        terms = default_series_terms(a, omega)
-    if terms < 1:
+        least, most = default_series_terms(a, omega), SERIES_MAX_TERMS
+    elif terms < 1:
         raise ValueError("series needs at least one term")
+    else:
+        least = most = terms
     acc = np.zeros((p,) * n)
     power = np.eye(p)
-    for _ in range(terms):
-        acc += _diagonal_tucker(omega.w, power, n)
+    for length in range(1, most + 1):
+        term = _diagonal_tucker(omega.w, power, n)
+        acc += term
+        if length >= least and np.max(np.abs(term)) <= SERIES_RTOL * np.max(np.abs(acc)):
+            break
         power = a.entries @ power
     return SymmetricTensor.from_dense(acc)
 

@@ -298,7 +298,11 @@ def _finish_report(
     conditions: dict[str, float],
     tol: float,
 ) -> IdentifiabilityReport:
-    """Recover noise at every stack order, attach forward residuals, verdict."""
+    """Recover noise at every stack order, attach forward residuals, verdict.
+
+    Residuals are absolute; the verdict is ``recovered`` iff each order's
+    residual is at most ``tol * max|T_n|`` of that order's stack tensor.
+    """
     recovered = ParameterMatrix(g, entries)
     noise = {}
     residuals = {}
@@ -317,7 +321,10 @@ def _finish_report(
             abs(forward[key] - stack.tensor(order)[key])
             for key in multiset_indices(g.p, order)
         )
-    verdict = "recovered" if max(residuals.values()) <= tol else "degenerate"
+    certified = all(
+        residuals[order] <= tol * stack.tensor(order).max_abs() for order in stack.orders
+    )
+    verdict = "recovered" if certified else "degenerate"
     return IdentifiabilityReport(
         method=method,
         verdict=verdict,

@@ -368,7 +368,7 @@ def validate_conjecture_order3(
     """Compare the conjectured order-3 base-trek rule to the exact solver.
 
     Assembles the third-order cumulant from conjectured coefficients and
-    reports the maximum relative deviation against the Kronecker solve.  The
+    reports the maximum relative deviation against :func:`solve_cumulant`.  The
     outcome is evidence about the conjecture, not ground truth.
     """
     if abs(t) >= 1:

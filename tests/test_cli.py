@@ -137,18 +137,24 @@ class TestIdentify:
         assert main(["identify", "--graph", fig1_graph, "--stack", str(stack), "--out", "-"]) == 2
 
 
-# one row per malformed input, files under {d}; each must exit 2 with a
-# message and no traceback
+# one row per malformed input, files under {d}: (arguments, exit code); each
+# must exit with that code and one message line, no traceback
 BAD_INPUTS = {
-    "radius-above-one": "cumulants --graph {d}/g2.json --radius 1.5",
-    "zero-trials": "analyze --graph {d}/g2.json --trials 0",
-    "short-omega": "cumulants --graph {d}/g2.json --params {d}/short-omega.json",
-    "p9-cumulants": "cumulants --graph {d}/g9.json",
-    "stack-missing-entry": "identify --graph {d}/g2.json --stack {d}/missing.json",
-    "stack-nonfinite-entry": "identify --graph {d}/g2.json --stack {d}/nan.json",
-    "stack-p-mismatch": "identify --graph {d}/g3.json --stack {d}/stack.json",
-    "stack-not-an-object": "identify --graph {d}/g2.json --stack {d}/list.json",
-    "graph-edges-not-a-list": "cumulants --graph {d}/edges5.json",
+    "radius-above-one": ("cumulants --graph {d}/g2.json --radius 1.5", 2),
+    "zero-trials": ("analyze --graph {d}/g2.json --trials 0", 2),
+    "short-omega": ("cumulants --graph {d}/g2.json --params {d}/short-omega.json", 2),
+    "stack-missing-entry": ("identify --graph {d}/g2.json --stack {d}/missing.json", 2),
+    "stack-nonfinite-entry": ("identify --graph {d}/g2.json --stack {d}/nan.json", 2),
+    "stack-p-mismatch": ("identify --graph {d}/g3.json --stack {d}/stack.json", 2),
+    "stack-not-an-object": ("identify --graph {d}/g2.json --stack {d}/list.json", 2),
+    "graph-edges-not-a-list": ("cumulants --graph {d}/edges5.json", 2),
+    "negative-seed": ("cumulants --graph {d}/g2.json --seed -1", 2),
+    "nan-tol": ("identify --graph {d}/g2.json --stack {d}/stack.json --tol nan", 2),
+    "inf-tol": ("identify --graph {d}/g2.json --stack {d}/stack.json --tol inf", 2),
+    "zero-tol": ("identify --graph {d}/g2.json --stack {d}/stack.json --tol 0", 2),
+    "negative-tol": ("identify --graph {d}/g2.json --stack {d}/stack.json --tol -0.5", 2),
+    # stable (radius 0.5) but the cumulants overflow: SingularSystem
+    "overflowing-solve": ("cumulants --graph {d}/g2.json --params {d}/huge.json", 3),
 }
 
 
@@ -157,11 +163,14 @@ def bad_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("bad")
     write_json(d / "g2.json", {"p": 2, "edges": [[0, 0], [0, 1]]})
     write_json(d / "g3.json", {"p": 3, "edges": [[0, 0], [0, 1], [1, 2]]})
-    write_json(d / "g9.json", {"p": 9, "edges": [[v, v] for v in range(9)]})
     write_json(d / "edges5.json", {"p": 2, "edges": 5})
     write_json(
         d / "short-omega.json",
         {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": {"2": [1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
+    )
+    write_json(
+        d / "huge.json",
+        {"A": [[0.5, 0.0], [1e200, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
     )
     write_json(d / "list.json", [1, 2])
     assert main(["cumulants", "--graph", str(d / "g2.json"), "--out", str(d / "stack.json")]) == 0
@@ -177,17 +186,30 @@ def bad_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exits_2(bad_dir, tmp_path, capsys, case):
+    command, expected = BAD_INPUTS[case]
     out = tmp_path / "out.json"
-    argv = [tok.format(d=bad_dir) for tok in BAD_INPUTS[case].split()] + ["--out", str(out)]
+    argv = [tok.format(d=bad_dir) for tok in command.split()] + ["--out", str(out)]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects the value
         code = exc.code
     err = capsys.readouterr().err
-    assert code == 2
+    assert code == expected
     assert "Traceback" not in err
     assert "error" in err.strip().splitlines()[-1]
     assert not out.exists()
+
+
+def test_cumulants_p12(tmp_path):
+    # no size cap: a p=12 all-loops path solves at orders 2-4
+    edges = [[v, v] for v in range(12)] + [[v, v + 1] for v in range(11)]
+    graph = write_json(tmp_path / "g12.json", {"p": 12, "edges": edges})
+    out = tmp_path / "dump.json"
+    assert main(["cumulants", "--graph", graph, "--seed", "4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    for n, residual in doc["recursive_residuals"].items():
+        scale = max(abs(v) for v in doc["tensors"][n]["entries"].values())
+        assert residual <= 1e-9 * scale
 
 
 def test_analyze_solves_no_order4(tmp_path, monkeypatch):

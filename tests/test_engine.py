@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyapcum import (
     DiagonalCumulant,
-    DimensionMismatch,
     DirectedGraph,
     NoiseSpec,
     ParameterMatrix,
     UnstableMatrix,
+    equitrek_multisets,
     recover_noise,
     recursive_residual,
     sample_stable_matrix,
@@ -27,6 +29,27 @@ def fig1_matrix() -> ParameterMatrix:
 def random_pattern(rng, p, edge_prob=0.45):
     edges = {(i, j) for i in range(p) for j in range(p) if rng.uniform() < edge_prob}
     return DirectedGraph(p, edges) if edges else DirectedGraph(p, [(0, 0)])
+
+
+def banded_dag(p):
+    """All self-loops plus the edges v -> v+1 and v -> v+2."""
+    edges = [(v, v) for v in range(p)] + [(v, v + 1) for v in range(p - 1)]
+    return DirectedGraph(p, edges + [(v, v + 2) for v in range(p - 2)])
+
+
+@st.composite
+def signed_models(draw):
+    """Random digraph (p <= 8) with signed weights scaled to radius 0.5."""
+    p = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = random_pattern(rng, p, edge_prob=draw(st.floats(0.1, 0.4)))
+    entries = np.zeros((p, p))
+    for i, j in g.sorted_edges:
+        entries[j, i] = rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0])
+    rho = spectral_radius(entries)
+    if rho > 0.0:
+        entries *= 0.5 / rho
+    return ParameterMatrix(g, entries), rng.uniform(0.5, 2.0, p)
 
 
 class TestSpectralRadius:
@@ -69,7 +92,7 @@ class TestSolveCumulant:
         pm = ParameterMatrix(g, np.zeros((3, 3)))
         omega = DiagonalCumulant(3, [1.0, -2.0, 0.5])
         t = solve_cumulant(pm, omega)
-        np.testing.assert_allclose(t.to_dense(), omega.to_dense(), atol=1e-15)
+        assert np.array_equal(t.to_dense(), omega.to_dense())
 
     def test_collider_square_determinant(self):
         g = DirectedGraph(4, [(0, 1), (0, 3), (2, 3)] + [(i, i) for i in range(4)])
@@ -83,11 +106,54 @@ class TestSolveCumulant:
         with pytest.raises(UnstableMatrix):
             solve_cumulant(pm, DiagonalCumulant(2, [1.0, 1.0]))
 
-    def test_size_cap(self):
-        g = DirectedGraph(9, [(0, 0)])
-        pm = ParameterMatrix(g, np.zeros((9, 9)))
-        with pytest.raises(DimensionMismatch):
-            solve_cumulant(pm, DiagonalCumulant(2, np.ones(9)))
+    @pytest.mark.parametrize("p", [12, 16])
+    def test_large_p_matches_series(self, p):
+        g = banded_dag(p)
+        pm = sample_stable_matrix(g, seed=p, target_radius=0.6)
+        omega = DiagonalCumulant(4, np.linspace(0.5, 2.0, p))
+        exact = solve_cumulant(pm, omega).to_dense()
+        series = series_cumulant(pm, omega, terms=3000).to_dense()
+        assert np.max(np.abs(exact - series)) <= 1e-12 * np.max(np.abs(series))
+
+    def test_converges_near_unit_radius(self):
+        g = banded_dag(4)
+        pm = unit_parameters(g, diag=1.0 - 1e-6, off=0.3)
+        assert pm.radius() == pytest.approx(1.0 - 1e-6, abs=1e-12)
+        for order in (2, 3, 4):
+            omega = DiagonalCumulant(order, np.linspace(0.5, 2.0, 4))
+            t = solve_cumulant(pm, omega)
+            assert recursive_residual(t, pm, omega) <= 1e-12 * t.max_abs()
+
+    def test_non_normal_equal_loops_matches_long_series(self):
+        # a defective A (equal self-loops on a DAG) with strong transient
+        # growth: the entries reach 1e26, and no walk sum cancels
+        p = 8
+        edges = [(v, v) for v in range(p)] + [(v, v + 1) for v in range(p - 1)]
+        g = DirectedGraph(p, edges + [(0, 2), (1, 4), (3, 6), (2, 7)])
+        pm = unit_parameters(g, diag=0.9, off=1.0)
+        for order in (2, 3, 4):
+            omega = DiagonalCumulant(order, np.linspace(0.5, 2.0, p))
+            exact = solve_cumulant(pm, omega).to_dense()
+            series = series_cumulant(pm, omega, terms=20_000).to_dense()
+            assert np.all(np.abs(exact - series) <= 1e-12 * np.abs(series))
+
+    def test_nilpotent_matrix_sums_finitely(self):
+        # a loopless path has A^4 = 0: the solve is the four-term series
+        g = DirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
+        pm = unit_parameters(g, diag=0.0, off=0.7)
+        for order in (2, 3, 4):
+            omega = DiagonalCumulant(order, [1.0, -2.0, 0.5, 1.5])
+            exact = solve_cumulant(pm, omega).to_dense()
+            series = series_cumulant(pm, omega, terms=4).to_dense()
+            np.testing.assert_allclose(exact, series, rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(signed_models(), st.integers(2, 4))
+    def test_zero_outside_equitrek_support(self, model, order):
+        a, w = model
+        t = solve_cumulant(a, DiagonalCumulant(order, w))
+        support = equitrek_multisets(a.g, order)
+        assert all(v == 0.0 for k, v in t.values.items() if k not in support)
 
     def test_symmetry_defect_small(self, rng):
         g = random_pattern(rng, 3)
@@ -123,8 +189,17 @@ class TestSeriesCumulant:
         assert errors == sorted(errors, reverse=True)
         assert errors[-1] < errors[0]
 
+    def test_default_length_covers_transient_growth(self):
+        # equal self-loops on a banded DAG: the terms grow for a while before
+        # rho^i takes over, so a stop on rho alone leaves a large tail
+        pm = unit_parameters(banded_dag(12), diag=0.9, off=0.5)
+        for order in (2, 3, 4):
+            omega = DiagonalCumulant(order, np.linspace(0.5, 2.0, 12))
+            series = series_cumulant(pm, omega)
+            assert recursive_residual(series, pm, omega) <= 1e-12 * series.max_abs()
+
     def test_oracle_equivalence_random_patterns(self, rng):
-        # series is the independent oracle for the Kronecker solve
+        # series is the independent oracle for the doubling solve
         for p in (2, 3, 4):
             for _ in range(4):
                 g = random_pattern(rng, p)

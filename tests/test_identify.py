@@ -293,6 +293,51 @@ class TestAutoIdentify:
             auto_identify(g, stack)
 
 
+class TestCertificate:
+    """The verdict compares each forward residual with tol * max|T_n|."""
+
+    def test_large_polytree_tensors_recovered(self):
+        # max|T_4| is 1.7e6 here, so an accurate recovery leaves absolute
+        # forward residuals near 1e-7
+        g = DirectedGraph(6, [(1, 0), (1, 2), (1, 5), (3, 1), (3, 3), (5, 4), (5, 5)])
+        entries = np.zeros((6, 6))
+        for (i, j), value in {
+            (1, 0): 1.3405, (3, 1): 3.4194, (1, 2): 0.5673, (3, 3): 0.6918,
+            (5, 4): -0.8612, (1, 5): -3.8450, (5, 5): 0.7985,
+        }.items():
+            entries[j, i] = value
+        pm = ParameterMatrix(g, entries)
+        omegas = {
+            2: DiagonalCumulant(2, [0.6073, 1.7285, 1.8178, 1.8551, 1.9936, 0.7672]),
+            3: DiagonalCumulant(3, [-1.4503, -0.8446, 0.9343, -1.4795, 0.9041, 1.7075]),
+            4: DiagonalCumulant(4, [0.6315, 1.3555, 0.6019, 1.6153, 1.9559, 1.7067]),
+        }
+        stack = model_stack(pm, omegas)
+        report = auto_identify(g, stack)
+        assert report.method == "polytree"
+        assert report.verdict == "recovered"
+        assert np.max(np.abs(report.a - entries)) <= 1e-9
+
+    def test_near_unit_radius_dag_recovered(self):
+        edges = [(0, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (3, 5), (4, 5), (5, 6)]
+        g = DirectedGraph(7, edges + [(v, v) for v in range(7)])
+        pm = sample_stable_matrix(g, seed=9, target_radius=0.97)
+        stack = model_stack(pm, random_omegas(np.random.default_rng(1009), 7))
+        report = auto_identify(g, stack)
+        assert report.verdict == "recovered"
+        assert max(report.forward_residuals.values()) > 1e-8  # absolute values
+        assert np.max(np.abs(report.a - pm.entries)) <= 1e-9
+
+    def test_verdict_is_scale_invariant(self):
+        # scaling every omega_n by c^n scales every T_n by c^n and leaves A
+        g = four_node_tree()
+        pm = sample_stable_matrix(g, seed=7, target_radius=0.6)
+        omegas = random_omegas(np.random.default_rng(7), 4)
+        for c in (1e-3, 1.0, 1e3):
+            scaled = {n: DiagonalCumulant(n, c**n * w.w) for n, w in omegas.items()}
+            assert auto_identify(g, model_stack(pm, scaled)).verdict == "recovered"
+
+
 class TestExperimentalEnumerator:
     def test_two_solutions_one_stable(self):
         g = two_node_both_loops()
