@@ -7,6 +7,10 @@ rows, which reduces the full-rank question to the off-diagonal rows of the
 edge-derivative columns: the model is locally identifiable iff that block
 has rank |E| generically.
 
+Each order's edge columns are read from one contraction
+``U = T_n x_2 A ... x_n A``: the derivative along alpha -> beta at multiset
+row K is ``mult_beta(K) * U[alpha, K minus one beta]``.
+
 Generic rank is certified by the maximum numeric rank over repeated random
 draws: one full-rank witness suffices because rank is lower semicontinuous
 on the parameter variety, while a deficiency verdict requires unanimity
@@ -15,7 +19,6 @@ across trials plus a wide singular-value gap.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb
 from typing import Sequence
@@ -32,7 +35,6 @@ from .engine import (
 from .graphs import DirectedGraph
 from .tensors import SymmetricTensor, k_mode_product, multiset_indices
 
-FOLD_TOL = 1e-10
 RANK_EPS = 1e-12
 GAP_STRUCTURAL = 1e6
 
@@ -94,10 +96,6 @@ class ModifiedJacobian:
     orders: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def offdiag_row_indices(self) -> list[int]:
         return [
             idx for idx, (_, key) in enumerate(self.rows) if len(set(key)) > 1
@@ -110,20 +108,18 @@ class ModifiedJacobian:
         return self.matrix[np.ix_(self.offdiag_row_indices(), self.a_col_indices())]
 
 
-def _fold_to_multisets(
-    dense: np.ndarray, keys: list[tuple[int, ...]], scale: float
-) -> np.ndarray:
-    """Take the representative entry per multiset; permuted entries must agree."""
-    out = np.empty(len(keys))
-    for idx, key in enumerate(keys):
-        perms = {perm: dense[perm] for perm in set(itertools.permutations(key))}
-        vals = list(perms.values())
-        spread = max(vals) - min(vals)
-        if spread > FOLD_TOL * max(1.0, scale):
-            raise RuntimeError(
-                f"permuted rows disagree at {key}: spread {spread:.3g}"
-            )
-        out[idx] = dense[key]
+def _edge_columns(u: np.ndarray, keys: list, edges: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Edge block of one order from ``u = T x_2 A ... x_n A``.
+
+    Row K, column alpha -> beta: ``sum_j delta(K_j, beta) u[alpha, K without K_j]``,
+    the delta sum of ``jacobian_entry_order2`` and ``jacobian_entry_order3``.
+    """
+    rows = np.array(keys, dtype=np.intp).reshape(-1, u.ndim)
+    alpha, beta = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    out = np.zeros((len(rows), len(alpha)))
+    for j in range(u.ndim):
+        rest = np.delete(rows, j, axis=1)[:, :, None]
+        out += np.where(rows[:, j, None] == beta, u[(alpha, *rest.transpose(1, 0, 2))], 0.0)
     return out
 
 
@@ -137,9 +133,10 @@ def build_modified_jacobian(
     """Assemble the modified Jacobian for the requested cumulant orders.
 
     Edge columns hold ``sum_k T_n x_1 A ... x_k E_(beta alpha) ... x_n A``
-    folded to multiset rows; noise columns are unit vectors on the diagonal
-    rows of their order.  Order-4 rows default to all multisets but can be
-    restricted (``order4_rows``) for targeted augmentation.
+    at the multiset rows, read from ``T_n x_2 A ... x_n A`` (``_edge_columns``);
+    noise columns are unit vectors on the diagonal rows of their order.
+    Order-4 rows default to all multisets but can be restricted
+    (``order4_rows``) for targeted augmentation.
     """
     orders = tuple(sorted(orders))
     if any(n not in omegas for n in orders):
@@ -147,46 +144,30 @@ def build_modified_jacobian(
     a.require_stable()
     p = g.p
     edges = tuple(g.sorted_edges)
+    cols: list[tuple] = [("a", alpha, beta) for alpha, beta in edges]
+    for n in orders:
+        cols.extend(("w", n, i) for i in range(p))
+
     rows: list[tuple[int, tuple[int, ...]]] = []
-    per_order_keys: dict[int, list[tuple[int, ...]]] = {}
+    blocks = [np.zeros((0, len(cols)))]
     for n in orders:
         if n == 4 and order4_rows is not None:
             keys = [tuple(sorted(k)) for k in order4_rows]
         else:
             keys = multiset_indices(p, n)
-        per_order_keys[n] = keys
-        rows.extend((n, key) for key in keys)
-
-    cols: list[tuple] = [("a", alpha, beta) for alpha, beta in edges]
-    for n in orders:
-        cols.extend(("w", n, i) for i in range(p))
-
-    matrix = np.zeros((len(rows), len(cols)))
-    row_offset = 0
-    for n in orders:
-        keys = per_order_keys[n]
-        tensor = solve_cumulant(a, omegas[n]).to_dense()
-        scale = float(np.max(np.abs(tensor))) if tensor.size else 1.0
-        for col_idx, (alpha, beta) in enumerate(edges):
-            basis = np.zeros((p, p))
-            basis[beta, alpha] = 1.0
-            deriv = np.zeros_like(tensor)
-            for k in range(n):
-                term = tensor
-                for axis in range(n):
-                    term = k_mode_product(
-                        term, basis if axis == k else a.entries, axis
-                    )
-                deriv = deriv + term
-            matrix[row_offset : row_offset + len(keys), col_idx] = _fold_to_multisets(
-                deriv, keys, scale
-            )
+        u = solve_cumulant(a, omegas[n]).to_dense()
+        for axis in range(1, n):
+            u = k_mode_product(u, a.entries, axis)
+        block = np.zeros((len(keys), len(cols)))
+        block[:, : len(edges)] = _edge_columns(u, keys, edges)
         w_base = len(edges) + sum(p for m in orders if m < n)
         for i in range(p):
             diag_key = (i,) * n
             if diag_key in keys:
-                matrix[row_offset + keys.index(diag_key), w_base + i] = 1.0
-        row_offset += len(keys)
+                block[keys.index(diag_key), w_base + i] = 1.0
+        rows.extend((n, key) for key in keys)
+        blocks.append(block)
+    matrix = np.vstack(blocks)
 
     return ModifiedJacobian(
         matrix=matrix, rows=rows, cols=cols, orders=orders, edges=edges

@@ -1,8 +1,13 @@
-"""Symmetric tensors in canonical multiset storage, plus mode products."""
+"""Symmetric tensors in canonical multiset storage, plus mode products.
+
+Every conversion between the multiset values and the dense ``(p,) * n``
+array goes through one cached index map per ``(p, n)``, ``_orbits``.
+"""
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb, isfinite
 from typing import Iterable, Iterator
 
@@ -46,19 +51,19 @@ def tucker_product(tensor: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def symmetry_defect(dense: np.ndarray) -> float:
-    """Max absolute disagreement between entries at permuted indices."""
-    defect = 0.0
-    order = dense.ndim
-    for perm in itertools.permutations(range(order)):
-        defect = max(defect, float(np.max(np.abs(dense - dense.transpose(perm)))))
-    return defect
+@lru_cache(maxsize=32)
+def _orbits(p: int, order: int) -> np.ndarray:
+    """Cached (n! x rows) map from multiset rows to flat dense positions.
 
-
-def symmetrize(dense: np.ndarray) -> np.ndarray:
-    order = dense.ndim
-    perms = list(itertools.permutations(range(order)))
-    return sum(dense.transpose(perm) for perm in perms) / len(perms)
+    Entry ``[k, r]`` is the position that ``dense.transpose(perm)`` reads at
+    row r of ``multiset_indices``, for the k-th ``itertools.permutations``
+    ``perm``; each row's column lists its whole orbit.
+    """
+    rows = np.array(multiset_indices(p, order), dtype=np.intp).reshape(-1, order)
+    perms = np.array([np.ravel_multi_index(rows[:, np.argsort(perm)].T, (p,) * order)
+                      for perm in itertools.permutations(range(order))], dtype=np.intp)
+    perms.setflags(write=False)
+    return perms
 
 
 class SymmetricTensor:
@@ -78,19 +83,20 @@ class SymmetricTensor:
         self.sym_defect: float = 0.0
 
     @classmethod
-    def zeros(cls, order: int, p: int) -> "SymmetricTensor":
-        return cls(order, p, {k: 0.0 for k in multiset_indices(p, order)})
-
-    @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SymmetricTensor":
-        """Fold a dense tensor; records its permutation-symmetry defect."""
+        """Fold a dense tensor to the mean of each multiset's n! permuted entries.
+
+        The sum runs over the transposes in ``itertools.permutations`` order;
+        ``sym_defect`` is the largest spread (max - min) within one orbit.
+        """
         dense = np.asarray(dense, dtype=float)
         p = dense.shape[0]
         if any(s != p for s in dense.shape):
             raise DimensionMismatch("dense tensor must be hypercubic")
-        sym = symmetrize(dense)
-        tensor = cls(dense.ndim, p, {k: sym[k] for k in multiset_indices(p, dense.ndim)})
-        tensor.sym_defect = symmetry_defect(dense)
+        orbit = dense.reshape(-1)[_orbits(p, dense.ndim)]
+        sym = sum(orbit) / len(orbit)
+        tensor = cls(dense.ndim, p, dict(zip(multiset_indices(p, dense.ndim), sym.tolist())))
+        tensor.sym_defect = float(np.max(orbit.max(axis=0) - orbit.min(axis=0)))
         return tensor
 
     @classmethod
@@ -102,11 +108,11 @@ class SymmetricTensor:
         return cls(order, len(diag), values)
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.p,) * self.order)
-        for key, val in self.values.items():
-            for perm in set(itertools.permutations(key)):
-                dense[perm] = val
-        return dense
+        """Dense array; multisets missing from ``values`` read as zero."""
+        vals = [self.values.get(k, 0.0) for k in multiset_indices(self.p, self.order)]
+        dense = np.empty(self.p**self.order)
+        dense[_orbits(self.p, self.order)] = vals  # every position lies in one orbit
+        return dense.reshape((self.p,) * self.order)
 
     def __getitem__(self, index: tuple[int, ...] | int) -> float:
         if isinstance(index, int):
@@ -115,9 +121,6 @@ class SymmetricTensor:
 
     def keys(self) -> Iterator[tuple[int, ...]]:
         return iter(multiset_indices(self.p, self.order))
-
-    def diag(self) -> np.ndarray:
-        return np.array([self.values[(i,) * self.order] for i in range(self.p)])
 
     def max_abs(self) -> float:
         return max((abs(v) for v in self.values.values()), default=0.0)
@@ -147,17 +150,19 @@ class SymmetricTensor:
     def from_json_dict(cls, data: dict) -> "SymmetricTensor":
         try:
             order, p = int(data["order"]), int(data["p"])
+            entries = data["entries"]
             values = {
                 tuple(int(s) for s in key.split(",")): float(v)
-                for key, v in data["entries"].items()
+                for key, v in entries.items()
             }
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"malformed tensor JSON: {exc}") from exc
         tensor = cls(order, p, values)
         expected = comb(p + order - 1, order)
-        if len(tensor.values) != expected:
+        if not len(entries) == len(tensor.values) == expected:
             raise ValueError(
-                f"tensor JSON needs all {expected} entries, got {len(tensor.values)}"
+                f"tensor JSON needs each of its {expected} multisets once, got "
+                f"{len(entries)} entries for {len(tensor.values)}"
             )
         if not all(isfinite(v) for v in tensor.values.values()):
             raise ValueError("tensor JSON has non-finite entries")

@@ -145,6 +145,7 @@ BAD_INPUTS = {
     "short-omega": ("cumulants --graph {d}/g2.json --params {d}/short-omega.json", 2),
     "stack-missing-entry": ("identify --graph {d}/g2.json --stack {d}/missing.json", 2),
     "stack-nonfinite-entry": ("identify --graph {d}/g2.json --stack {d}/nan.json", 2),
+    "stack-duplicate-multiset": ("identify --graph {d}/g2.json --stack {d}/dup.json", 2),
     "stack-p-mismatch": ("identify --graph {d}/g3.json --stack {d}/stack.json", 2),
     "stack-not-an-object": ("identify --graph {d}/g2.json --stack {d}/list.json", 2),
     "graph-edges-not-a-list": ("cumulants --graph {d}/edges5.json", 2),
@@ -181,6 +182,9 @@ def bad_dir(tmp_path_factory):
     nonfinite = copy.deepcopy(good)
     nonfinite["tensors"]["2"]["entries"]["0,1"] = float("nan")
     write_json(d / "nan.json", nonfinite)
+    duplicate = copy.deepcopy(good)
+    duplicate["tensors"]["2"]["entries"]["1,0"] = 5.0  # second spelling of "0,1"
+    write_json(d / "dup.json", duplicate)
     return d
 
 

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from lyapcum import (
     toric_matrix,
     tree_equivalence,
 )
+from lyapcum.constraints import _minor_norm
 from lyapcum.identify import CumulantStack
 from conftest import (
     end_loop_path,
@@ -272,7 +274,35 @@ class TestRankConstraints:
             )
             assert q.bound == 1
             assert q.rank <= 1
-            assert q.max_minor is not None and q.max_minor <= 1e-9
+            assert q.minor_norm <= 1e-9
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_minor_norm_is_cauchy_binet(self, rng, size):
+        # oracle: the root sum of squares of every size x size minor
+        for _ in range(5):
+            m = rng.standard_normal((6, 4))
+            brute = np.sqrt(sum(
+                np.linalg.det(m[np.ix_(r, c)]) ** 2
+                for r in itertools.combinations(range(6), size)
+                for c in itertools.combinations(range(4), size)
+            ))
+            sing = np.linalg.svd(m, compute_uv=False)
+            assert _minor_norm(sing, size) == pytest.approx(brute, rel=1e-12)
+
+    def test_large_star_values_every_matrix(self):
+        # the p=8 star with a looped source has 66 x 3 Q matrices with 6435
+        # 2x2 minors; each still gets its minor norm
+        g = DirectedGraph(8, [(0, 0)] + [(0, j) for j in range(1, 8)])
+        _, _, stack = tree_stack(g, seed=2)
+        results = rank_constraints_scan(g, stack, max_subset=3)
+        assert max(r.minors_checked for r in results) > 5000
+        for r in results:
+            k = r.bound + 1
+            assert r.minors_checked == comb(r.shape[0], k) * comb(r.shape[1], k)
+            assert isinstance(r.minor_norm, float) and np.isfinite(r.minor_norm)
+            if r.rank <= r.bound:
+                scale = max(1.0, stack.s.max_abs(), stack.t.max_abs())
+                assert r.minor_norm <= 1e-9 * scale**k
 
     def test_end_loop_path_grandparent_slice(self):
         g = end_loop_path()

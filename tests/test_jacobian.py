@@ -185,6 +185,27 @@ class TestBuild:
                     expected, rel=1e-9, abs=1e-11
                 )
 
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_order4_edge_columns_match_finite_difference(self, rng, augmented):
+        if augmented:  # a two-cycle component {0, 1} beside a looped vertex 2
+            g = DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)])
+        else:
+            g = random_all_loops_graph(rng, 3, edge_prob=0.6)
+        pm = sample_stable_matrix(g, seed=9, target_radius=0.5)
+        omegas = random_omegas(rng, 3, (2, 3, 4))
+        rows = augmentation_rows(g) if augmented else None
+        mj = build_modified_jacobian(g, pm, omegas, (2, 3, 4), order4_rows=rows)
+        order4 = [(r, key) for r, (n, key) in enumerate(mj.rows) if n == 4]
+        assert len(order4) == (3 if augmented else 15)
+        for c_idx, tag in enumerate(mj.cols):
+            if tag[0] != "a":
+                continue
+            numeric = premultiplied_finite_difference(g, pm, omegas[4], 4, tag[1:])
+            for r_idx, key in order4:
+                assert mj.matrix[r_idx, c_idx] == pytest.approx(
+                    numeric[key], rel=1e-6, abs=1e-8
+                )
+
     def test_noise_columns_are_units(self):
         g = two_node_chain()
         pm = ParameterMatrix(g, np.array([[0.5, 0.0], [1.0, 0.0]]))
@@ -315,6 +336,19 @@ class TestVerdict:
         report = local_identifiability_verdict(g, trials=4, seed=0)
         assert report.verdict == "locally-identifiable"
         assert report.generic_rank == len(g.edges)
+
+
+class TestSinkLoopChains:
+    @pytest.mark.parametrize("p", [5, 8])
+    def test_relabeled_chains_rank_zero(self, p):
+        # path 0 -> 1 -> ... -> p-1 with a self-loop on the sink only: no
+        # edge is locally identifiable, under any labelling of the vertices
+        chain = DirectedGraph(p, [(v, v + 1) for v in range(p - 1)] + [(p - 1, p - 1)])
+        rng = np.random.default_rng(p)
+        for _ in range(10):
+            g = chain.relabel([int(v) for v in rng.permutation(p)])
+            report = local_identifiability_verdict(g, seed=int(rng.integers(1000)))
+            assert (report.verdict, report.generic_rank) == ("rank-deficient", 0)
 
 
 class TestComponentZeroPattern:

@@ -1,10 +1,29 @@
 import itertools
+import json
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lyapcum import DimensionMismatch, SymmetricTensor, k_mode_product, tucker_product
-from lyapcum.tensors import multiset_indices, symmetry_defect
+from lyapcum.tensors import multiset_indices
+
+
+def symmetrize(dense):
+    """Brute-force fold: the mean over all n! axis transposes, summed in order."""
+    perms = list(itertools.permutations(range(dense.ndim)))
+    return sum(dense.transpose(perm) for perm in perms) / len(perms)
+
+
+def symmetry_defect(dense):
+    """Brute-force defect: max disagreement between entries at permuted indices."""
+    return max(
+        float(np.max(np.abs(dense - dense.transpose(perm))))
+        for perm in itertools.permutations(range(dense.ndim))
+    )
 
 
 class TestKModeProduct:
@@ -68,6 +87,12 @@ class TestSymmetricTensor:
         back = SymmetricTensor.from_json_dict(data)
         assert back.values == t.values
 
+    def test_json_rejects_duplicate_multisets(self):
+        data = SymmetricTensor(2, 2, {(0, 0): 1.0, (0, 1): 2.0, (1, 1): 3.0}).to_json_dict()
+        data["entries"]["1,0"] = 5.0
+        with pytest.raises(ValueError, match="multisets once"):
+            SymmetricTensor.from_json_dict(data)
+
     def test_relabel(self):
         t = SymmetricTensor(2, 2, {(0, 0): 1.0, (0, 1): 2.0, (1, 1): 3.0})
         swapped = t.relabel([1, 0])
@@ -85,3 +110,62 @@ class TestSymmetricTensor:
         assert t.to_csv().splitlines()[0] == "1.0,0.0"
         with pytest.raises(ValueError):
             SymmetricTensor.diagonal([1.0], 3).to_csv()
+
+
+@st.composite
+def shapes(draw):
+    return draw(st.integers(1, 6)), draw(st.integers(2, 4))
+
+
+@st.composite
+def symmetric_tensors(draw):
+    """Random tensor with every multiset set, values of at most 40 significant bits.
+
+    ``from_dense`` averages n! entries in ``symmetrize``'s order; for a value
+    x with a full 53-bit significand, 24 sequential additions of x followed
+    by a division by 24 can round away from x, so the exact round trip is
+    stated on values whose multiples up to n! are exact.
+    """
+    p, order = draw(shapes())
+    mantissas = st.integers(-(2**40), 2**40)
+    values = draw(
+        st.lists(
+            st.tuples(mantissas, st.integers(-60, 20)).map(lambda me: me[0] * 2.0 ** me[1]),
+            min_size=comb(p + order - 1, order),
+            max_size=comb(p + order - 1, order),
+        )
+    )
+    return SymmetricTensor(order, p, dict(zip(multiset_indices(p, order), values)))
+
+
+class TestSymmetricTensorProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(symmetric_tensors())
+    def test_dense_round_trip_is_exact(self, t):
+        assert SymmetricTensor.from_dense(t.to_dense()).values == t.values
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(symmetric_tensors())
+    def test_json_round_trip(self, t):
+        back = SymmetricTensor.from_json_dict(json.loads(json.dumps(t.to_json_dict())))
+        assert (back.order, back.p, back.values) == (t.order, t.p, t.values)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(symmetric_tensors(), st.data())
+    def test_relabel_reindexes_dense(self, t, data):
+        perm = data.draw(st.permutations(range(t.p)))
+        # variable v becomes perm[v]: new[perm[i], perm[j], ...] = old[i, j, ...]
+        expected = np.empty_like(t.to_dense())
+        expected[np.ix_(*[perm] * t.order)] = t.to_dense()
+        assert np.array_equal(t.relabel(perm).to_dense(), expected)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shapes().flatmap(
+        lambda s: arrays(np.float64, (s[0],) * s[1], elements=st.floats(-1e6, 1e6))
+    ))
+    def test_fold_matches_brute_force(self, raw):
+        tensor = SymmetricTensor.from_dense(raw)
+        sym = symmetrize(raw)
+        for key in multiset_indices(raw.shape[0], raw.ndim):
+            assert tensor.values[key] == sym[key]  # bitwise, same summation order
+        assert tensor.sym_defect == symmetry_defect(raw)
