@@ -1,11 +1,14 @@
 """Constructive parameter recovery from steady-state cumulants.
 
-Implements the closed-form two-node recoveries, the topological-order
-elimination for DAGs with all self-loops, the polytree variant with
-self-loops at all sources, and an equation-counting diagnostic for
-non-identifiable patterns.  All block solves are rank revealing and report
-condition numbers; non-generic inputs surface as diagnostics instead of
-silent garbage.
+Implements the closed-form two-node recoveries, one topological-order
+elimination shared by DAGs with all self-loops and polytrees with
+self-loops at all sources (two-node pairs included), and an
+equation-counting diagnostic for non-identifiable patterns.  The closed
+forms give each source's self-loop; every other row of A is a least-squares
+solve over the second- and third-order identities of the rows already
+recovered.  All block solves are rank revealing and report condition
+numbers; non-generic inputs surface as diagnostics instead of silent
+garbage.
 """
 
 from __future__ import annotations
@@ -206,29 +209,23 @@ def identify_two_node(
     """
     if stack.p != 2:
         raise HypothesisViolated("two-node recovery needs p = 2")
-    s00, s01, s11 = stack.s[(0, 0)], stack.s[(0, 1)], stack.s[(1, 1)]
+    s00, s01 = stack.s[(0, 0)], stack.s[(0, 1)]
     t000, t001 = stack.t[(0, 0, 0)], stack.t[(0, 0, 1)]
-    t111 = stack.t[(1, 1, 1)]
     if variant == "both-loops":
         if stack.r is None:
             raise HypothesisViolated("both-loops variant needs fourth-order input")
         r0000, r0001 = stack.r[(0, 0, 0, 0)], stack.r[(0, 0, 0, 1)]
         a00, a10, a11 = _both_loops_edge(s00, s01, t000, t001, r0000, r0001, tol)
         g = DirectedGraph(2, [(0, 0), (0, 1), (1, 1)])
-        entries = np.array([[a00, 0.0], [a10, a11]])
-        noise = {}
-        for order in stack.orders:
-            w, _ = recover_noise(stack.tensor(order), ParameterMatrix(g, entries))
-            noise[order] = w.w
-        return TwoNodeResult(a00=a00, a10=a10, a11=a11, noise=noise)
-    if variant == "source-loop-only":
+    elif variant == "source-loop-only":
         a00, a10 = _source_loop_only_edge(s00, s01, t000, t001, tol)
-        noise = {
-            2: np.array([s00 * (1 - a00**2), s11 - a10**2 * s00]),
-            3: np.array([t000 * (1 - a00**3), t111 - a10**3 * t000]),
-        }
-        return TwoNodeResult(a00=a00, a10=a10, a11=None, noise=noise)
-    raise ValueError(f"unknown variant {variant!r}")
+        a11 = None
+        g = DirectedGraph(2, [(0, 0), (0, 1)])
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    a = ParameterMatrix(g, np.array([[a00, 0.0], [a10, a11 or 0.0]]))
+    noise = {n: recover_noise(stack.tensor(n), a)[0].w for n in stack.orders}
+    return TwoNodeResult(a00=a00, a10=a10, a11=a11, noise=noise)
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +233,14 @@ def identify_two_node(
 # ---------------------------------------------------------------------------
 
 
-def _min_source_ancestor(g: DirectedGraph, v: int) -> int:
-    candidates = [s for s in g.sources if v in g.descendant_sets[s]]
-    if not candidates:
-        raise HypothesisViolated(f"vertex {v} has no source ancestor")
-    return min(candidates)
-
-
 def _solve_block(matrix: np.ndarray, rhs: np.ndarray, vertex: int):
-    """Rank-revealing solve; returns (solution, condition number)."""
-    u, sing, vt = np.linalg.svd(matrix)
+    """Rank-revealing least-squares solve; returns (solution, condition number).
+
+    Fewer rows than unknowns count as a zero singular value.
+    """
+    u, sing, vt = np.linalg.svd(matrix, full_matrices=False)
     smax = sing[0] if len(sing) else 0.0
-    smin = sing[-1] if len(sing) else 0.0
+    smin = sing[-1] if len(sing) == matrix.shape[1] else 0.0
     cond = np.inf if smin == 0.0 else smax / smin
     if smax == 0.0 or smin <= smax * BLOCK_RCOND:
         raise SingularBlock(vertex, cond)
@@ -337,8 +330,58 @@ def _finish_report(
 
 
 # ---------------------------------------------------------------------------
-# DAGs with all self-loops
+# DAGs with all self-loops, and polytrees with looped sources
 # ---------------------------------------------------------------------------
+
+
+def _eliminate(
+    g: DirectedGraph, stack: CumulantStack, method: str, tol: float
+) -> IdentifiabilityReport:
+    """Recover A row by row in topological order, then certify the result.
+
+    Each source's self-loop comes from the closed form on the pair it forms
+    with its first child in topological order.  A non-source j solves for
+    its pattern row ``a_j`` (its parents, itself only on a self-loop) by
+    least squares over two identities per already-recovered vertex z, which
+    hold because every Omega_n is diagonal and z != j:
+
+    - ``S_zj = sum_l (a_z S)_l a_jl``;
+    - ``T_zzj = sum_l (T x_1 a_z x_2 a_z)_l a_jl``.
+
+    Rows that vanish on j's unknowns are dropped and the rest are scaled to
+    unit max; ``block_conditions`` holds the condition of that scaled block.
+    """
+    order = g.topological_order()  # raises CyclicGraph on cycles
+    pos = {v: idx for idx, v in enumerate(order)}
+    s_dense, t_dense = stack.s.to_dense(), stack.t.to_dense()
+    entries = np.zeros((g.p, g.p))
+    s_coef = np.zeros((g.p, g.p))  # row z: a_z S, set once z is recovered
+    t_coef = np.zeros((g.p, g.p))  # row z: T x_1 a_z x_2 a_z
+    done: list[int] = []
+    conditions: dict[str, float] = {}
+    for j in order:
+        if j in g.sources:
+            children = [c for c in g.children[j] if c != j]
+            if not children:
+                raise HypothesisViolated(f"source {j} has no outgoing edge")
+            child = min(children, key=pos.__getitem__)
+            entries[j, j] = _source_self_loop(g, stack, j, child)
+        else:
+            unknowns = list(g.parents[j])
+            rows = np.ix_(done, unknowns)
+            block = np.vstack([s_coef[rows], t_coef[rows]])
+            rhs = np.concatenate([s_dense[done, j], t_dense[done, done, j]])
+            scale = np.max(np.abs(block), axis=1)
+            keep = scale > 0.0
+            solution, cond = _solve_block(
+                block[keep] / scale[keep, None], rhs[keep] / scale[keep], j
+            )
+            entries[j, unknowns] = solution
+            conditions[f"vertex-{j}"] = cond
+        s_coef[j] = entries[j] @ s_dense
+        t_coef[j] = entries[j] @ t_dense @ entries[j]
+        done.append(j)
+    return _finish_report(method, g, stack, entries, conditions, tol)
 
 
 def identify_dag_all_loops(
@@ -346,17 +389,18 @@ def identify_dag_all_loops(
 ) -> IdentifiabilityReport:
     """Recover A and the noise cumulants for a DAG with all self-loops.
 
-    Vertices are processed in topological order.  Each source's self-loop is
-    solved on the pair it forms with its first topological child; every
-    non-source vertex j solves one (d+1)x(d+1) linear block whose rows are
-    the recursive equations for s_(i_m j) over the non-self parents i_m plus
-    the third-order equation for t_(z z j), where z is the minimal-index
-    source ancestor of j.
+    Runs the topological elimination of :func:`_eliminate`.  A vertex
+    without its self-loop is tolerated: its row simply has no a_jj unknown,
+    and the forward residual certifies the result.
 
     Raises
     ------
     HypothesisViolated
-        If the graph is cyclic or has isolated vertices.
+        If the graph has isolated vertices, a source pair is contaminated,
+        or a looped child of a source needs fourth-order input the stack
+        lacks.
+    CyclicGraph
+        If the graph has a directed cycle.
     SingularBlock
         If a block is numerically singular (non-generic point or violated
         self-loop hypotheses, e.g. the diamond pattern).
@@ -367,49 +411,7 @@ def identify_dag_all_loops(
         raise HypothesisViolated(
             f"isolated vertices {g.isolated_vertices} are never identifiable"
         )
-    order = g.topological_order()  # raises CyclicGraph on cycles
-    pos = {v: idx for idx, v in enumerate(order)}
-    entries = np.zeros((g.p, g.p))
-    conditions: dict[str, float] = {}
-    s_dense = stack.s.to_dense()
-    t = stack.t
-
-    for source in g.sources:
-        children = [c for c in g.children[source] if c != source]
-        if not children:
-            raise HypothesisViolated(f"source {source} has no outgoing edge")
-        child = min(children, key=pos.__getitem__)
-        entries[source, source] = _source_self_loop(g, stack, source, child)
-
-    for j in order:
-        if j in g.sources:
-            continue
-        parents = sorted(q for q in g.parents[j] if q != j)
-        unknowns = parents + [j]
-        z = _min_source_ancestor(g, j)
-        block = np.zeros((len(unknowns), len(unknowns)))
-        rhs = np.zeros(len(unknowns))
-        for row, i_m in enumerate(parents):
-            block[row] = [entries[i_m] @ s_dense[:, l] for l in unknowns]
-            rhs[row] = s_dense[i_m, j]
-        azz2 = entries[z, z] ** 2
-        block[-1] = [azz2 * t[(z, z, l)] for l in unknowns]
-        rhs[-1] = t[(z, z, j)]
-        solution, cond = _solve_block(block, rhs, j)
-        conditions[f"vertex-{j}"] = cond
-        # a vertex tolerated without its self-loop still gets an a_jj
-        # unknown (it should solve to zero); only pattern entries are kept
-        # and the forward residual certifies the consistency
-        for val, l in zip(solution, unknowns):
-            if (l, j) in g.edges:
-                entries[j, l] = val
-
-    return _finish_report("dag-all-loops", g, stack, entries, conditions, tol)
-
-
-# ---------------------------------------------------------------------------
-# polytrees with source self-loops
-# ---------------------------------------------------------------------------
+    return _eliminate(g, stack, "dag-all-loops", tol)
 
 
 def identify_polytree(
@@ -417,11 +419,8 @@ def identify_polytree(
 ) -> IdentifiabilityReport:
     """Recover A and the noise cumulants for a polytree with looped sources.
 
-    Sources are handled by the two-node closed forms on a child pair.  A
-    non-source j without a self-loop solves the diagonal system
-    ``a_(j i_k) = s_(e_k j) / (a_(e_k e_k) s_(e_k i_k))`` over distinct
-    source ancestors e_k of its parents; with a self-loop the system gains
-    the t_(z z j) row and the a_jj unknown.
+    Runs the topological elimination of :func:`_eliminate`; non-source
+    vertices may lack their self-loops.
 
     Raises
     ------
@@ -440,49 +439,7 @@ def identify_polytree(
     missing = [v for v in g.sources if not g.has_self_loop(v)]
     if missing:
         raise HypothesisViolated(f"sources {missing} lack self-loops")
-
-    order = g.topological_order()
-    entries = np.zeros((g.p, g.p))
-    conditions: dict[str, float] = {}
-    s = stack.s
-    t = stack.t
-
-    for source in g.sources:
-        children = [c for c in g.children[source] if c != source]
-        if not children:
-            raise HypothesisViolated(f"source {source} has no outgoing edge")
-        entries[source, source] = _source_self_loop(g, stack, source, min(children))
-
-    for j in order:
-        if j in g.sources:
-            continue
-        parents = sorted(q for q in g.parents[j] if q != j)
-        anchors = [_min_source_ancestor(g, i_k) for i_k in parents]
-        if g.has_self_loop(j):
-            z = anchors[0]
-            unknowns = parents + [j]
-            block = np.zeros((len(unknowns), len(unknowns)))
-            rhs = np.zeros(len(unknowns))
-            block[0] = [entries[z, z] * s[(z, l)] for l in unknowns]
-            rhs[0] = s[(z, j)]
-            for row, e_k in enumerate(anchors[1:], start=1):
-                block[row] = [entries[e_k, e_k] * s[(e_k, l)] for l in unknowns]
-                rhs[row] = s[(e_k, j)]
-            block[-1] = [entries[z, z] ** 2 * t[(z, z, l)] for l in unknowns]
-            rhs[-1] = t[(z, z, j)]
-        else:
-            unknowns = list(parents)
-            block = np.zeros((len(unknowns), len(unknowns)))
-            rhs = np.zeros(len(unknowns))
-            for row, e_k in enumerate(anchors):
-                block[row] = [entries[e_k, e_k] * s[(e_k, l)] for l in unknowns]
-                rhs[row] = s[(e_k, j)]
-        solution, cond = _solve_block(block, rhs, j)
-        conditions[f"vertex-{j}"] = cond
-        for val, l in zip(solution, unknowns):
-            entries[j, l] = val
-
-    return _finish_report("polytree", g, stack, entries, conditions, tol)
+    return _eliminate(g, stack, "polytree", tol)
 
 
 # ---------------------------------------------------------------------------
@@ -657,44 +614,12 @@ class NoMethodApplies(Exception):
     """No constructive identification method matches the graph predicates."""
 
 
-def _two_node_pattern(g: DirectedGraph) -> tuple[int, str] | None:
-    """(source, variant) when the graph is one of the closed-form pairs."""
-    if g.p != 2:
-        return None
-    for src in (0, 1):
-        if {(i, j) for i, j in g.edges if i != j} != {(src, 1 - src)}:
-            continue
-        if g.self_loops == frozenset({src, 1 - src}):
-            return src, "both-loops"
-        if g.self_loops == frozenset({src}):
-            return src, "source-loop-only"
-    return None
-
-
-def _identify_two_node_report(
-    g: DirectedGraph, stack: CumulantStack, src: int, variant: str, tol: float
-) -> IdentifiabilityReport:
-    relabeled = src != 0
-    work = stack.relabel([1, 0]) if relabeled else stack
-    result = identify_two_node(work, variant)
-    entries = np.zeros((2, 2))
-    entries[0, 0] = result.a00
-    entries[1, 0] = result.a10
-    if result.a11 is not None:
-        entries[1, 1] = result.a11
-    if relabeled:
-        entries = entries[::-1, ::-1]
-    return _finish_report("two-node", g, stack, entries, {}, tol)
-
-
 def auto_identify(g: DirectedGraph, stack: CumulantStack, tol: float = 1e-8):
-    """Pick the constructive method from graph predicates and run it."""
-    pair = _two_node_pattern(g)
-    if pair is not None:
-        src, variant = pair
-        if variant == "both-loops" and stack.r is None:
-            raise NoMethodApplies("two-node both-loops pattern needs fourth order")
-        return _identify_two_node_report(g, stack, src, variant, tol)
+    """Pick the constructive method from graph predicates and run it.
+
+    Two-node pairs need no branch of their own: the both-loops pair is a DAG
+    with all self-loops and the source-loop-only pair a polytree.
+    """
     if g.is_dag and g.has_all_self_loops and not g.isolated_vertices:
         return identify_dag_all_loops(g, stack, tol=tol)
     if (

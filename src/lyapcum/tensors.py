@@ -95,7 +95,10 @@ class SymmetricTensor:
             raise DimensionMismatch("dense tensor must be hypercubic")
         orbit = dense.reshape(-1)[_orbits(p, dense.ndim)]
         sym = sum(orbit) / len(orbit)
-        tensor = cls(dense.ndim, p, dict(zip(multiset_indices(p, dense.ndim), sym.tolist())))
+        # the keys are canonical by construction, so skip __init__'s checks
+        tensor = cls.__new__(cls)
+        tensor.order, tensor.p = dense.ndim, p
+        tensor.values = dict(zip(multiset_indices(p, dense.ndim), sym.tolist()))
         tensor.sym_defect = float(np.max(orbit.max(axis=0) - orbit.min(axis=0)))
         return tensor
 

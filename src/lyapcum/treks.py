@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import DiagonalCumulant, ParameterMatrix, solve_cumulant
+from .engine import DiagonalCumulant, ParameterMatrix, series_cumulant, solve_cumulant
 from .graphs import DirectedGraph, Trek
 from .tensors import SymmetricTensor, multiset_indices
 
@@ -63,17 +63,12 @@ def trek_rule_entry(
 
     Sums ``w_top * prod_m a^(leg_m)`` over all equitreks with the given leaf
     tuple and leg length <= ``max_len``.  Grouping the treks of each length
-    by their top turns the sum into matrix-power products, so the value is
-    exactly the enumerated sum without enumerating.
+    by their top turns the sum into the terms of :func:`series_cumulant`, so
+    the value is that series' entry and needs no enumeration.
     """
     if len(indices) != omega.order:
         raise ValueError("index tuple length must equal the cumulant order")
-    power = np.eye(g.p)
-    total = 0.0
-    for _ in range(max_len + 1):
-        total += float(np.sum(omega.w * np.prod(power[list(indices), :], axis=0)))
-        power = a.entries @ power
-    return total
+    return series_cumulant(a, omega, terms=max_len + 1)[tuple(indices)]
 
 
 # ---------------------------------------------------------------------------

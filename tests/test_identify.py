@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyapcum import (
     CumulantStack,
@@ -123,8 +127,8 @@ class TestDagAllLoops:
         assert err.value.cond > 1e10
 
     def test_tolerated_missing_sink_loop(self):
-        # a loopless non-source vertex gets a phantom a_jj unknown that
-        # solves to zero; only pattern entries land in the report
+        # a loopless non-source vertex has no a_jj unknown, so its diagonal
+        # entry stays zero and the forward residual certifies the rest
         g = DirectedGraph(3, [(0, 0), (1, 1), (0, 1), (1, 2)])
         pm, omegas, stack = stack_for(g, seed=5)
         report = identify_dag_all_loops(g, stack)
@@ -162,6 +166,21 @@ class TestDagAllLoops:
             for i in range(4):
                 expected[perm[j], perm[i]] = report.a[j, i]
         np.testing.assert_allclose(report2.a, expected, atol=1e-8)
+
+
+    @pytest.mark.parametrize("p", [10, 16, 32])
+    def test_deep_banded_dags(self, p):
+        # each vertex i feeds i+1 and i+2, so depth grows with p; rows from
+        # every recovered vertex keep the blocks well conditioned
+        edges = [(i, i) for i in range(p)]
+        edges += [(i, i + 1) for i in range(p - 1)] + [(i, i + 2) for i in range(p - 2)]
+        g = DirectedGraph(p, edges)
+        for seed in range(5):
+            pm = sample_stable_matrix(g, seed=seed, target_radius=0.7)
+            omegas = random_omegas(np.random.default_rng(seed + 5000), p)
+            report = identify_dag_all_loops(g, model_stack(pm, omegas))
+            assert report.verdict == "recovered"
+            assert np.max(np.abs(report.a - pm.entries)) <= 1e-8
 
 
 class TestPolytree:
@@ -259,20 +278,28 @@ class TestDiamondFamily:
 
 class TestAutoIdentify:
     def test_dispatches_two_node(self):
+        # the both-loops pair is a DAG with all self-loops
         g = two_node_both_loops()
         pm, _, stack = stack_for(g, seed=41)
         report = auto_identify(g, stack)
-        assert report.method == "two-node"
+        assert report.method == "dag-all-loops"
         assert report.verdict == "recovered"
         np.testing.assert_allclose(report.a, pm.entries, atol=1e-8)
 
     def test_dispatches_two_node_relabeled(self):
-        # the chain 1 -> 0 with a loop at 1 is the mirrored pair pattern
+        # the chain 1 -> 0 with a loop at 1 is a polytree with a looped source
         g = DirectedGraph(2, [(1, 1), (1, 0)])
         pm, _, stack = stack_for(g, seed=44)
         report = auto_identify(g, stack)
-        assert report.method == "two-node"
+        assert report.method == "polytree"
+        assert report.verdict == "recovered"
         np.testing.assert_allclose(report.a, pm.entries, atol=1e-8)
+
+    def test_both_loops_pair_without_fourth_order(self):
+        g = DirectedGraph(2, [(1, 1), (0, 0), (1, 0)])
+        pm, _, stack = stack_for(g, seed=45, orders=(2, 3))
+        with pytest.raises(HypothesisViolated):
+            auto_identify(g, stack)
 
     def test_dispatches_dag(self):
         g = DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)])
@@ -291,6 +318,48 @@ class TestAutoIdentify:
         pm, _, stack = stack_for(g, seed=43, radius=0.5)
         with pytest.raises(NoMethodApplies):
             auto_identify(g, stack)
+
+
+@st.composite
+def constructive_models(draw):
+    """A DAG with all self-loops or a polytree with looped sources, p <= 8.
+
+    The radius stays at or above 0.3: as A shrinks toward 0 every
+    off-diagonal cumulant vanishes, and at radius 0.2 the deepest draws
+    lose accuracy with depth (errors up to 4e-8).
+    """
+    p = draw(st.integers(2, 8))
+    tree = [(draw(st.integers(0, k - 1)), k) for k in range(1, p)]
+    if draw(st.booleans()):
+        pairs = list(itertools.combinations(range(p), 2))
+        extra = draw(st.lists(st.sampled_from(pairs), max_size=p))
+        edges = tree + extra + [(v, v) for v in range(p)]
+    else:
+        edges = [(u, v) if draw(st.booleans()) else (v, u) for u, v in tree]
+        looped = set(DirectedGraph(p, edges).sources)
+        looped |= {v for v in range(p) if draw(st.booleans())}
+        edges += [(v, v) for v in looped]
+    g = DirectedGraph(p, set(edges))
+    seed = draw(st.integers(0, 2**16))
+    pm = sample_stable_matrix(g, seed=seed, target_radius=draw(st.floats(0.3, 0.95)))
+    return g, pm, model_stack(pm, random_omegas(np.random.default_rng(seed), p))
+
+
+class TestConstructiveProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(constructive_models(), st.data())
+    def test_recovers_and_relabels(self, model, data):
+        g, pm, stack = model
+        report = auto_identify(g, stack)
+        assert report.verdict == "recovered"
+        assert np.max(np.abs(report.a - pm.entries)) <= 1e-8
+        perm = data.draw(st.permutations(range(g.p)))
+        relabeled = auto_identify(g.relabel(perm), stack.relabel(perm))
+        expected = np.empty_like(pm.entries)
+        expected[np.ix_(perm, perm)] = pm.entries
+        assert relabeled.method == report.method
+        assert relabeled.verdict == "recovered"
+        assert np.max(np.abs(relabeled.a - expected)) <= 1e-8
 
 
 class TestCertificate:
