@@ -69,10 +69,14 @@ class DiagonalCumulant:
         return SymmetricTensor.diagonal(self.w, self.order)
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.p,) * self.order)
-        for i, wi in enumerate(self.w):
-            dense[(i,) * self.order] = wi
-        return dense
+        dense = np.zeros(self.p**self.order)
+        dense[_diagonal_positions(self.p, self.order)] = self.w
+        return dense.reshape((self.p,) * self.order)
+
+
+def _diagonal_positions(p: int, order: int) -> np.ndarray:
+    """Flat positions of the entries (i, ..., i) in a dense (p,) * order array."""
+    return np.arange(p) * ((p**order - 1) // (p - 1) if p > 1 else 0)
 
 
 class ParameterMatrix:
@@ -244,12 +248,11 @@ def recover_noise(
     if t.p != a.p:
         raise DimensionMismatch("tensor dimension does not match matrix")
     dense = t.to_dense()
-    omega_full = dense - tucker_product(dense, a.entries)
-    diag = np.array([omega_full[(i,) * t.order] for i in range(t.p)])
-    off = omega_full.copy()
-    for i in range(t.p):
-        off[(i,) * t.order] = 0.0
-    defect = float(np.max(np.abs(off))) if off.size else 0.0
+    omega_full = (dense - tucker_product(dense, a.entries)).reshape(-1)
+    on_diagonal = _diagonal_positions(t.p, t.order)
+    diag = omega_full[on_diagonal]
+    omega_full[on_diagonal] = 0.0
+    defect = float(np.max(np.abs(omega_full))) if omega_full.size else 0.0
     return DiagonalCumulant(t.order, diag), defect
 
 

@@ -310,9 +310,8 @@ def _finish_report(
             residuals[order] = np.inf
             detail = f"recovered matrix is unstable (radius {recovered.radius():.4g})"
             continue
-        residuals[order] = max(
-            abs(forward[key] - stack.tensor(order)[key])
-            for key in multiset_indices(g.p, order)
+        residuals[order] = float(
+            np.max(np.abs(forward.to_dense() - stack.tensor(order).to_dense()))
         )
     certified = all(
         residuals[order] <= tol * stack.tensor(order).max_abs() for order in stack.orders

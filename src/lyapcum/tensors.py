@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, isfinite
+from math import comb, isfinite, prod
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -20,7 +20,13 @@ class DimensionMismatch(Exception):
 
 def multiset_indices(p: int, order: int) -> list[tuple[int, ...]]:
     """Canonical sorted index multisets (i1 <= ... <= i_n), graded lex order."""
-    return list(itertools.combinations_with_replacement(range(p), order))
+    return list(_multisets(p, order))
+
+
+@lru_cache(maxsize=32)
+def _multisets(p: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """Cached, immutable :func:`multiset_indices` for the fold and unfold."""
+    return tuple(itertools.combinations_with_replacement(range(p), order))
 
 
 def k_mode_product(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
@@ -44,10 +50,20 @@ def k_mode_product(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndar
 
 
 def tucker_product(tensor: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Apply the same matrix along every mode of the tensor."""
+    """Apply the same q x p matrix along every mode of the tensor.
+
+    Each of the n steps is one GEMM, ``matrix @ unfolding.T``, on the
+    ``(p^(n-1), p)`` unfolding of the last axis (Kolda & Bader 2009); it
+    rotates that axis's image to the front, so the n steps restore the order.
+    """
     out = np.asarray(tensor, dtype=float)
-    for axis in range(out.ndim):
-        out = k_mode_product(out, matrix, axis)
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or any(s != matrix.shape[1] for s in out.shape):
+        raise DimensionMismatch(f"matrix {matrix.shape} does not fit tensor {out.shape}")
+    q, p = matrix.shape
+    for _ in range(out.ndim):
+        rest = out.shape[:-1]
+        out = (matrix @ out.reshape(prod(rest), p).T).reshape((q,) + rest)
     return out
 
 
@@ -59,7 +75,7 @@ def _orbits(p: int, order: int) -> np.ndarray:
     row r of ``multiset_indices``, for the k-th ``itertools.permutations``
     ``perm``; each row's column lists its whole orbit.
     """
-    rows = np.array(multiset_indices(p, order), dtype=np.intp).reshape(-1, order)
+    rows = np.array(_multisets(p, order), dtype=np.intp).reshape(-1, order)
     perms = np.array([np.ravel_multi_index(rows[:, np.argsort(perm)].T, (p,) * order)
                       for perm in itertools.permutations(range(order))], dtype=np.intp)
     perms.setflags(write=False)
@@ -94,12 +110,13 @@ class SymmetricTensor:
         if any(s != p for s in dense.shape):
             raise DimensionMismatch("dense tensor must be hypercubic")
         orbit = dense.reshape(-1)[_orbits(p, dense.ndim)]
-        sym = sum(orbit) / len(orbit)
+        # axis 0 of a C-contiguous array sums row by row, in order, as n! adds do
+        sym = orbit.sum(axis=0) / len(orbit)
         # the keys are canonical by construction, so skip __init__'s checks
         tensor = cls.__new__(cls)
         tensor.order, tensor.p = dense.ndim, p
-        tensor.values = dict(zip(multiset_indices(p, dense.ndim), sym.tolist()))
-        tensor.sym_defect = float(np.max(orbit.max(axis=0) - orbit.min(axis=0)))
+        tensor.values = dict(zip(_multisets(p, dense.ndim), sym.tolist()))
+        tensor.sym_defect = float(np.max(np.ptp(orbit, axis=0)))
         return tensor
 
     @classmethod
@@ -112,18 +129,18 @@ class SymmetricTensor:
 
     def to_dense(self) -> np.ndarray:
         """Dense array; multisets missing from ``values`` read as zero."""
-        vals = [self.values.get(k, 0.0) for k in multiset_indices(self.p, self.order)]
+        vals = [self.values.get(k, 0.0) for k in _multisets(self.p, self.order)]
         dense = np.empty(self.p**self.order)
         dense[_orbits(self.p, self.order)] = vals  # every position lies in one orbit
         return dense.reshape((self.p,) * self.order)
 
     def __getitem__(self, index: tuple[int, ...] | int) -> float:
-        if isinstance(index, int):
-            index = (index,)
-        return self.values[tuple(sorted(index))]
+        index = (index,) if isinstance(index, int) else tuple(index)
+        value = self.values.get(index)  # stored keys are canonical: sort on a miss
+        return self.values[tuple(sorted(index))] if value is None else value
 
     def keys(self) -> Iterator[tuple[int, ...]]:
-        return iter(multiset_indices(self.p, self.order))
+        return iter(_multisets(self.p, self.order))
 
     def max_abs(self) -> float:
         return max((abs(v) for v in self.values.values()), default=0.0)
@@ -145,7 +162,7 @@ class SymmetricTensor:
     def to_json_dict(self) -> dict:
         entries = {
             ",".join(map(str, k)): self.values[k]
-            for k in multiset_indices(self.p, self.order)
+            for k in _multisets(self.p, self.order)
         }
         return {"order": self.order, "p": self.p, "entries": entries}
 

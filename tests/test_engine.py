@@ -38,9 +38,9 @@ def banded_dag(p):
 
 
 @st.composite
-def signed_models(draw):
-    """Random digraph (p <= 8) with signed weights scaled to radius 0.5."""
-    p = draw(st.integers(1, 8))
+def signed_models(draw, max_p=8):
+    """Random digraph (p <= max_p) with signed weights scaled to radius 0.5."""
+    p = draw(st.integers(1, max_p))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = random_pattern(rng, p, edge_prob=draw(st.floats(0.1, 0.4)))
     entries = np.zeros((p, p))
@@ -155,6 +155,15 @@ class TestSolveCumulant:
         support = equitrek_multisets(a.g, order)
         assert all(v == 0.0 for k, v in t.values.items() if k not in support)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(signed_models(max_p=6), st.integers(2, 4))
+    def test_matches_series_oracle(self, model, order):
+        a, w = model
+        omega = DiagonalCumulant(order, w)
+        exact = solve_cumulant(a, omega).to_dense()
+        series = series_cumulant(a, omega).to_dense()
+        assert np.max(np.abs(exact - series)) <= 1e-10 * np.max(np.abs(exact))
+
     def test_symmetry_defect_small(self, rng):
         g = random_pattern(rng, 3)
         pm = sample_stable_matrix(g, seed=5, target_radius=0.6)
@@ -260,6 +269,15 @@ class TestResidualAndRecovery:
         t = solve_cumulant(pm, DiagonalCumulant(3, [1.0, 1.0, 1.0]))
         _, defect = recover_noise(t, other)
         assert defect > 1e-4
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(signed_models(max_p=6), st.integers(2, 4))
+    def test_recover_noise_inverts_solve(self, model, order):
+        a, w = model
+        t = solve_cumulant(a, DiagonalCumulant(order, w))
+        recovered, defect = recover_noise(t, a)
+        assert np.max(np.abs(recovered.w - w)) <= 1e-10 * np.max(np.abs(w))
+        assert defect <= 1e-10 * t.max_abs()
 
 
 class TestSampleStableMatrix:

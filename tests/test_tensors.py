@@ -52,6 +52,9 @@ class TestKModeProduct:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             k_mode_product(rng.standard_normal((2, 2)), rng.standard_normal((3, 3)), 0)
+        for matrix in (rng.standard_normal((2, 3)), rng.standard_normal(2)):
+            with pytest.raises(DimensionMismatch):
+                tucker_product(rng.standard_normal((2, 2)), matrix)
 
     def test_tucker_is_iterated_modes(self, rng):
         t = rng.standard_normal((2, 2, 2))
@@ -136,6 +139,36 @@ def symmetric_tensors(draw):
         )
     )
     return SymmetricTensor(order, p, dict(zip(multiset_indices(p, order), values)))
+
+
+@st.composite
+def tucker_operands(draw):
+    """Order 1-5 tensor over p <= 6 with a square or a non-square q x p matrix."""
+    p, order = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    q = p if draw(st.booleans()) else draw(st.integers(1, 6))
+    entries = st.floats(-10, 10)
+    return (draw(arrays(np.float64, (p,) * order, elements=entries)),
+            draw(arrays(np.float64, (q, p), elements=entries)))
+
+
+class TestTuckerProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tucker_operands())
+    def test_matches_chained_mode_products(self, operands):
+        """Agrees to 1e-12 of the entry bound ||M||_inf^n max|T|, also on views.
+
+        ``tensor.T`` reverses the axes of a C-contiguous array, so it is a
+        non-contiguous view for every order above one.
+        """
+        tensor, matrix = operands
+        bound = np.max(np.abs(matrix).sum(axis=1)) ** tensor.ndim * np.max(np.abs(tensor))
+        for view in (tensor, tensor.T):
+            expected = view
+            for axis in range(view.ndim):
+                expected = k_mode_product(expected, matrix, axis)
+            got = tucker_product(view, matrix)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12 * bound
 
 
 class TestSymmetricTensorProperties:
