@@ -65,7 +65,6 @@ from .treks import (
     effective_matrix,
     enumerate_base_treks,
     placement_polynomial,
-    trek_rule_entry,
     validate_conjecture_order3,
 )
 from .constraints import (

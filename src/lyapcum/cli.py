@@ -148,17 +148,18 @@ def _materialize_parameters(g: DirectedGraph, args) -> tuple[ParameterMatrix, di
 def cmd_cumulants(args) -> int:
     g = _load_graph(args.graph)
     pm, omegas = _materialize_parameters(g, args)
+    if args.format == "csv" and 2 not in omegas:
+        raise InputError("--format csv writes the order-2 tensor; add 2 to --orders")
     pm.require_stable()
+    if args.format == "csv":
+        _write(args.out, solve_cumulant(pm, omegas[2]).to_csv())
+        return EXIT_OK
     tensors = {}
     residuals = {}
     for n, omega in sorted(omegas.items()):
         t = solve_cumulant(pm, omega)
         tensors[str(n)] = t.to_json_dict()
         residuals[str(n)] = recursive_residual(t, pm, omega)
-    if args.format == "csv":
-        order2 = SymmetricTensor.from_json_dict(tensors["2"])
-        _write(args.out, order2.to_csv())
-        return EXIT_OK
     document = {
         "version": __version__,
         "config": _config_dict(args),
@@ -307,10 +308,10 @@ def _trials(text: str) -> int:
     return value
 
 
-def _seed(text: str) -> int:
+def _non_negative(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {text}")
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
     return value
 
 
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--graph", required=True, help="graph JSON path")
-        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--seed", type=_non_negative, default=0)
         p.add_argument("--orders", default="2,3,4")
         p.add_argument("--trials", type=_trials, default=5)
         p.add_argument(
@@ -358,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=cmd_analyze)
 
     p_pp = sub.add_parser("ppoly", help="placement polynomial table")
-    p_pp.add_argument("--xmax", type=int, default=3)
-    p_pp.add_argument("--ymax", type=int, default=3)
+    p_pp.add_argument("--xmax", type=_non_negative, default=3)
+    p_pp.add_argument("--ymax", type=_non_negative, default=3)
     p_pp.add_argument("--out", default="-")
     p_pp.set_defaults(func=cmd_ppoly)
     return parser

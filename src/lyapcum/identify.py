@@ -502,105 +502,60 @@ class TwoNodeCandidate:
     residual: float
 
 
-def _two_node_ratio_residual(theta: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    # the cumulant ratios are rational functions of the parameters; evaluate
-    # them by the raw linear solve so roots outside the stability region are
-    # still visible to the search
-    a00, a10, a11 = theta
-    a = np.array([[a00, 0.0], [a10, a11]])
-    try:
-        flat2 = np.linalg.solve(
-            np.eye(4) - np.kron(a, a), np.array([1.0, 0.0, 0.0, 0.0])
-        )
-        flat3 = np.linalg.solve(
-            np.eye(8) - np.kron(a, np.kron(a, a)),
-            np.array([1.0] + [0.0] * 7),
-        )
-    except np.linalg.LinAlgError:
-        return np.full(3, 1e6)
-    s = flat2.reshape(2, 2)
-    t = flat3.reshape(2, 2, 2)
-    if abs(s[0, 0]) < 1e-300 or abs(t[0, 0, 0]) < 1e-300:
-        return np.full(3, 1e6)
-    model = np.array(
-        [s[0, 1] / s[0, 0], t[0, 0, 1] / t[0, 0, 0], t[0, 1, 1] / t[0, 0, 0]]
-    )
-    return model - targets
+def two_node_st_solutions(stack: CumulantStack) -> list[TwoNodeCandidate]:
+    """Every parameter point of the both-loops pair 0 -> 1 that fits (S, T).
 
-
-def _two_node_theta_of_x(x: float, u: float, v: float) -> np.ndarray | None:
-    """Eliminate (a10, a11) from the first two ratio equations."""
-    denom = x * x * (v - u)
-    if abs(x) < 1e-9 or abs(denom) < 1e-12:
-        return None
-    a11 = (v - u * x) / denom
-    a10 = u * (1 - x * a11) / x
-    return np.array([x, a10, a11])
-
-
-def two_node_st_solutions(
-    stack: CumulantStack, grid: int = 4001, span: float = 1.8
-) -> list[TwoNodeCandidate]:
-    """Experimental root finder for the both-loops pair from (S, T) alone.
-
-    The ratio system from s01/s00, t001/t000, and t011/t000 reduces to one
-    equation in a00 after exact elimination; roots are located by a sign
-    scan with bisection over [-span, span] and each is tagged with Schur
-    stability.  Observationally only one root tends to be stable, but
-    nothing here relies on that.
+    With lower-triangular A the ratios ``u = s01/s00 = x b/(1 - x c)``,
+    ``v = t001/t000 = x^2 b/(1 - x^2 c)`` and
+    ``w = t011/t000 = x b (b + 2 c v)/(1 - x c^2)`` do not depend on the
+    noise (x = a00, b = a10, c = a11).  The first two give
+    ``c = (v - u x)/(x^2 D)`` and ``b = u (1 - x c)/x`` with ``D = v - u``;
+    substituting them into the third leaves a cubic in x whose root x = 1,
+    where ``I - kron(A, A)`` is singular, is spurious.  Dividing it out gives
+    ``w D^2 x^2 + (u^2 v^2 + w v (v - 2u)) x + (w v^2 - u v^2 (2v - u)) = 0``.
+    Each root that refits the three ratios to 1e-8 is tagged with Schur
+    stability.  The true parameters are among them unless ``|a00| < 1e-9``
+    or ``|x^2 D| < 1e-12``; nothing here assumes that only one is stable.
     """
-    targets = np.array(
-        [
-            stack.s[(0, 1)] / stack.s[(0, 0)],
-            stack.t[(0, 0, 1)] / stack.t[(0, 0, 0)],
-            stack.t[(0, 1, 1)] / stack.t[(0, 0, 0)],
-        ]
-    )
-    u, v = targets[0], targets[1]
-
-    def profile(x: float) -> float:
-        theta = _two_node_theta_of_x(x, u, v)
-        if theta is None:
-            return np.nan
-        value = _two_node_ratio_residual(theta, targets)[2]
-        return value if abs(value) < 1e5 else np.nan
-
-    xs = np.linspace(-span, span, grid)
-    values = np.array([profile(x) for x in xs])
+    u = stack.s[(0, 1)] / stack.s[(0, 0)]
+    v = stack.t[(0, 0, 1)] / stack.t[(0, 0, 0)]
+    w = stack.t[(0, 1, 1)] / stack.t[(0, 0, 0)]
+    d = v - u
+    coeffs = [
+        w * d * d,
+        u * u * v * v + w * v * (v - 2 * u),
+        w * v * v - u * v * v * (2 * v - u),
+    ]
+    if not np.all(np.isfinite(coeffs)):
+        return []
     found: list[TwoNodeCandidate] = []
-    for k in range(grid - 1):
-        lo, hi = xs[k], xs[k + 1]
-        flo, fhi = values[k], values[k + 1]
-        if np.isnan(flo) or np.isnan(fhi) or flo * fhi > 0:
+    # the true a00 is a root, so both are real; rounding near a double root
+    # can still leave a conjugate pair, whose real part the residual judges
+    for x in np.roots(coeffs).real:
+        if abs(x) < 1e-9 or abs(x * x * d) < 1e-12:
             continue
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fmid = profile(mid)
-            if np.isnan(fmid):
-                break
-            if flo * fmid <= 0:
-                hi, fhi = mid, fmid
-            else:
-                lo, flo = mid, fmid
-        theta = _two_node_theta_of_x(0.5 * (lo + hi), u, v)
-        if theta is None:
+        c = (v - u * x) / (x * x * d)
+        b = u * (1 - x * c) / x
+        model = np.array(
+            [
+                x * b / (1 - x * c),
+                x * x * b / (1 - x * x * c),
+                x * b * (b + 2 * c * v) / (1 - x * c * c),
+            ]
+        )
+        residual = float(np.max(np.abs(model - [u, v, w])))
+        if not residual <= 1e-8 or any(abs(f.a00 - x) < 1e-7 for f in found):
             continue
-        residual = float(np.max(np.abs(_two_node_ratio_residual(theta, targets))))
-        if residual > 1e-8:
-            continue
-        if any(abs(c.a00 - theta[0]) < 1e-7 for c in found):
-            continue
-        radius = max(abs(theta[0]), abs(theta[2]))
         found.append(
             TwoNodeCandidate(
-                a00=float(theta[0]),
-                a10=float(theta[1]),
-                a11=float(theta[2]),
-                stable=bool(radius < 1.0),
+                a00=float(x),
+                a10=float(b),
+                a11=float(c),
+                stable=bool(max(abs(x), abs(c)) < 1.0),
                 residual=residual,
             )
         )
-    found.sort(key=lambda c: (round(c.a00, 9), round(c.a10, 9)))
+    found.sort(key=lambda f: (round(f.a00, 9), round(f.a10, 9)))
     return found
 
 

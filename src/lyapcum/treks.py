@@ -1,4 +1,4 @@
-"""Trek-rule evaluation of cumulant entries and the base-trek calculus.
+"""Trek monomials, base-trek enumeration and the base-trek calculus.
 
 Every steady-state cumulant entry is a sum over equitreks of noise-weighted
 edge monomials.  For DAGs whose self-loops all carry one weight ``t``, the
@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import DiagonalCumulant, ParameterMatrix, series_cumulant, solve_cumulant
+from .engine import DiagonalCumulant, ParameterMatrix, solve_cumulant
 from .graphs import DirectedGraph, Trek
 from .tensors import SymmetricTensor, multiset_indices
 
@@ -39,7 +39,7 @@ class UnstableEffective(Exception):
 
 
 # ---------------------------------------------------------------------------
-# truncated trek rule (general graphs)
+# trek monomials (the truncated trek sum is engine.series_cumulant)
 # ---------------------------------------------------------------------------
 
 
@@ -50,25 +50,6 @@ def trek_monomial(entries: np.ndarray, trek: Trek) -> float:
         for a, b in zip(leg, leg[1:]):
             value *= entries[b, a]
     return value
-
-
-def trek_rule_entry(
-    g: DirectedGraph,
-    a: ParameterMatrix,
-    omega: DiagonalCumulant,
-    indices: Sequence[int],
-    max_len: int,
-) -> float:
-    """Truncated equitrek sum for one cumulant entry.
-
-    Sums ``w_top * prod_m a^(leg_m)`` over all equitreks with the given leaf
-    tuple and leg length <= ``max_len``.  Grouping the treks of each length
-    by their top turns the sum into the terms of :func:`series_cumulant`, so
-    the value is that series' entry and needs no enumeration.
-    """
-    if len(indices) != omega.order:
-        raise ValueError("index tuple length must equal the cumulant order")
-    return series_cumulant(a, omega, terms=max_len + 1)[tuple(indices)]
 
 
 # ---------------------------------------------------------------------------
@@ -202,26 +183,22 @@ def base_trek_covariance(
         raise UnstableEffective(
             f"constant self-loop weight t={t} puts every eigenvalue at |t|>=1"
         )
-    dag = _offdiag_dag(g)
+    _offdiag_dag(g)  # raises CyclicGraph before the order check
     if omega2.order != 2 or omega2.p != g.p:
         raise ValueError("omega2 must be an order-2 cumulant on the same vertices")
-    paths_by_top = [_paths_to_all(dag, r) for r in range(dag.p)]
     values = {}
-    for i, j in multiset_indices(g.p, 2):
+    for key in multiset_indices(g.p, 2):
         total = 0.0
-        for r in range(dag.p):
-            for leg_i in paths_by_top[r][i]:
-                for leg_j in paths_by_top[r][j]:
-                    coeff = base_trek_coefficient(
-                        len(leg_i) - 1, len(leg_j) - 1, t
-                    )
-                    total += (
-                        coeff
-                        * _path_weight(leg_i, offdiag)
-                        * _path_weight(leg_j, offdiag)
-                        * omega2.w[r]
-                    )
-        values[(i, j)] = total
+        for trek in enumerate_base_treks(g, key):
+            leg_i, leg_j = trek.legs
+            coeff = base_trek_coefficient(len(leg_i) - 1, len(leg_j) - 1, t)
+            total += (
+                coeff
+                * _path_weight(leg_i, offdiag)
+                * _path_weight(leg_j, offdiag)
+                * omega2.w[trek.top]
+            )
+        values[key] = total
     return SymmetricTensor(2, g.p, values)
 
 
@@ -368,24 +345,18 @@ def validate_conjecture_order3(
     """
     if abs(t) >= 1:
         raise UnstableEffective(f"constant self-loop weight t={t} is unstable")
-    dag = _offdiag_dag(g)
-    paths_by_top = [_paths_to_all(dag, r) for r in range(dag.p)]
     exact = solve_cumulant(effective_matrix(g, t, offdiag), omega3)
     scale = max(exact.max_abs(), 1e-300)
     max_dev = 0.0
     checked = 0
     for key in multiset_indices(g.p, 3):
         total = 0.0
-        for r in range(dag.p):
-            options = [paths_by_top[r][leaf] for leaf in key]
-            if any(not o for o in options):
-                continue
-            for legs in itertools.product(*options):
-                dists = [len(leg) - 1 for leg in legs]
-                weight = 1.0
-                for leg in legs:
-                    weight *= _path_weight(leg, offdiag)
-                total += conjectured_coefficient(dists, t) * weight * omega3.w[r]
+        for trek in enumerate_base_treks(g, key):
+            dists = [len(leg) - 1 for leg in trek.legs]
+            weight = 1.0
+            for leg in trek.legs:
+                weight *= _path_weight(leg, offdiag)
+            total += conjectured_coefficient(dists, t) * weight * omega3.w[trek.top]
         max_dev = max(max_dev, abs(total - exact[key]) / scale)
         checked += 1
     return ConjectureReport(

@@ -150,6 +150,9 @@ BAD_INPUTS = {
     "stack-not-an-object": ("identify --graph {d}/g2.json --stack {d}/list.json", 2),
     "graph-edges-not-a-list": ("cumulants --graph {d}/edges5.json", 2),
     "negative-seed": ("cumulants --graph {d}/g2.json --seed -1", 2),
+    "negative-xmax": ("ppoly --xmax -2", 2),
+    "negative-ymax": ("ppoly --ymax -1", 2),
+    "csv-without-order-2": ("cumulants --graph {d}/g2.json --format csv --orders 3,4", 2),
     "nan-tol": ("identify --graph {d}/g2.json --stack {d}/stack.json --tol nan", 2),
     "inf-tol": ("identify --graph {d}/g2.json --stack {d}/stack.json --tol inf", 2),
     "zero-tol": ("identify --graph {d}/g2.json --stack {d}/stack.json --tol 0", 2),

@@ -424,3 +424,42 @@ class TestExperimentalEnumerator:
         # the other root reported with its own stability tag
         other = next(c for c in candidates if c is not matches[0])
         assert isinstance(other.stable, bool)
+
+    def test_close_roots_both_found(self):
+        # the two roots of the quadratic lie within 6e-4 of each other
+        g = two_node_both_loops()
+        pm = ParameterMatrix(g, np.array([[0.02, 0.0], [0.5, 0.75]]))
+        candidates = two_node_st_solutions(model_stack(pm, unit_noise(2, (2, 3))))
+        assert len(candidates) == 2
+        truth = [c for c in candidates if abs(c.a00 - 0.02) < 1e-12]
+        assert len(truth) == 1 and truth[0].stable
+        assert truth[0].a10 == pytest.approx(0.5, abs=1e-10)
+        assert truth[0].a11 == pytest.approx(0.75, abs=1e-10)
+
+    def test_far_root_tagged_unstable(self):
+        g = two_node_both_loops()
+        pm = ParameterMatrix(g, np.array([[0.9, 0.0], [-0.3, -0.6]]))
+        candidates = two_node_st_solutions(model_stack(pm, unit_noise(2, (2, 3))))
+        assert [c.stable for c in candidates] == [True, False]
+        assert candidates[0].a00 == pytest.approx(0.9, abs=1e-12)
+        assert candidates[1].a00 == pytest.approx(76.447, abs=1e-3)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        a00=st.floats(0.05, 0.95),
+        a10=st.floats(0.1, 2.0),
+        a11=st.floats(-0.95, 0.95),
+        signs=st.tuples(st.booleans(), st.booleans()),
+        omega=st.lists(st.floats(0.1, 10.0), min_size=4, max_size=4),
+    )
+    def test_true_parameters_among_candidates(self, a00, a10, a11, signs, omega):
+        a00, a10 = (-a00 if signs[0] else a00), (-a10 if signs[1] else a10)
+        pm = ParameterMatrix(two_node_both_loops(), np.array([[a00, 0.0], [a10, a11]]))
+        omegas = {2: DiagonalCumulant(2, omega[:2]), 3: DiagonalCumulant(3, omega[2:])}
+        candidates = two_node_st_solutions(model_stack(pm, omegas))
+        assert 1 <= len(candidates) <= 2
+        assert all(c.residual <= 1e-8 for c in candidates)
+        assert any(
+            np.allclose([c.a00, c.a10, c.a11], [a00, a10, a11], rtol=0, atol=1e-8)
+            for c in candidates
+        )

@@ -18,8 +18,8 @@ from lyapcum import (
     enumerate_equitreks,
     placement_polynomial,
     sample_stable_matrix,
+    series_cumulant,
     solve_cumulant,
-    trek_rule_entry,
     validate_conjecture_order3,
 )
 from lyapcum.treks import (
@@ -41,15 +41,13 @@ def random_dag(rng, p, edge_prob=0.5):
 
 class TestTrekRuleEntry:
     def test_two_node_closed_form(self):
-        value = trek_rule_entry(
-            two_node_chain(), fig1_pm(), DiagonalCumulant(2, [1.0, 1.0]), (0, 1), 200
-        )
+        value = series_cumulant(fig1_pm(), DiagonalCumulant(2, [1.0, 1.0]), terms=201)[(0, 1)]
         assert value == pytest.approx(2 / 3, rel=1e-12)
 
     def test_no_equitrek_means_zero(self):
         g = sink_loop_chain()
         pm = unit_parameters(g, diag=0.5, off=1.0)
-        value = trek_rule_entry(g, pm, DiagonalCumulant(2, [1.0, 1.0]), (0, 1), 50)
+        value = series_cumulant(pm, DiagonalCumulant(2, [1.0, 1.0]), terms=51)[(0, 1)]
         assert value == 0.0
 
     def test_matches_solver(self, rng):
@@ -60,9 +58,9 @@ class TestTrekRuleEntry:
             for order in (2, 3):
                 omega = DiagonalCumulant(order, rng.uniform(0.5, 2, 3))
                 exact = solve_cumulant(pm, omega)
+                approx = series_cumulant(pm, omega, terms=221)
                 for key in exact.keys():
-                    approx = trek_rule_entry(g, pm, omega, key, 220)
-                    assert approx == pytest.approx(exact[key], rel=1e-10, abs=1e-12)
+                    assert approx[key] == pytest.approx(exact[key], rel=1e-10, abs=1e-12)
 
     def test_matches_literal_enumeration(self):
         # short truncation cross-checked monomial by monomial
@@ -74,16 +72,15 @@ class TestTrekRuleEntry:
             omega.w[trek.top] * trek_monomial(pm.entries, trek)
             for trek in enumerate_equitreks(g, (0, 1), length)
         )
-        assert trek_rule_entry(g, pm, omega, (0, 1), length) == pytest.approx(
+        assert series_cumulant(pm, omega, terms=length + 1)[(0, 1)] == pytest.approx(
             literal, rel=1e-13
         )
 
     def test_geometric_convergence(self):
-        g = two_node_chain()
         pm = fig1_pm()
         omega = DiagonalCumulant(2, [1.0, 1.0])
-        at_100 = trek_rule_entry(g, pm, omega, (0, 1), 100)
-        at_200 = trek_rule_entry(g, pm, omega, (0, 1), 200)
+        at_100 = series_cumulant(pm, omega, terms=101)[(0, 1)]
+        at_200 = series_cumulant(pm, omega, terms=201)[(0, 1)]
         assert abs(at_200 - at_100) <= 0.5 ** (2 * 100) * 100
 
 
@@ -144,9 +141,9 @@ class TestBaseTrekCoefficient:
             pm = unit_parameters(g, diag=t, off=1.0)
             w = np.zeros(p)
             w[0] = 1.0
-            total = trek_rule_entry(
-                g, pm, DiagonalCumulant(2, w), (chain_x[-1], chain_y[-1]), 300
-            )
+            total = series_cumulant(pm, DiagonalCumulant(2, w), terms=301)[
+                (chain_x[-1], chain_y[-1])
+            ]
             assert total == pytest.approx(
                 float(base_trek_coefficient(x, y, t)), rel=1e-10
             )
@@ -276,9 +273,7 @@ class TestConjecture:
             pm = unit_parameters(g, diag=t, off=1.0)
             w = np.zeros(p)
             w[0] = 1.0
-            total = trek_rule_entry(
-                g, pm, DiagonalCumulant(3, w), tuple(tips), 300
-            )
+            total = series_cumulant(pm, DiagonalCumulant(3, w), terms=301)[tuple(tips)]
             assert total == pytest.approx(
                 conjectured_coefficient(list(dists), t), rel=1e-10
             )
