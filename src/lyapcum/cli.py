@@ -12,8 +12,9 @@ ppoly       CSV table of the self-loop placement polynomials
 
 Exit codes: 0 ok, 2 input error, 3 instability or solver breakdown,
 4 identification failure.
-Reports embed the config, seed, and library version, and identical
-config+seed reproduce byte-identical output.
+Each subcommand takes only the options it reads.  JSON reports embed the
+library version and, as ``config``, every option but ``--out``; identical
+config reproduces byte-identical output.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ def _dump(document: dict) -> str:
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    keep = ("command", "graph", "seed", "orders", "trials", "tol", "format", "threads")
-    return {k: getattr(args, k) for k in keep if hasattr(args, k)}
+    """Every parsed option except the output path, which never changes the bytes."""
+    return {k: v for k, v in vars(args).items() if k not in ("func", "out")}
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +213,7 @@ def cmd_identify(args) -> int:
         document["report"] = IdentifiabilityReport(
             method="constructive", verdict="hypothesis-violated", detail=str(exc)
         ).to_json_dict()
-        document["equation_count"] = count_equations_vs_parameters(
-            g, 4 if stack.r is not None else 3
-        ).to_json_dict()
-        _write(args.out, _dump(document))
-        return EXIT_IDENTIFY
+        code = EXIT_IDENTIFY
     except NoMethodApplies:
         verdict = local_identifiability_verdict(g, trials=args.trials, seed=args.seed)
         document["report"] = {
@@ -225,13 +222,12 @@ def cmd_identify(args) -> int:
             "detail": verdict.reason,
         }
         document["jacobian"] = verdict.to_json_dict()
-        document["equation_count"] = count_equations_vs_parameters(
-            g, 4 if stack.r is not None else 3
-        ).to_json_dict()
-        _write(args.out, _dump(document))
-        return (
-            EXIT_OK if verdict.verdict == "locally-identifiable" else EXIT_IDENTIFY
-        )
+        code = EXIT_OK if verdict.verdict == "locally-identifiable" else EXIT_IDENTIFY
+    document["equation_count"] = count_equations_vs_parameters(
+        g, 4 if stack.r is not None else 3
+    ).to_json_dict()
+    _write(args.out, _dump(document))
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +297,10 @@ def _radius(text: str) -> float:
     return value
 
 
-def _trials(text: str) -> int:
+def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"need at least one trial, got {text}")
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
 
@@ -322,6 +318,36 @@ def _tol(text: str) -> float:
     return value
 
 
+# every option, declared once; each subcommand lists the options it reads
+OPTIONS = {
+    "--graph": {"required": True, "help": "graph JSON path"},
+    "--seed": {"type": _non_negative, "default": 0},
+    "--orders": {"default": "2,3,4", "help": "cumulant orders, a subset of 2,3,4"},
+    "--radius": {"type": _radius, "default": 0.6, "help": "spectral radius of sampled A"},
+    "--params": {"help": "inline parameter JSON (A and omega)"},
+    "--stack": {"required": True, "help": "cumulant stack JSON path"},
+    "--trials": {"type": _positive, "default": 5, "help": "Jacobian verdict trials"},
+    "--tol": {
+        "type": _tol, "default": 1e-8, "help": "certificate tolerance, relative to max|T_n|"
+    },
+    "--max-subset": {"type": _positive, "default": 2, "help": "largest rank-scan subset"},
+    "--xmax": {"type": _non_negative, "default": 3},
+    "--ymax": {"type": _non_negative, "default": 3},
+    "--format": {"choices": ["json", "csv"], "default": "json"},
+    "--out": {"default": "-", "help": "output path, '-' for stdout"},
+}
+
+SUBCOMMANDS = (
+    ("cumulants", cmd_cumulants, "solve and dump steady-state cumulants",
+     "--graph --seed --orders --radius --params --format --out"),
+    ("identify", cmd_identify, "recover parameters from a stack",
+     "--graph --seed --stack --trials --tol --out"),
+    ("analyze", cmd_analyze, "combined structural report",
+     "--graph --seed --trials --radius --max-subset --format --out"),
+    ("ppoly", cmd_ppoly, "placement polynomial table", "--xmax --ymax --out"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lyapcum",
@@ -329,40 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--graph", required=True, help="graph JSON path")
-        p.add_argument("--seed", type=_non_negative, default=0)
-        p.add_argument("--orders", default="2,3,4")
-        p.add_argument("--trials", type=_trials, default=5)
-        p.add_argument(
-            "--tol", type=_tol, default=1e-8, help="certificate tolerance, relative to max|T_n|"
-        )
-        p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-        p.add_argument("--radius", type=_radius, default=0.6)
-
-    p_cum = sub.add_parser("cumulants", help="solve and dump steady-state cumulants")
-    common(p_cum)
-    p_cum.add_argument("--params", help="inline parameter JSON (A and omega)")
-    p_cum.set_defaults(func=cmd_cumulants)
-
-    p_id = sub.add_parser("identify", help="recover parameters from a stack")
-    common(p_id)
-    p_id.add_argument("--stack", required=True, help="cumulant stack JSON path")
-    p_id.set_defaults(func=cmd_identify)
-
-    p_an = sub.add_parser("analyze", help="combined structural report")
-    common(p_an)
-    p_an.add_argument("--max-subset", type=int, default=2, dest="max_subset")
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_pp = sub.add_parser("ppoly", help="placement polynomial table")
-    p_pp.add_argument("--xmax", type=_non_negative, default=3)
-    p_pp.add_argument("--ymax", type=_non_negative, default=3)
-    p_pp.add_argument("--out", default="-")
-    p_pp.set_defaults(func=cmd_ppoly)
+    for name, func, help_text, options in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for option in options.split():
+            p.add_argument(option, **OPTIONS[option])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -29,6 +29,8 @@ MAX_DOUBLINGS = 64
 # the default series stops once its last term is this small against the sum
 SERIES_RTOL = 1e-16
 SERIES_MAX_TERMS = 500
+# batch means behind the simulator's standard errors
+BATCHES = 40
 
 
 class SingularSystem(Exception):
@@ -373,13 +375,19 @@ def simulate_and_estimate(
     burn_in: int,
     order: int,
     seed: int,
-    batches: int = 40,
 ) -> SimulationEstimate:
     """Simulate the VAR(1) recursion and estimate a steady-state cumulant.
 
-    Runs ``burn_in + t_max`` steps, keeps the last ``t_max``, and returns the
-    k-statistic of the window.  Standard errors come from batch means, which
-    absorb the serial correlation of the trajectory.
+    Runs ``burn_in + t_max`` steps from ``x = 0``, keeps the last ``t_max``,
+    and returns the k-statistic of the window.  Standard errors come from
+    ``BATCHES`` batch means, which absorb the serial correlation of the
+    trajectory.
+
+    The trajectory ``x_t = sum_k A^k eps_(t-k)`` is a doubling scan over the
+    drawn noise: after the step with shift s every row holds its first 2s
+    terms, and ``M = A^(2s)``.  The scan stops once the shift covers every
+    row, or once ``||M||_inf`` is below machine epsilon, where the omitted
+    terms are at rounding level.
     """
     if order not in (2, 3):
         raise ValueError("simulation estimates support orders 2 and 3")
@@ -387,20 +395,19 @@ def simulate_and_estimate(
         raise DimensionMismatch("noise dimension does not match matrix")
     a.require_stable()
     rng = np.random.default_rng(seed)
-    steps = burn_in + t_max
-    eps = noise.draw(rng, steps)
-    x = np.zeros(a.p)
-    window = np.empty((t_max, a.p))
-    mat = a.entries
-    for step in range(steps):
-        x = mat @ x + eps[step]
-        if step >= burn_in:
-            window[step - burn_in] = x
+    x = noise.draw(rng, burn_in + t_max)
+    m = a.entries
+    shift = 1
+    while shift < len(x) and np.max(np.sum(np.abs(m), axis=1)) >= np.finfo(float).eps:
+        x[shift:] += x[:-shift] @ m.T
+        m = m @ m
+        shift *= 2
+    window = x[burn_in:]
     estimate = _k_statistics(window, order)
     batch_stats = np.stack(
-        [_k_statistics(chunk, order) for chunk in np.array_split(window, batches)]
+        [_k_statistics(chunk, order) for chunk in np.array_split(window, BATCHES)]
     )
-    stderr = batch_stats.std(axis=0, ddof=1) / np.sqrt(batches)
+    stderr = batch_stats.std(axis=0, ddof=1) / np.sqrt(BATCHES)
     return SimulationEstimate(
         estimate=SymmetricTensor.from_dense(estimate),
         stderr=SymmetricTensor.from_dense(stderr),

@@ -12,7 +12,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class CyclicGraph(Exception):
@@ -251,10 +251,6 @@ class Trek:
             raise ValueError("all legs must start at the top vertex")
 
     @property
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(leg[-1] for leg in self.legs)
-
-    @property
     def leg_lengths(self) -> tuple[int, ...]:
         return tuple(len(leg) - 1 for leg in self.legs)
 
@@ -265,12 +261,6 @@ class Trek:
     @property
     def is_base_trek(self) -> bool:
         return all(len(set(leg)) == len(leg) for leg in self.legs)
-
-    def validate(self, g: DirectedGraph) -> None:
-        for leg in self.legs:
-            for a, b in zip(leg, leg[1:]):
-                if (a, b) not in g.edges:
-                    raise ValueError(f"({a},{b}) is not an edge of the graph")
 
 
 @dataclass(frozen=True)
@@ -298,38 +288,24 @@ class EquitrekGraph:
 # ---------------------------------------------------------------------------
 
 
-def _paths_from(g: DirectedGraph, start: int, length: int) -> list[tuple[int, ...]]:
-    """All directed walks of the given edge length starting at ``start``."""
-    paths = [(start,)]
-    for _ in range(length):
-        paths = [path + (c,) for path in paths for c in g.children[path[-1]]]
-    return paths
-
-
-def iter_equitreks(
-    g: DirectedGraph, leaves: Sequence[int], max_len: int
-) -> Iterator[Trek]:
-    """Yield equitreks with the given leaf tuple, by length then leg order."""
-    leaves = tuple(leaves)
-    if not leaves:
-        raise ValueError("leaf tuple must be nonempty")
-    for length in range(max_len + 1):
-        for top in range(g.p):
-            per_leaf = [
-                sorted(p for p in _paths_from(g, top, length) if p[-1] == leaf)
-                for leaf in leaves
-            ]
-            if any(not options for options in per_leaf):
-                continue
-            for combo in itertools.product(*per_leaf):
-                yield Trek(top=top, legs=tuple(combo))
-
-
 def enumerate_equitreks(
     g: DirectedGraph, leaves: Sequence[int], max_len: int
 ) -> list[Trek]:
-    """All equitreks with leg length <= ``max_len``, deterministically ordered."""
-    return list(iter_equitreks(g, leaves, max_len))
+    """All equitreks with leg length <= ``max_len``, by length, top, then leg order."""
+    leaves = tuple(leaves)
+    if not leaves:
+        raise ValueError("leaf tuple must be nonempty")
+    # walks[top]: the walks of the current length out of top, in lexicographic
+    # order since children are sorted
+    walks = [[(top,)] for top in range(g.p)]
+    treks = []
+    for length in range(max_len + 1):
+        if length:
+            walks = [[w + (c,) for w in out for c in g.children[w[-1]]] for out in walks]
+        for top, out in enumerate(walks):
+            per_leaf = [[w for w in out if w[-1] == leaf] for leaf in leaves]
+            treks.extend(Trek(top=top, legs=legs) for legs in itertools.product(*per_leaf))
+    return treks
 
 
 def equitrek_multisets(g: DirectedGraph, order: int) -> set[tuple[int, ...]]:

@@ -4,10 +4,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lyapcum
-from lyapcum import __version__
-from lyapcum.cli import main
+from lyapcum import (
+    DirectedGraph,
+    __version__,
+    model_stack,
+    random_omegas,
+    sample_stable_matrix,
+)
+from lyapcum.cli import _load_stack, build_parser, main
 
 
 def write_json(path, data):
@@ -157,6 +165,13 @@ BAD_INPUTS = {
     "inf-tol": ("identify --graph {d}/g2.json --stack {d}/stack.json --tol inf", 2),
     "zero-tol": ("identify --graph {d}/g2.json --stack {d}/stack.json --tol 0", 2),
     "negative-tol": ("identify --graph {d}/g2.json --stack {d}/stack.json --tol -0.5", 2),
+    # options a subcommand does not read are argparse errors
+    "threads": ("cumulants --graph {d}/g2.json --threads 2", 2),
+    "identify-format": ("identify --graph {d}/g2.json --stack {d}/stack.json --format csv", 2),
+    "analyze-orders": ("analyze --graph {d}/g2.json --orders 2,3", 2),
+    "cumulants-tol": ("cumulants --graph {d}/g2.json --tol 1e-6", 2),
+    "zero-max-subset": ("analyze --graph {d}/g2.json --max-subset 0", 2),
+    "negative-max-subset": ("analyze --graph {d}/g2.json --max-subset -3", 2),
     # stable (radius 0.5) but the cumulants overflow: SingularSystem
     "overflowing-solve": ("cumulants --graph {d}/g2.json --params {d}/huge.json", 3),
 }
@@ -205,6 +220,59 @@ def test_bad_input_exits_2(bad_dir, tmp_path, capsys, case):
     assert "Traceback" not in err
     assert "error" in err.strip().splitlines()[-1]
     assert not out.exists()
+
+
+def test_config_is_the_parsed_options(tmp_path, fig1_graph):
+    # an option that changes the report changes its config, and the config is
+    # every parsed option except the output path
+    runs = {
+        "cumulants": (["--radius", "0.5"], ["--radius", "0.6"]),
+        "analyze": (["--trials", "2", "--max-subset", "1"], ["--trials", "2", "--max-subset", "2"]),
+    }
+    for command, variants in runs.items():
+        configs = []
+        for k, extra in enumerate(variants):
+            out = tmp_path / f"{command}{k}.json"
+            argv = [command, "--graph", fig1_graph, "--seed", "1", *extra, "--out", str(out)]
+            assert main(argv) == 0
+            config = json.loads(out.read_text())["config"]
+            parsed = vars(build_parser().parse_args(argv))
+            assert config == {key: v for key, v in parsed.items() if key not in ("func", "out")}
+            configs.append(config)
+        assert configs[0] != configs[1]
+
+
+@pytest.fixture(scope="module")
+def stack_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("stacks")
+
+
+@st.composite
+def seeded_graphs(draw):
+    p = draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(p) for j in range(p)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    return DirectedGraph(p, edges), draw(st.integers(0, 10_000))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seeded_graphs())
+def test_stack_json_round_trip(stack_dir, graph_and_seed):
+    # the stack `cumulants` writes reads back bit for bit as the library's
+    # model_stack on the same seeded draws
+    g, seed = graph_and_seed
+    graph = write_json(stack_dir / "g.json", g.to_json_dict())
+    out = stack_dir / "stack.json"
+    assert main(["cumulants", "--graph", graph, "--seed", str(seed), "--orders", "2,3,4",
+                 "--out", str(out)]) == 0
+    loaded = _load_stack(str(out))
+    pm = sample_stable_matrix(g, seed=seed)
+    expected = model_stack(pm, random_omegas(np.random.default_rng(seed + 1), g.p, (2, 3, 4)))
+    for got, want in ((loaded.s, expected.s), (loaded.t, expected.t), (loaded.r, expected.r)):
+        assert list(got.values) == list(want.values)
+        assert np.array(list(got.values.values())).tobytes() == (
+            np.array(list(want.values.values())).tobytes()
+        )
 
 
 def test_cumulants_p12(tmp_path):
