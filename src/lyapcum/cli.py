@@ -119,8 +119,17 @@ def _config_dict(args: argparse.Namespace) -> dict:
 
 
 def _materialize_parameters(g: DirectedGraph, args) -> tuple[ParameterMatrix, dict]:
+    """Inline parameters from ``--params``, or a draw from ``--seed`` and ``--radius``.
+
+    ``cumulants`` parses both draw options as None when absent, so one given
+    together with ``--params`` is an input error; for a draw, the defaults
+    are filled in here, before the report records them in ``config``.
+    """
     orders = _parse_orders(args.orders)
     if args.params:
+        given = [f"--{name}" for name in ("seed", "radius") if getattr(args, name) is not None]
+        if given:
+            raise InputError(f"--params replaces the sampled draw; drop {' and '.join(given)}")
         data = _load_json(args.params)
         try:
             entries = np.asarray(data["A"], dtype=float)
@@ -141,6 +150,9 @@ def _materialize_parameters(g: DirectedGraph, args) -> tuple[ParameterMatrix, di
         if wrong:
             raise InputError(f"omega for orders {wrong} must have {g.p} entries")
         return pm, {n: omegas[n] for n in orders}
+    for name in ("seed", "radius"):
+        if getattr(args, name) is None:
+            setattr(args, name, OPTIONS[f"--{name}"]["default"])
     pm = sample_stable_matrix(g, seed=args.seed, target_radius=args.radius)
     rng = np.random.default_rng(args.seed + 1)
     return pm, random_omegas(rng, g.p, orders)
@@ -360,6 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
         for option in options.split():
             p.add_argument(option, **OPTIONS[option])
         p.set_defaults(func=func)
+    # tell a given --seed or --radius from an absent one (_materialize_parameters)
+    sub.choices["cumulants"].set_defaults(seed=None, radius=None)
     return parser
 
 

@@ -26,6 +26,8 @@ STABILITY_MARGIN = 1e-9
 
 # doubling steps before giving up; rho < 1 - STABILITY_MARGIN needs about 35
 MAX_DOUBLINGS = 64
+# the doublings stop once their omitted tail is below machine epsilon
+EPS = np.finfo(float).eps
 # the default series stops once its last term is this small against the sum
 SERIES_RTOL = 1e-16
 SERIES_MAX_TERMS = 500
@@ -94,16 +96,18 @@ class ParameterMatrix:
             raise DimensionMismatch(
                 f"entries must be {g.p}x{g.p}, got {entries.shape}"
             )
-        for j in range(g.p):
-            for i in range(g.p):
-                if entries[j, i] != 0.0 and (i, j) not in g.edges:
-                    raise ValueError(
-                        f"entry ({j},{i}) is nonzero but edge {i}->{j} is absent"
-                    )
+        off_pattern = entries != 0.0
+        if g.edges:
+            tails, heads = zip(*g.sorted_edges)
+            off_pattern[heads, tails] = False
+        if off_pattern.any():
+            j, i = np.argwhere(off_pattern)[0]  # row-major: the first offending entry
+            raise ValueError(f"entry ({j},{i}) is nonzero but edge {i}->{j} is absent")
         self.g = g
         self.entries = entries
         self.entries.setflags(write=False)
         self._radius: float | None = None
+        self._squares: tuple[tuple[np.ndarray, np.float64], ...] = ()
 
     @property
     def p(self) -> int:
@@ -113,6 +117,22 @@ class ParameterMatrix:
         if self._radius is None:
             self._radius = spectral_radius(self.entries)
         return self._radius
+
+    def squared_power(self, k: int) -> tuple[np.ndarray, np.float64]:
+        """``(A^(2^k), ||A^(2^k)||_inf)``, each square computed once per matrix.
+
+        Every doubling reads its step k from here, so the orders of one stack
+        and the simulator share the squares.  The powers are read-only, and
+        the norm stays a numpy float, so a huge ``norm ** n`` is inf rather
+        than an ``OverflowError``.
+        """
+        squares = self._squares
+        while len(squares) <= k:
+            m = squares[-1][0] @ squares[-1][0] if squares else self.entries
+            m.setflags(write=False)
+            squares += ((m, np.max(np.sum(np.abs(m), axis=1))),)
+        self._squares = squares  # replaced, never mutated: a racing thread only recomputes
+        return squares[k]
 
     @property
     def stable(self) -> bool:
@@ -141,22 +161,21 @@ def solve_cumulant(a: ParameterMatrix, omega: DiagonalCumulant) -> SymmetricTens
     ``T_inf x_1 M ... x_n M``, at most ``||M||_inf^n max|T_inf|`` entrywise,
     so the loop stops once ``||M||_inf^n`` is below machine epsilon, or at
     once when M is exactly zero (nilpotent A).  Entries that no equitrek
-    reaches stay exactly zero.
+    reaches stay exactly zero.  M and its norm come from
+    :meth:`ParameterMatrix.squared_power`, computed once per matrix.
     """
     p, n = a.p, omega.order
     if omega.p != p:
         raise DimensionMismatch("noise cumulant dimension does not match matrix")
     a.require_stable()
     t = omega.to_dense()
-    m = a.entries
-    eps = np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(MAX_DOUBLINGS):
-            if np.max(np.sum(np.abs(m), axis=1)) ** n < eps:
+        for k in range(MAX_DOUBLINGS):
+            m, norm = a.squared_power(k)
+            if norm**n < EPS:
                 return SymmetricTensor.from_dense(t)
             t = t + tucker_product(t, m)
-            m = m @ m
-            if not np.isfinite(t).all():  # a non-finite M reaches T one step later
+            if not np.isfinite(t).all():  # a non-finite M makes T non-finite at once
                 raise SingularSystem("doubling produced non-finite values")
     raise SingularSystem(f"doubling did not converge in {MAX_DOUBLINGS} steps")
 
@@ -396,12 +415,13 @@ def simulate_and_estimate(
     a.require_stable()
     rng = np.random.default_rng(seed)
     x = noise.draw(rng, burn_in + t_max)
-    m = a.entries
-    shift = 1
-    while shift < len(x) and np.max(np.sum(np.abs(m), axis=1)) >= np.finfo(float).eps:
+    shift, k = 1, 0
+    while shift < len(x):
+        m, norm = a.squared_power(k)
+        if norm < EPS:
+            break
         x[shift:] += x[:-shift] @ m.T
-        m = m @ m
-        shift *= 2
+        shift, k = 2 * shift, k + 1
     window = x[burn_in:]
     estimate = _k_statistics(window, order)
     batch_stats = np.stack(

@@ -1,15 +1,18 @@
-"""Symmetric tensors in canonical multiset storage, plus mode products.
+"""Symmetric tensors stored as one vector over sorted multisets, plus mode products.
 
-Every conversion between the multiset values and the dense ``(p,) * n``
-array goes through one cached index map per ``(p, n)``, ``_orbits``.
+A ``SymmetricTensor`` holds one float64 per sorted index multiset, in
+``multiset_indices`` order.  Its ``values`` is a live mapping over that
+vector, so a write through it changes the tensor.  The fold from and the
+unfold to the dense ``(p,) * n`` array each go through one cached index map
+per ``(p, n)``: ``_orbits`` for the fold, ``_inverse`` for the unfold.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Mapping, MutableMapping
 from functools import lru_cache
-from math import comb, isfinite, prod
-from typing import Iterable, Iterator
+from math import comb, prod
 
 import numpy as np
 
@@ -58,7 +61,7 @@ def tucker_product(tensor: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """
     out = np.asarray(tensor, dtype=float)
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or any(s != matrix.shape[1] for s in out.shape):
+    if matrix.ndim != 2 or out.shape != (matrix.shape[1],) * out.ndim:
         raise DimensionMismatch(f"matrix {matrix.shape} does not fit tensor {out.shape}")
     q, p = matrix.shape
     for _ in range(out.ndim):
@@ -82,20 +85,72 @@ def _orbits(p: int, order: int) -> np.ndarray:
     return perms
 
 
-class SymmetricTensor:
-    """Order-n symmetric tensor over p variables, keyed by sorted multisets.
+@lru_cache(maxsize=32)
+def _rows(p: int, order: int) -> dict[tuple[int, ...], int]:
+    """Cached multiset -> row of the value vector; shared, so never mutated."""
+    return {key: row for row, key in enumerate(_multisets(p, order))}
 
-    Storage holds one value per canonical index multiset; dense expansion
-    reproduces every permuted index.
+
+@lru_cache(maxsize=32)
+def _inverse(p: int, order: int) -> np.ndarray:
+    """Cached flat dense position -> row of the multiset whose orbit holds it."""
+    orbits = _orbits(p, order)
+    inverse = np.empty(p**order, dtype=np.intp)
+    inverse[orbits] = np.arange(orbits.shape[1])  # every position lies in one orbit
+    inverse.setflags(write=False)
+    return inverse
+
+
+def _row(rows: dict[tuple[int, ...], int], index: tuple[int, ...] | int) -> int:
+    index = (index,) if isinstance(index, int) else tuple(index)
+    row = rows.get(index)  # canonical keys hit at once: sort only on a miss
+    return rows[tuple(sorted(index))] if row is None else row
+
+
+class _Values(MutableMapping):
+    """Live multiset -> value mapping over a tensor's vector.
+
+    Keys iterate in ``multiset_indices`` order; a non-canonical key is sorted
+    before it is read or written, and every multiset always has a value.
     """
 
-    def __init__(self, order: int, p: int, values: dict[tuple[int, ...], float]):
+    def __init__(self, tensor: "SymmetricTensor"):
+        self._vec, self._rows = tensor._vec, _rows(tensor.p, tensor.order)
+
+    def __getitem__(self, key) -> float:
+        return self._vec.item(_row(self._rows, key))
+
+    def __setitem__(self, key, value: float) -> None:
+        self._vec[_row(self._rows, key)] = value
+
+    def __delitem__(self, key) -> None:
+        raise TypeError("a symmetric tensor holds a value at every multiset")
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+class SymmetricTensor:
+    """Order-n symmetric tensor over p variables, one value per sorted multiset.
+
+    The values form one float64 vector in ``multiset_indices`` order; dense
+    expansion reproduces every permuted index.
+    """
+
+    def __init__(self, order: int, p: int, values: Mapping[tuple[int, ...], float]):
+        """Keys may be unsorted; multisets absent from ``values`` hold zero."""
         self.order = int(order)
         self.p = int(p)
-        self.values = {tuple(sorted(k)): float(v) for k, v in values.items()}
-        for key in self.values:
-            if len(key) != self.order or any(not 0 <= i < self.p for i in key):
+        rows = _rows(self.p, self.order)
+        self._vec = np.zeros(len(rows))
+        for key, value in values.items():
+            key = tuple(sorted(key))
+            if key not in rows:
                 raise ValueError(f"bad index multiset {key}")
+            self._vec[rows[key]] = float(value)
         self.sym_defect: float = 0.0
 
     @classmethod
@@ -110,40 +165,34 @@ class SymmetricTensor:
         if any(s != p for s in dense.shape):
             raise DimensionMismatch("dense tensor must be hypercubic")
         orbit = dense.reshape(-1)[_orbits(p, dense.ndim)]
-        # axis 0 of a C-contiguous array sums row by row, in order, as n! adds do
-        sym = orbit.sum(axis=0) / len(orbit)
-        # the keys are canonical by construction, so skip __init__'s checks
-        tensor = cls.__new__(cls)
+        tensor = cls.__new__(cls)  # the vector is in multiset order: skip __init__
         tensor.order, tensor.p = dense.ndim, p
-        tensor.values = dict(zip(_multisets(p, dense.ndim), sym.tolist()))
+        # axis 0 of a C-contiguous array sums row by row, in order, as n! adds do
+        tensor._vec = orbit.sum(axis=0) / len(orbit)
         tensor.sym_defect = float(np.max(np.ptp(orbit, axis=0)))
         return tensor
 
     @classmethod
     def diagonal(cls, diag: Iterable[float], order: int) -> "SymmetricTensor":
         diag = list(diag)
-        values = {k: 0.0 for k in multiset_indices(len(diag), order)}
-        for i, w in enumerate(diag):
-            values[(i,) * order] = float(w)
-        return cls(order, len(diag), values)
+        return cls(order, len(diag), {(i,) * order: w for i, w in enumerate(diag)})
+
+    @property
+    def values(self) -> MutableMapping[tuple[int, ...], float]:
+        """Live view: ``t.values[key] += x`` changes the tensor."""
+        return _Values(self)
 
     def to_dense(self) -> np.ndarray:
-        """Dense array; multisets missing from ``values`` read as zero."""
-        vals = [self.values.get(k, 0.0) for k in _multisets(self.p, self.order)]
-        dense = np.empty(self.p**self.order)
-        dense[_orbits(self.p, self.order)] = vals  # every position lies in one orbit
-        return dense.reshape((self.p,) * self.order)
+        return self._vec[_inverse(self.p, self.order)].reshape((self.p,) * self.order)
 
     def __getitem__(self, index: tuple[int, ...] | int) -> float:
-        index = (index,) if isinstance(index, int) else tuple(index)
-        value = self.values.get(index)  # stored keys are canonical: sort on a miss
-        return self.values[tuple(sorted(index))] if value is None else value
+        return self._vec.item(_row(_rows(self.p, self.order), index))
 
     def keys(self) -> Iterator[tuple[int, ...]]:
         return iter(_multisets(self.p, self.order))
 
     def max_abs(self) -> float:
-        return max((abs(v) for v in self.values.values()), default=0.0)
+        return float(np.max(np.abs(self._vec), initial=0.0))
 
     def relabel(self, perm: Iterable[int]) -> "SymmetricTensor":
         """New tensor with variable v renamed to perm[v]."""
@@ -151,7 +200,7 @@ class SymmetricTensor:
         return SymmetricTensor(
             self.order,
             self.p,
-            {tuple(perm[i] for i in k): v for k, v in self.values.items()},
+            {tuple(perm[i] for i in k): v for k, v in zip(self.keys(), self._vec.tolist())},
         )
 
     def __repr__(self) -> str:
@@ -160,10 +209,8 @@ class SymmetricTensor:
     # -- wire format ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        entries = {
-            ",".join(map(str, k)): self.values[k]
-            for k in _multisets(self.p, self.order)
-        }
+        keys = (",".join(map(str, k)) for k in _multisets(self.p, self.order))
+        entries = dict(zip(keys, self._vec.tolist()))
         return {"order": self.order, "p": self.p, "entries": entries}
 
     @classmethod
@@ -172,19 +219,20 @@ class SymmetricTensor:
             order, p = int(data["order"]), int(data["p"])
             entries = data["entries"]
             values = {
-                tuple(int(s) for s in key.split(",")): float(v)
+                tuple(sorted(int(s) for s in key.split(","))): float(v)
                 for key, v in entries.items()
             }
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ValueError(f"malformed tensor JSON: {exc}") from exc
-        tensor = cls(order, p, values)
+        # counted before the tensor is built, so a huge (p, order) allocates nothing
         expected = comb(p + order - 1, order)
-        if not len(entries) == len(tensor.values) == expected:
+        if not len(entries) == len(values) == expected:
             raise ValueError(
                 f"tensor JSON needs each of its {expected} multisets once, got "
-                f"{len(entries)} entries for {len(tensor.values)}"
+                f"{len(entries)} entries for {len(values)}"
             )
-        if not all(isfinite(v) for v in tensor.values.values()):
+        tensor = cls(order, p, values)
+        if not np.isfinite(tensor._vec).all():
             raise ValueError("tensor JSON has non-finite entries")
         return tensor
 

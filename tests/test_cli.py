@@ -172,6 +172,11 @@ BAD_INPUTS = {
     "cumulants-tol": ("cumulants --graph {d}/g2.json --tol 1e-6", 2),
     "zero-max-subset": ("analyze --graph {d}/g2.json --max-subset 0", 2),
     "negative-max-subset": ("analyze --graph {d}/g2.json --max-subset -3", 2),
+    # --params replaces the seeded draw, so the draw's options are rejected with it
+    "params-with-seed": ("cumulants --graph {d}/g2.json --params {d}/params.json --seed 1", 2),
+    "params-with-radius": (
+        "cumulants --graph {d}/g2.json --params {d}/params.json --radius 0.5", 2
+    ),
     # stable (radius 0.5) but the cumulants overflow: SingularSystem
     "overflowing-solve": ("cumulants --graph {d}/g2.json --params {d}/huge.json", 3),
 }
@@ -186,6 +191,10 @@ def bad_dir(tmp_path_factory):
     write_json(
         d / "short-omega.json",
         {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": {"2": [1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
+    )
+    write_json(
+        d / "params.json",
+        {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
     )
     write_json(
         d / "huge.json",

@@ -164,6 +164,50 @@ class TestSolveCumulant:
         series = series_cumulant(a, omega).to_dense()
         assert np.max(np.abs(exact - series)) <= 1e-10 * np.max(np.abs(exact))
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(signed_models(max_p=6), st.permutations([2, 3, 4]))
+    def test_shared_squares_are_bit_exact(self, model, orders):
+        """Orders solved on one matrix, in any sequence, equal fresh solves bit for bit."""
+        a, w = model
+        for order in orders:
+            omega = DiagonalCumulant(order, w)
+            shared = solve_cumulant(a, omega)
+            fresh = solve_cumulant(ParameterMatrix(a.g, a.entries), omega)
+            assert shared.to_dense().tobytes() == fresh.to_dense().tobytes()
+            assert np.float64(shared.sym_defect).tobytes() == (
+                np.float64(fresh.sym_defect).tobytes()
+            )
+
+    def test_squares_are_computed_once(self):
+        pm = fig1_matrix()
+        square, norm = pm.squared_power(2)
+        assert pm.squared_power(2)[0] is square and not square.flags.writeable
+        a = pm.entries
+        assert np.array_equal(square, (a @ a) @ (a @ a))
+        assert norm == np.max(np.sum(np.abs(square), axis=1))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(signed_models(max_p=5), st.integers(2, 4), st.data())
+    def test_relabeling_equivariance(self, model, order, data):
+        """Renaming vertex v to perm[v] renames the solved tensor's multisets.
+
+        The values agree to 1e-12 of max|T|; the off-support zeros are exact
+        on both sides, so the zero sets match multiset for multiset.
+        """
+        a, w = model
+        perm = data.draw(st.permutations(range(a.p)))
+        entries = np.zeros_like(a.entries)
+        entries[np.ix_(perm, perm)] = a.entries
+        noise = np.zeros_like(w)
+        noise[perm] = w
+        t = solve_cumulant(a, DiagonalCumulant(order, w)).relabel(perm)
+        moved = solve_cumulant(ParameterMatrix(a.g.relabel(perm), entries),
+                               DiagonalCumulant(order, noise))
+        assert np.max(np.abs(moved.to_dense() - t.to_dense())) <= 1e-12 * t.max_abs()
+        assert [k for k in moved.keys() if moved[k] == 0.0] == [
+            k for k in t.keys() if t[k] == 0.0
+        ]
+
     def test_symmetry_defect_small(self, rng):
         g = random_pattern(rng, 3)
         pm = sample_stable_matrix(g, seed=5, target_radius=0.6)

@@ -115,6 +115,48 @@ class TestSymmetricTensor:
             SymmetricTensor.diagonal([1.0], 3).to_csv()
 
 
+class TestValuesView:
+    """``values`` is a live mapping over the tensor's one vector."""
+
+    def test_writes_show_everywhere(self):
+        t = SymmetricTensor(3, 2, {(0, 0, 0): 1.0, (0, 1, 1): -2.0})
+        t.values[(0, 0, 1)] = 3.0
+        t.values[(0, 1, 1)] += 5.0
+        assert t[(0, 0, 1)] == 3.0 and t[(0, 1, 1)] == 3.0
+        dense = t.to_dense()
+        assert dense[1, 0, 0] == dense[0, 1, 0] == dense[0, 0, 1] == 3.0
+        assert dense[1, 1, 0] == dense[0, 1, 1] == 3.0
+        t.values[(1, 1, 1)] = -7.5
+        assert t.max_abs() == 7.5
+        assert t.to_json_dict()["entries"] == {
+            "0,0,0": 1.0, "0,0,1": 3.0, "0,1,1": 3.0, "1,1,1": -7.5,
+        }
+
+    def test_non_canonical_key_lands_on_its_multiset(self):
+        t = SymmetricTensor.diagonal([1.0, 2.0, 3.0], 3)
+        t.values[(2, 0, 1)] = 4.0
+        t.values[(1, 0, 1)] += 0.5
+        assert t.values[(0, 1, 2)] == t[(1, 2, 0)] == 4.0
+        assert t.values[(0, 1, 1)] == t[(1, 1, 0)] == 0.5
+        assert len(t.values) == comb(5, 3)
+
+    def test_lists_every_multiset_in_order(self):
+        t = SymmetricTensor(2, 3, {(2, 1): 6.0})
+        assert list(dict(t.values)) == multiset_indices(3, 2)
+        assert dict(t.values) == {
+            (0, 0): 0.0, (0, 1): 0.0, (0, 2): 0.0, (1, 1): 0.0, (1, 2): 6.0, (2, 2): 0.0,
+        }
+
+    def test_unknown_multiset_and_delete_rejected(self):
+        t = SymmetricTensor.diagonal([1.0, 2.0], 2)
+        with pytest.raises(KeyError):
+            t.values[(0, 2)] = 1.0
+        with pytest.raises(TypeError):
+            del t.values[(0, 1)]
+        with pytest.raises(ValueError, match="bad index multiset"):
+            SymmetricTensor(2, 2, {(0, 2): 1.0})
+
+
 @st.composite
 def shapes(draw):
     return draw(st.integers(1, 6)), draw(st.integers(2, 4))
