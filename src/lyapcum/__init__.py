@@ -59,13 +59,11 @@ from .treks import (
     PoleAtUnit,
     UnstableEffective,
     base_trek_coefficient,
-    base_trek_covariance,
+    base_trek_cumulant,
     check_placement_recursions,
-    conjectured_placement_poly,
     effective_matrix,
     enumerate_base_treks,
     placement_polynomial,
-    validate_conjecture_order3,
 )
 from .constraints import (
     ModelInconsistency,

@@ -23,6 +23,20 @@ class DisconnectedGraph(Exception):
     """The undirected skeleton is disconnected."""
 
 
+def check_permutation(perm: Iterable[int], p: int) -> list[int]:
+    """``perm`` as a list.
+
+    Raises
+    ------
+    ValueError
+        Unless ``perm`` is a permutation of ``range(p)``.
+    """
+    perm = list(perm)
+    if sorted(perm) != list(range(p)):
+        raise ValueError(f"relabeling {perm} is not a permutation of range({p})")
+    return perm
+
+
 class DirectedGraph:
     """Directed graph on ``p`` vertices with an explicit edge set.
 
@@ -216,8 +230,9 @@ class DirectedGraph:
         """Bidirected equitrek graph: the two-leg case of :func:`equitrek_multisets`."""
         return EquitrekGraph(p=self.p, biedges=frozenset(equitrek_multisets(self, 2)))
 
-    def relabel(self, perm: Sequence[int]) -> "DirectedGraph":
+    def relabel(self, perm: Iterable[int]) -> "DirectedGraph":
         """New graph with vertex v renamed to perm[v]."""
+        perm = check_permutation(perm, self.p)
         return DirectedGraph(self.p, [(perm[i], perm[j]) for i, j in self.edges])
 
     # -- JSON wire format --------------------------------------------------

@@ -16,6 +16,8 @@ from math import comb, prod
 
 import numpy as np
 
+from .graphs import check_permutation
+
 
 class DimensionMismatch(Exception):
     """Tensor and matrix dimensions are incompatible."""
@@ -196,7 +198,7 @@ class SymmetricTensor:
 
     def relabel(self, perm: Iterable[int]) -> "SymmetricTensor":
         """New tensor with variable v renamed to perm[v]."""
-        perm = list(perm)
+        perm = check_permutation(perm, self.p)
         return SymmetricTensor(
             self.order,
             self.p,

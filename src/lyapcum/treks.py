@@ -1,16 +1,38 @@
 """Trek monomials, base-trek enumeration and the base-trek calculus.
 
 Every steady-state cumulant entry is a sum over equitreks of noise-weighted
-edge monomials.  For DAGs whose self-loops all carry one weight ``t``, the
-infinitely many equitreks over a base trek collapse into a closed-form
-rational coefficient ``C(x, y; t) = t^|x-y| P_{x,y}(t) / (1-t^2)^(x+y+1)``
-whose numerator counts weighted self-loop placements along the trek legs.
+edge monomials.  For a DAG whose self-loops all carry one weight ``t``, the
+infinitely many equitreks over one base trek (legs that are loop-free paths)
+close into one rational coefficient, for any number of legs.
 
-Placement-polynomial arithmetic is exact over the integers so that the
-recursion checks are identities, not float comparisons.  The higher-order
-generalization of the placement polynomial is unproven; everything derived
-from it is tagged CONJECTURE and is never consumed by identification or
-rank code.
+Theorem.  Let a base trek have legs of ``x_1, ..., x_n`` edges, with
+``X = sum_j x_j`` and ``M = max_j x_j``, and let ``s = t^n``.  Its equitreks
+weigh, in total, the base monomial times
+
+    C(x_1, ..., x_n; t) = t^(nM - X) h(s) / (1 - s)^(X+1),
+
+where ``h`` has integer coefficients and degree at most ``X - M``.
+
+Proof.  A leg of length ``L`` over a base path of ``x`` edges is that path
+with ``L - x`` self-loop steps spread over its ``x + 1`` vertices: there are
+``C(L, x)`` of them, each the path monomial times ``t^(L-x)``.  An equitrek of
+length ``L`` picks one such leg per base leg, so there are
+``f(L) = prod_j C(L, x_j)`` of them, each the base monomial times
+``t^(nL - X)``.  Hence the total is ``t^(nM - X) sum_{k>=0} f(M + k) s^k``.
+``g(k) = f(M + k)`` is a polynomial in ``k`` of degree ``X`` that vanishes at
+``k = -1, ..., -M`` (there ``0 <= M + k < M`` and some binomial is zero), so
+``sum_k g(k) s^k = h(s) / (1 - s)^(X+1)`` with ``deg h <= X - M`` (Stanley,
+*Enumerative Combinatorics* I, Cor. 4.3.1).  Multiplying the series by
+``(1 - s)^(X+1)`` gives
+
+    h_l = sum_{k<=l} (-1)^(l-k) C(X+1, l-k) prod_j C(M+k, x_j),
+
+an integer.  For two legs ``h_l = C(max, min - l) C(min, l)``: the
+coefficient of ``t^(2l)`` in the placement polynomial ``P_{x,y}``.
+
+Placement-polynomial arithmetic is exact over the integers, and a Fraction
+``t`` gives an exact coefficient, so the recursion checks are identities, not
+float comparisons.
 """
 
 from __future__ import annotations
@@ -18,16 +40,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .engine import DiagonalCumulant, ParameterMatrix, solve_cumulant
+from .engine import DiagonalCumulant, ParameterMatrix
 from .graphs import DirectedGraph, Trek
 from .tensors import SymmetricTensor, multiset_indices
-
-CONJECTURE_TAG = "CONJECTURE"
 
 
 class PoleAtUnit(Exception):
@@ -53,32 +73,30 @@ def trek_monomial(entries: np.ndarray, trek: Trek) -> float:
 
 
 # ---------------------------------------------------------------------------
-# placement polynomials
+# placement polynomials and base-trek coefficients
 # ---------------------------------------------------------------------------
 
 
-def placement_polynomial(x: int, y: int) -> list[int]:
-    """Self-loop placement numerator for a two-leg base trek.
+def placement_polynomial(*xs: int) -> list[int]:
+    """Integer coefficients of ``h`` (module docstring), ascending in ``s = t^n``.
 
-    Returns integer coefficients ``c_l`` of ``t^(2l)`` with
-    ``c_l = C(max(x,y), min(x,y)-l) * C(min(x,y), l)``.
+    ``xs`` are the leg lengths.  With two legs the coefficient of ``t^(2l)``
+    is ``C(max(x,y), min(x,y)-l) * C(min(x,y), l)``.
     """
-    if x < 0 or y < 0:
+    if not xs:
+        raise ValueError("need at least one leg distance")
+    if any(x < 0 for x in xs):
         raise ValueError("leg distances must be nonnegative")
-    lo, hi = min(x, y), max(x, y)
-    return [comb(hi, lo - l) * comb(lo, l) for l in range(lo + 1)]
+    total, top = sum(xs), max(xs)
+    counts = [prod(comb(top + k, x) for x in xs) for k in range(total - top + 1)]
+    return [
+        sum((-1) ** (l - k) * comb(total + 1, l - k) * counts[k] for k in range(l + 1))
+        for l in range(total - top + 1)
+    ]
 
 
-def _poly_eval_even(coeffs: Sequence[int], t):
-    t2 = t * t
-    value = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        value = value * t2 + c
-    return value
-
-
-def base_trek_coefficient(x: int, y: int, t):
-    """Rational weight ``t^|x-y| P_{x,y}(t) / (1-t^2)^(x+y+1)``.
+def base_trek_coefficient(xs: Sequence[int], t):
+    """Rational weight ``t^(nM-X) h(t^n) / (1-t^n)^(X+1)`` of legs ``xs``.
 
     Accepts float or Fraction ``t`` (Fractions evaluate exactly).
 
@@ -89,9 +107,12 @@ def base_trek_coefficient(x: int, y: int, t):
     """
     if abs(t) >= 1:
         raise PoleAtUnit(f"coefficient has a pole at |t|=1, got t={t}")
-    numer = _poly_eval_even(placement_polynomial(x, y), t)
-    one = Fraction(1) if isinstance(t, Fraction) else 1.0
-    return t ** abs(x - y) * numer / (one - t * t) ** (x + y + 1)
+    n, total = len(xs), sum(xs)
+    s = t**n
+    numer = 0
+    for c in reversed(placement_polynomial(*xs)):
+        numer = numer * s + c
+    return t ** (n * max(xs) - total) * numer / (1 - s) ** (total + 1)
 
 
 def placement_table_csv(x_max: int, y_max: int) -> str:
@@ -107,7 +128,7 @@ def placement_table_csv(x_max: int, y_max: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# base-trek enumeration and the restricted covariance
+# base-trek enumeration and the exact cumulant
 # ---------------------------------------------------------------------------
 
 
@@ -145,17 +166,17 @@ def enumerate_base_treks(g: DirectedGraph, leaves: Sequence[int]) -> list[Trek]:
     return treks
 
 
-def _path_weight(path: tuple[int, ...], weights: Mapping[tuple[int, int], float]):
-    value = 1.0
-    for a, b in zip(path, path[1:]):
-        value *= weights[(a, b)]
-    return value
-
-
 def effective_matrix(
     g: DirectedGraph, t: float, offdiag: Mapping[tuple[int, int], float]
 ) -> ParameterMatrix:
-    """Assemble the constant-self-loop matrix: diagonal t, DAG edges as given."""
+    """Assemble the constant-self-loop matrix: diagonal t, DAG edges as given.
+
+    Raises
+    ------
+    ValueError
+        If a weight is given for an edge that is not a DAG edge of ``g``, or
+        a DAG edge has no weight.
+    """
     dag = _offdiag_dag(g)
     full = DirectedGraph(
         g.p, list(dag.edges) + [(v, v) for v in range(g.p)]
@@ -165,41 +186,41 @@ def effective_matrix(
         if (i, j) not in dag.edges:
             raise ValueError(f"weight given for missing edge {i}->{j}")
         entries[j, i] = w
+    unweighted = sorted(dag.edges - offdiag.keys())
+    if unweighted:
+        i, j = unweighted[0]
+        raise ValueError(f"no weight given for edge {i}->{j}")
     return ParameterMatrix(full, entries)
 
 
-def base_trek_covariance(
+def base_trek_cumulant(
     g: DirectedGraph,
     t: float,
     offdiag: Mapping[tuple[int, int], float],
-    omega2: DiagonalCumulant,
+    omega: DiagonalCumulant,
 ) -> SymmetricTensor:
-    """Exact covariance of the constant-self-loop DAG model by base treks.
+    """Exact order-n cumulant of the constant-self-loop DAG model by base treks.
 
-    ``s_ij = sum over base treks of C(d_i, d_j; t) a^leg_i a^leg_j w_top``;
+    ``T[i_1..i_n] = sum over base treks of C(legs; t) * (leg monomials) * w_top``;
     the sum is finite because base treks exclude loops.
     """
     if abs(t) >= 1:
         raise UnstableEffective(
             f"constant self-loop weight t={t} puts every eigenvalue at |t|>=1"
         )
-    _offdiag_dag(g)  # raises CyclicGraph before the order check
-    if omega2.order != 2 or omega2.p != g.p:
-        raise ValueError("omega2 must be an order-2 cumulant on the same vertices")
-    values = {}
-    for key in multiset_indices(g.p, 2):
-        total = 0.0
-        for trek in enumerate_base_treks(g, key):
-            leg_i, leg_j = trek.legs
-            coeff = base_trek_coefficient(len(leg_i) - 1, len(leg_j) - 1, t)
-            total += (
-                coeff
-                * _path_weight(leg_i, offdiag)
-                * _path_weight(leg_j, offdiag)
-                * omega2.w[trek.top]
-            )
-        values[key] = total
-    return SymmetricTensor(2, g.p, values)
+    entries = effective_matrix(g, t, offdiag).entries  # raises CyclicGraph first
+    if omega.p != g.p:
+        raise ValueError("omega must be a cumulant on the same vertices")
+    values = {
+        key: sum(
+            base_trek_coefficient([len(leg) - 1 for leg in trek.legs], t)
+            * trek_monomial(entries, trek)
+            * omega.w[trek.top]
+            for trek in enumerate_base_treks(g, key)
+        )
+        for key in multiset_indices(g.p, omega.order)
+    }
+    return SymmetricTensor(omega.order, g.p, values)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +284,11 @@ def check_placement_recursions(x_max: int, y_max: int) -> RecursionReport:
                 report.ok = False
                 report.failures.append(f"polynomial recursion fails at (x,y)=({x},{y})")
             for t in sample_ts:
-                lhs_c = base_trek_coefficient(x + 1, y + 1, t)
+                lhs_c = base_trek_coefficient((x + 1, y + 1), t)
                 rhs_c = (
-                    t * (base_trek_coefficient(x, y + 1, t) + base_trek_coefficient(x + 1, y, t))
-                    + base_trek_coefficient(x, y, t)
+                    t * base_trek_coefficient((x, y + 1), t)
+                    + t * base_trek_coefficient((x + 1, y), t)
+                    + base_trek_coefficient((x, y), t)
                 ) / (1 - t * t)
                 report.coefficient_checks += 1
                 if lhs_c != rhs_c:
@@ -275,90 +297,3 @@ def check_placement_recursions(x_max: int, y_max: int) -> RecursionReport:
                         f"coefficient recursion fails at (x,y,t)=({x},{y},{t})"
                     )
     return report
-
-
-# ---------------------------------------------------------------------------
-# conjectured higher-order placement polynomials
-# ---------------------------------------------------------------------------
-
-
-def conjectured_placement_poly(xs: Sequence[int]) -> list[int]:
-    """CONJECTURE: placement numerator for an n-leg base trek.
-
-    Returns integer coefficients of ``t^(n m)`` ascending in m.  The n = 2
-    specialization provably matches :func:`placement_polynomial`; beyond
-    that the formula is unproven and outputs must not feed identification
-    or rank decisions.
-    """
-    xs = list(xs)
-    if not xs:
-        raise ValueError("need at least one leg distance")
-    if any(x < 0 for x in xs):
-        raise ValueError("leg distances must be nonnegative")
-    total = sum(xs)
-    span = total - max(xs)
-    coeffs = []
-    for m in range(span + 1):
-        l = span - m
-        inner = 0
-        for k in range(l + 1):
-            prod = 1
-            for x in xs:
-                prod *= comb(x + k, k)
-            inner += (-1) ** (l - k) * comb(total + 1, l - k) * prod
-        coeffs.append(inner)
-    return coeffs
-
-
-def conjectured_coefficient(xs: Sequence[int], t: float) -> float:
-    """CONJECTURE: n-leg analogue of :func:`base_trek_coefficient`."""
-    n = len(xs)
-    if abs(t) >= 1:
-        raise PoleAtUnit(f"coefficient has a pole at |t|=1, got t={t}")
-    total = sum(xs)
-    coeffs = conjectured_placement_poly(xs)
-    tn = t**n
-    numer = 0.0
-    for m, c in enumerate(coeffs):
-        numer += c * tn**m
-    return t ** (n * max(xs) - total) * numer / (1 - tn) ** (total + 1)
-
-
-@dataclass
-class ConjectureReport:
-    tag: str
-    max_rel_deviation: float
-    entries_checked: int
-
-
-def validate_conjecture_order3(
-    g: DirectedGraph,
-    t: float,
-    offdiag: Mapping[tuple[int, int], float],
-    omega3: DiagonalCumulant,
-) -> ConjectureReport:
-    """Compare the conjectured order-3 base-trek rule to the exact solver.
-
-    Assembles the third-order cumulant from conjectured coefficients and
-    reports the maximum relative deviation against :func:`solve_cumulant`.  The
-    outcome is evidence about the conjecture, not ground truth.
-    """
-    if abs(t) >= 1:
-        raise UnstableEffective(f"constant self-loop weight t={t} is unstable")
-    exact = solve_cumulant(effective_matrix(g, t, offdiag), omega3)
-    scale = max(exact.max_abs(), 1e-300)
-    max_dev = 0.0
-    checked = 0
-    for key in multiset_indices(g.p, 3):
-        total = 0.0
-        for trek in enumerate_base_treks(g, key):
-            dists = [len(leg) - 1 for leg in trek.legs]
-            weight = 1.0
-            for leg in trek.legs:
-                weight *= _path_weight(leg, offdiag)
-            total += conjectured_coefficient(dists, t) * weight * omega3.w[trek.top]
-        max_dev = max(max_dev, abs(total - exact[key]) / scale)
-        checked += 1
-    return ConjectureReport(
-        tag=CONJECTURE_TAG, max_rel_deviation=max_dev, entries_checked=checked
-    )

@@ -16,7 +16,7 @@ from lyapcum import (
     ParameterMatrix,
     SingularBlock,
     build_modified_jacobian,
-    base_trek_covariance,
+    base_trek_cumulant,
     check_placement_recursions,
     count_equations_vs_parameters,
     effective_matrix,
@@ -38,7 +38,6 @@ from lyapcum import (
     top_trek_polynomial_check,
     toric_matrix,
     tree_equivalence,
-    validate_conjecture_order3,
 )
 from lyapcum.identify import NoMethodApplies, auto_identify
 from lyapcum.jacobian import augmentation_rows, numeric_rank
@@ -472,26 +471,27 @@ def test_criterion_6_combinatorial_identities():
         }
         t_loop = float(rng.uniform(-0.6, 0.6))
         omega = DiagonalCumulant(2, rng.uniform(0.5, 2, p))
-        direct = base_trek_covariance(g, t_loop, weights, omega)
+        direct = base_trek_cumulant(g, t_loop, weights, omega)
         exact = solve_cumulant(effective_matrix(g, t_loop, weights), omega)
         scale = max(exact.max_abs(), 1e-300)
         dev = max(abs(direct[k] - exact[k]) for k in exact.keys()) / scale
         crit.check(dev <= 1e-10, f"base-trek covariance trial {trial}: dev {dev:.2e}")
 
-    for p in (2, 3, 4):
+    for p, order in itertools.product((2, 3, 4), (3, 4)):
         path = DirectedGraph(p, [(k, k + 1) for k in range(p - 1)])
         weights = {(k, k + 1): 1.0 for k in range(p - 1)}
-        evidence = validate_conjecture_order3(
-            path, 0.5, weights, DiagonalCumulant(3, np.ones(p))
-        )
+        omega = DiagonalCumulant(order, np.ones(p))
+        direct = base_trek_cumulant(path, 0.5, weights, omega)
+        exact = solve_cumulant(effective_matrix(path, 0.5, weights), omega)
+        dev = max(abs(direct[k] - exact[k]) for k in exact.keys()) / exact.max_abs()
         print(
-            f"    conjecture evidence (path p={p}): tag={evidence.tag} "
-            f"max rel deviation {evidence.max_rel_deviation:.2e} "
-            f"over {evidence.entries_checked} entries"
+            f"    base-trek cumulant (path p={p}, order {order}): "
+            f"max rel deviation {dev:.2e} "
+            f"over {len(multiset_indices(p, order))} entries"
         )
         crit.check(
-            evidence.max_rel_deviation <= 1e-9,
-            f"order-3 conjecture deviation on path p={p}",
+            dev <= 1e-12,
+            f"order-{order} base-trek deviation on path p={p}",
         )
     crit.finish()
 

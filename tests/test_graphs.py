@@ -57,6 +57,14 @@ class TestConstruction:
         g = collider_square()
         assert DirectedGraph.from_json_dict(g.to_json_dict()) == g
 
+    def test_relabel_rejects_non_permutations(self):
+        g = DirectedGraph(3, [(0, 1), (1, 2)])
+        assert g.relabel([2, 0, 1]) == DirectedGraph(3, [(2, 0), (0, 1)])
+        # [0, 0, 1] would merge vertices 0 and 1 into a graph with a loop
+        for perm in ([0, 0, 1], [1, 0], [0, 1, 3]):
+            with pytest.raises(ValueError, match="not a permutation"):
+                g.relabel(perm)
+
     def test_predicates(self):
         g = collider_square()
         assert g.is_dag

@@ -103,6 +103,13 @@ class TestSymmetricTensor:
         assert swapped[(0, 1)] == 2.0
         assert swapped[(0, 0)] == 3.0
 
+    def test_relabel_rejects_non_permutations(self):
+        # [0, 0] would collide the keys (0, 0), (0, 1) and (1, 1)
+        t = SymmetricTensor(2, 2, {(0, 0): 1.0, (0, 1): 2.0, (1, 1): 3.0})
+        for perm in ([0, 0], [1], [0, 1, 2], [1, 2]):
+            with pytest.raises(ValueError, match="not a permutation"):
+                t.relabel(perm)
+
     def test_multiset_enumeration_is_graded_lex(self):
         assert multiset_indices(3, 2) == [
             (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2),

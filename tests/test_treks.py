@@ -1,8 +1,12 @@
+import hashlib
+import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyapcum import (
     DiagonalCumulant,
@@ -10,9 +14,8 @@ from lyapcum import (
     PoleAtUnit,
     UnstableEffective,
     base_trek_coefficient,
-    base_trek_covariance,
+    base_trek_cumulant,
     check_placement_recursions,
-    conjectured_placement_poly,
     effective_matrix,
     enumerate_base_treks,
     enumerate_equitreks,
@@ -20,13 +23,8 @@ from lyapcum import (
     sample_stable_matrix,
     series_cumulant,
     solve_cumulant,
-    validate_conjecture_order3,
 )
-from lyapcum.treks import (
-    conjectured_coefficient,
-    placement_table_csv,
-    trek_monomial,
-)
+from lyapcum.treks import placement_table_csv, trek_monomial
 from conftest import sink_loop_chain, two_node_chain, unit_parameters
 
 
@@ -37,6 +35,27 @@ def fig1_pm():
 def random_dag(rng, p, edge_prob=0.5):
     edges = [(i, j) for i in range(p) for j in range(i + 1, p) if rng.uniform() < edge_prob]
     return DirectedGraph(p, edges) if edges else DirectedGraph(p, [(0, 1)])
+
+
+def loop_insertion_sum(dists, t):
+    """Truncated equitrek sum at the tips of a looped broom with unit edges.
+
+    The broom is one chain of each length in ``dists`` out of vertex 0, so
+    the sum counts the self-loop insertions along one base trek.
+    """
+    p = 1 + sum(dists)
+    edges = [(v, v) for v in range(p)]
+    tips = []
+    nxt = 1
+    for d in dists:
+        chain = [0] + list(range(nxt, nxt + d))
+        nxt += d
+        edges += list(zip(chain, chain[1:]))
+        tips.append(chain[-1])
+    pm = unit_parameters(DirectedGraph(p, edges), diag=t, off=1.0)
+    w = np.zeros(p)
+    w[0] = 1.0
+    return series_cumulant(pm, DiagonalCumulant(len(dists), w), terms=301)[tuple(tips)]
 
 
 class TestTrekRuleEntry:
@@ -114,38 +133,25 @@ class TestPlacementPolynomial:
 class TestBaseTrekCoefficient:
     def test_empty_trek(self):
         t = 0.3
-        assert base_trek_coefficient(0, 0, t) == pytest.approx(1 / (1 - t * t))
+        assert base_trek_coefficient((0, 0), t) == pytest.approx(1 / (1 - t * t))
 
     def test_exact_fraction_display_value(self):
         t = Fraction(1, 2)
-        value = base_trek_coefficient(2, 3, t)
+        value = base_trek_coefficient((2, 3), t)
         expected = t * (3 + 6 * t**2 + t**4) / (1 - t**2) ** 6
         assert value == expected
 
     def test_pole(self):
         with pytest.raises(PoleAtUnit):
-            base_trek_coefficient(1, 1, 1.0)
+            base_trek_coefficient((1, 1), 1.0)
 
     def test_matches_loop_insertion_sum(self):
         # oracle: a broom graph with disjoint chains of lengths x and y; the
         # truncated equitrek sum counts exactly the self-loop insertions
         for x, y in [(0, 2), (1, 1), (2, 3), (3, 2)]:
-            p = x + y + 1
-            edges = [(v, v) for v in range(p)]
-            chain_x = list(range(0, x + 1))
-            chain_y = [0] + list(range(x + 1, x + y + 1))
-            edges += list(zip(chain_x, chain_x[1:]))
-            edges += list(zip(chain_y, chain_y[1:]))
-            g = DirectedGraph(p, edges)
             t = 0.4
-            pm = unit_parameters(g, diag=t, off=1.0)
-            w = np.zeros(p)
-            w[0] = 1.0
-            total = series_cumulant(pm, DiagonalCumulant(2, w), terms=301)[
-                (chain_x[-1], chain_y[-1])
-            ]
-            assert total == pytest.approx(
-                float(base_trek_coefficient(x, y, t)), rel=1e-10
+            assert loop_insertion_sum((x, y), t) == pytest.approx(
+                float(base_trek_coefficient((x, y), t)), rel=1e-10
             )
 
 
@@ -154,7 +160,7 @@ class TestBaseTrekCovariance:
         g = DirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
         weights = {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0}
         t = 0.5
-        s = base_trek_covariance(g, t, weights, DiagonalCumulant(2, np.ones(4)))
+        s = base_trek_cumulant(g, t, weights, DiagonalCumulant(2, np.ones(4)))
         expected = (
             t * (3 + 6 * t**2 + t**4) / (1 - t**2) ** 6
             + t * (2 + t**2) / (1 - t**2) ** 4
@@ -167,10 +173,10 @@ class TestBaseTrekCovariance:
         g = DirectedGraph(4, [(0, 1), (0, 2), (2, 3)])
         t = 0.3
         weights = {(0, 1): 0.8, (0, 2): -0.6, (2, 3): 1.1}
-        s = base_trek_covariance(g, t, weights, DiagonalCumulant(2, np.ones(4)))
+        s = base_trek_cumulant(g, t, weights, DiagonalCumulant(2, np.ones(4)))
         # pair (1,3): unique common ancestor 0, distances 1 and 2
         expected = (
-            float(base_trek_coefficient(1, 2, t)) * 0.8 * (-0.6) * 1.1
+            float(base_trek_coefficient((1, 2), t)) * 0.8 * (-0.6) * 1.1
         )
         assert s[(1, 3)] == pytest.approx(expected, rel=1e-12)
 
@@ -185,7 +191,7 @@ class TestBaseTrekCovariance:
             }
             t = float(rng.uniform(-0.6, 0.6))
             omega = DiagonalCumulant(2, rng.uniform(0.5, 2, p))
-            direct = base_trek_covariance(g, t, weights, omega)
+            direct = base_trek_cumulant(g, t, weights, omega)
             exact = solve_cumulant(effective_matrix(g, t, weights), omega)
             scale = max(exact.max_abs(), 1e-300)
             for key in exact.keys():
@@ -193,7 +199,7 @@ class TestBaseTrekCovariance:
 
     def test_zero_without_base_trek(self):
         g = DirectedGraph(3, [(0, 1), (2, 1)])
-        s = base_trek_covariance(
+        s = base_trek_cumulant(
             g, 0.5, {(0, 1): 1.0, (2, 1): 1.0}, DiagonalCumulant(2, np.ones(3))
         )
         assert s[(0, 2)] == 0.0
@@ -201,7 +207,7 @@ class TestBaseTrekCovariance:
     def test_unstable_rejected(self):
         g = DirectedGraph(2, [(0, 1)])
         with pytest.raises(UnstableEffective):
-            base_trek_covariance(g, 1.0, {(0, 1): 1.0}, DiagonalCumulant(2, np.ones(2)))
+            base_trek_cumulant(g, 1.0, {(0, 1): 1.0}, DiagonalCumulant(2, np.ones(2)))
 
 
 class TestRecursions:
@@ -216,16 +222,25 @@ class TestRecursions:
     def test_degenerate_at_zero(self):
         for x in range(4):
             for y in range(x, 4):
-                lhs = base_trek_coefficient(x + 1, y + 1, Fraction(0))
-                rhs = base_trek_coefficient(x, y, Fraction(0)) if x == y else 0
+                lhs = base_trek_coefficient((x + 1, y + 1), Fraction(0))
+                rhs = base_trek_coefficient((x, y), Fraction(0)) if x == y else 0
                 assert lhs == rhs
 
 
 class TestConjecture:
+    """The n-leg placement theorem of the treks module docstring."""
+
     def test_two_leg_specialization(self):
         for x in range(7):
             for y in range(7):
-                assert conjectured_placement_poly([x, y]) == placement_polynomial(x, y)
+                lo, hi = min(x, y), max(x, y)
+                closed = [comb(hi, lo - l) * comb(lo, l) for l in range(lo + 1)]
+                assert placement_polynomial(x, y) == closed
+        t = Fraction(-2, 5)
+        for x, y in itertools.product(range(5), repeat=2):
+            numer = sum(c * t ** (2 * l) for l, c in enumerate(placement_polynomial(x, y)))
+            two_leg = t ** abs(x - y) * numer / (1 - t * t) ** (x + y + 1)
+            assert base_trek_coefficient((x, y), t) == two_leg
 
     def test_equal_legs_generating_function(self):
         # oracle: convolve the cubed-binomial series against (1-s)^(3x+1)
@@ -240,43 +255,97 @@ class TestConjecture:
                         for i in range(max(0, l - len(binom_part) + 1), l + 1)
                     )
                 )
-            got = conjectured_placement_poly([x, x, x])
+            got = placement_polynomial(x, x, x)
+            assert got == coeffs
             assert [got[2 * x - l] for l in range(2 * x + 1)] == coeffs
+
+    def test_series_counts_equitreks(self):
+        # h(s) / (1-s)^(X+1) has s^k coefficient prod_j C(M+k, x_j), the
+        # number of equitreks of length M+k; exact in integers
+        for n in range(2, 6):
+            for xs in itertools.product(range(4), repeat=n):
+                total, top = sum(xs), max(xs)
+                h = placement_polynomial(*xs)
+                assert len(h) - 1 <= total - top
+                for k in range(40):
+                    series = sum(
+                        c * comb(total + k - l, total) for l, c in enumerate(h) if l <= k
+                    )
+                    assert series == prod(comb(top + k, x) for x in xs), (xs, k)
 
     def test_order3_validator_on_path(self):
         g = DirectedGraph(3, [(0, 1), (1, 2)])
-        report = validate_conjecture_order3(
-            g, 0.5, {(0, 1): 1.0, (1, 2): 1.0}, DiagonalCumulant(3, np.ones(3))
-        )
-        assert report.tag == "CONJECTURE"
-        assert report.max_rel_deviation <= 1e-9
+        weights = {(0, 1): 1.0, (1, 2): 1.0}
+        omega = DiagonalCumulant(3, np.ones(3))
+        direct = base_trek_cumulant(g, 0.5, weights, omega)
+        exact = solve_cumulant(effective_matrix(g, 0.5, weights), omega)
+        dev = np.max(np.abs(direct.to_dense() - exact.to_dense())) / exact.max_abs()
+        assert dev <= 1e-9
 
     def test_coefficient_pole(self):
         with pytest.raises(PoleAtUnit):
-            conjectured_coefficient([1, 1, 1], 1.0)
+            base_trek_coefficient([1, 1, 1], 1.0)
 
     def test_three_leg_coefficient_matches_loop_insertion(self):
         # oracle: a broom with three disjoint chains out of vertex 0; the
         # truncated three-leg equitrek sum counts the self-loop insertions
         for dists in [(0, 1, 2), (1, 1, 1), (2, 1, 0), (2, 2, 1)]:
-            p = 1 + sum(dists)
-            edges = [(v, v) for v in range(p)]
-            tips = []
-            nxt = 1
-            for d in dists:
-                chain = [0] + list(range(nxt, nxt + d))
-                nxt += d
-                edges += list(zip(chain, chain[1:]))
-                tips.append(chain[-1])
-            g = DirectedGraph(p, edges)
             t = 0.45
-            pm = unit_parameters(g, diag=t, off=1.0)
-            w = np.zeros(p)
-            w[0] = 1.0
-            total = series_cumulant(pm, DiagonalCumulant(3, w), terms=301)[tuple(tips)]
-            assert total == pytest.approx(
-                conjectured_coefficient(list(dists), t), rel=1e-10
+            assert loop_insertion_sum(dists, t) == pytest.approx(
+                base_trek_coefficient(list(dists), t), rel=1e-10
             )
+
+    def test_four_leg_coefficient_matches_loop_insertion(self):
+        for dists in [(0, 1, 1, 2), (1, 1, 1, 1), (2, 0, 1, 0), (2, 1, 2, 1)]:
+            t = 0.45
+            assert loop_insertion_sum(dists, t) == pytest.approx(
+                base_trek_coefficient(dists, t), rel=1e-10
+            )
+
+
+@st.composite
+def constant_loop_dags(draw):
+    """DAG (p <= 5, vertices in drawn order) with signed off-diagonal weights."""
+    p = draw(st.integers(2, 5))
+    order = draw(st.permutations(range(p)))
+    slots = [(order[a], order[b]) for a in range(p) for b in range(a + 1, p)]
+    edges = draw(st.sets(st.sampled_from(slots), min_size=1))
+    loops = draw(st.sets(st.sampled_from(range(p))))
+    g = DirectedGraph(p, list(edges) + [(v, v) for v in loops])
+    magnitude = st.floats(0.3, 1.0)
+    weights = {e: draw(magnitude) * draw(st.sampled_from([-1.0, 1.0])) for e in edges}
+    t = draw(st.floats(-0.6, 0.6))
+    return g, weights, t
+
+
+class TestBaseTrekCumulant:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(constant_loop_dags(), st.integers(2, 4), st.data())
+    def test_matches_solver_any_order(self, model, order, data):
+        g, weights, t = model
+        w = data.draw(st.lists(st.floats(0.5, 2.0), min_size=g.p, max_size=g.p))
+        omega = DiagonalCumulant(order, w)
+        direct = base_trek_cumulant(g, t, weights, omega)
+        exact = solve_cumulant(effective_matrix(g, t, weights), omega)
+        scale = exact.max_abs()
+        for key in exact.keys():
+            if enumerate_base_treks(g, key):
+                assert abs(direct[key] - exact[key]) <= 1e-12 * scale
+            else:
+                assert direct[key] == 0.0 and exact[key] == 0.0
+
+    def test_effective_matrix_names_unweighted_edge(self):
+        g = DirectedGraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="no weight given for edge 1->2"):
+            effective_matrix(g, 0.5, {(0, 1): 1.0})
+        with pytest.raises(ValueError, match="edge 1->2"):
+            base_trek_cumulant(g, 0.5, {(0, 1): 1.0}, DiagonalCumulant(2, np.ones(3)))
+
+    def test_effective_matrix_rejects_weight_on_missing_edge(self):
+        g = DirectedGraph(3, [(0, 1), (1, 2)])
+        weights = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}
+        with pytest.raises(ValueError, match="missing edge 0->2"):
+            effective_matrix(g, 0.5, weights)
 
 
 class TestBaseTrekEnumeration:
@@ -298,3 +367,14 @@ def test_placement_table_csv():
     lines = table.strip().splitlines()
     assert lines[0] == "x\\y,0,1,2,3"
     assert lines[3].split(",")[3] == "1;4;1"
+
+
+def test_placement_table_golden_bytes():
+    # the bytes `lyapcum ppoly` prints for these bounds
+    golden = {
+        6: "db8aec68a720bc7be2366632b666a463ddbbf9c19e7d27c18f83c33b31153e94",
+        10: "da091f1d3a2c3898033ef5bc6a0a64156fa0c210f6f045f5009b3061255da843",
+    }
+    for bound, digest in golden.items():
+        table = placement_table_csv(bound, bound).encode()
+        assert hashlib.sha256(table).hexdigest() == digest
