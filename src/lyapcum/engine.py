@@ -9,7 +9,8 @@ the order-n discrete Lyapunov equation
 This module solves that equation by squared-Smith doubling (Smith 1968,
 "Matrix equation XA + BX = C"), cross-checks it with the truncated
 mode-product series, recovers the noise cumulants from a solution, and
-simulates the process for empirical estimates.
+simulates the process for empirical estimates.  One in-place doubling kernel
+serves the solve and the forward-residual certificate of a recovered A.
 """
 
 from __future__ import annotations
@@ -26,8 +27,13 @@ STABILITY_MARGIN = 1e-9
 
 # doubling steps before giving up; rho < 1 - STABILITY_MARGIN needs about 35
 MAX_DOUBLINGS = 64
-# the doublings stop once their omitted tail is below machine epsilon
+# the solve doubles until its omitted tail is below machine epsilon
 EPS = np.finfo(float).eps
+# A recovery's residual is max|S|, S = sum_i R x_1 A^i ... x_n A^i for the
+# off-diagonal rest R of T - T x_1 A ... x_n A.  Doubling R until q < 1/4 gives
+# the exact partial sum P_k and a tail of at most q max|S|, so max|S| <= U =
+# max|P_k| / (1 - q); as max|P_k| <= (1 + q) max|S|, U < 5/3 max|S|: under 2x.
+CERTIFY_STOP = 0.25
 # the default series stops once its last term is this small against the sum
 SERIES_RTOL = 1e-16
 SERIES_MAX_TERMS = 500
@@ -152,32 +158,41 @@ class ParameterMatrix:
         return f"ParameterMatrix(p={self.p}, radius={self.radius():.4g})"
 
 
-def solve_cumulant(a: ParameterMatrix, omega: DiagonalCumulant) -> SymmetricTensor:
-    """Steady-state cumulant by squared-Smith doubling.
+def _double(flat: np.ndarray, a: ParameterMatrix, n: int, stop: float) -> float:
+    """Squared-Smith doubling in place on the ``(p^(n-1), p)`` unfolding of T.
 
-    After k steps ``T = sum_{i < 2^k} Omega x_1 A^i ... x_n A^i`` and
-    ``M = A^(2^k)``; the step ``T <- T + T x_1 M ... x_n M, M <- M M``
-    doubles the number of summed terms.  The omitted tail is
-    ``T_inf x_1 M ... x_n M``, at most ``||M||_inf^n max|T_inf|`` entrywise,
-    so the loop stops once ``||M||_inf^n`` is below machine epsilon, or at
-    once when M is exactly zero (nilpotent A).  Entries that no equitrek
-    reaches stay exactly zero.  M and its norm come from
-    :meth:`ParameterMatrix.squared_power`, computed once per matrix.
+    Step k adds ``T x_1 M ... x_n M``, ``M = A^(2^k)``, one GEMM per mode: then
+    ``flat`` sums ``T x_1 A^i ... x_n A^i`` over ``i < 2^(k+1)``.  The omitted tail
+    is at most ``q max|T_inf|``, ``q = ||M||_inf^n``; returns q at the first ``q < stop``.
     """
-    p, n = a.p, omega.order
-    if omega.p != p:
-        raise DimensionMismatch("noise cumulant dimension does not match matrix")
-    a.require_stable()
-    t = omega.to_dense()
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(MAX_DOUBLINGS):
             m, norm = a.squared_power(k)
-            if norm**n < EPS:
-                return SymmetricTensor.from_dense(t)
-            t = t + tucker_product(t, m)
-            if not np.isfinite(t).all():  # a non-finite M makes T non-finite at once
+            if not np.isfinite(norm):
                 raise SingularSystem("doubling produced non-finite values")
-    raise SingularSystem(f"doubling did not converge in {MAX_DOUBLINGS} steps")
+            q = norm**n
+            if q < stop:
+                break
+            term = flat
+            for _ in range(n):
+                term = (m @ term.T).reshape(flat.shape)
+            flat += term
+    # a non-finite T stays non-finite, so one check at the end sees it
+    if not np.isfinite(flat).all():
+        raise SingularSystem("doubling produced non-finite values")
+    if not q < stop:
+        raise SingularSystem(f"doubling did not converge in {MAX_DOUBLINGS} steps")
+    return q
+
+
+def solve_cumulant(a: ParameterMatrix, omega: DiagonalCumulant) -> SymmetricTensor:
+    """Steady-state cumulant by :func:`_double` to ``q < EPS``; unreached entries stay 0."""
+    if omega.p != a.p:
+        raise DimensionMismatch("noise cumulant dimension does not match matrix")
+    a.require_stable()
+    dense = omega.to_dense()
+    _double(dense.reshape(-1, a.p), a, omega.order, EPS)
+    return SymmetricTensor.from_dense(dense)
 
 
 def _diagonal_tucker(w: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
@@ -253,9 +268,17 @@ def recursive_residual(
     """
     if t.order != omega.order or t.p != a.p or omega.p != a.p:
         raise DimensionMismatch("orders or dimensions do not match")
-    dense = t.to_dense()
-    resid = dense - tucker_product(dense, a.entries) - omega.to_dense()
-    return float(np.max(np.abs(resid)))
+    diagonal, rest = _defect(t.to_dense(), a)
+    return float(max(np.max(np.abs(rest)), np.max(np.abs(diagonal.w - omega.w))))
+
+
+def _defect(dense: np.ndarray, a: ParameterMatrix) -> tuple[DiagonalCumulant, np.ndarray]:
+    """``T - T x_1 A ... x_n A`` as its diagonal and the unfolded off-diagonal rest."""
+    rest = (dense - tucker_product(dense, a.entries)).reshape(-1)
+    on_diagonal = _diagonal_positions(a.p, dense.ndim)
+    diag = rest[on_diagonal]
+    rest[on_diagonal] = 0.0
+    return DiagonalCumulant(dense.ndim, diag), rest.reshape(-1, a.p)
 
 
 def recover_noise(
@@ -268,13 +291,17 @@ def recover_noise(
     """
     if t.p != a.p:
         raise DimensionMismatch("tensor dimension does not match matrix")
-    dense = t.to_dense()
-    omega_full = (dense - tucker_product(dense, a.entries)).reshape(-1)
-    on_diagonal = _diagonal_positions(t.p, t.order)
-    diag = omega_full[on_diagonal]
-    omega_full[on_diagonal] = 0.0
-    defect = float(np.max(np.abs(omega_full))) if omega_full.size else 0.0
-    return DiagonalCumulant(t.order, diag), defect
+    omega, rest = _defect(t.to_dense(), a)
+    return omega, float(np.max(np.abs(rest)))
+
+
+def _forward_residual(dense: np.ndarray, a: ParameterMatrix) -> tuple[DiagonalCumulant, float]:
+    """Recovered noise and the bound U of ``CERTIFY_STOP``; inf for an unstable A."""
+    omega, rest = _defect(dense, a)
+    if not a.stable:
+        return omega, np.inf
+    q = _double(rest, a, omega.order, CERTIFY_STOP)
+    return omega, float(np.max(np.abs(rest))) / (1.0 - q)
 
 
 def sample_stable_matrix(

@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, prod
 from typing import Mapping, Sequence
 
@@ -138,31 +139,27 @@ def _offdiag_dag(g: DirectedGraph) -> DirectedGraph:
     return dag
 
 
-def _paths_to_all(dag: DirectedGraph, top: int) -> dict[int, list[tuple[int, ...]]]:
-    """All simple directed paths from ``top``, grouped by endpoint."""
-    by_end: dict[int, list[tuple[int, ...]]] = {v: [] for v in range(dag.p)}
-    stack = [(top,)]
+def _top_paths(g: DirectedGraph) -> list[dict[int, list[tuple[int, ...]]]]:
+    """Per top vertex, its simple paths in the self-loop-free DAG, sorted, by endpoint."""
+    dag = _offdiag_dag(g)
+    paths, stack = [], [(v,) for v in range(g.p)]
     while stack:
         path = stack.pop()
-        by_end[path[-1]].append(path)
-        for c in dag.children[path[-1]]:
-            stack.append(path + (c,))
-    for paths in by_end.values():
-        paths.sort()
-    return by_end
+        paths.append(path)
+        stack.extend(path + (c,) for c in dag.children[path[-1]])
+    tops = [{v: [] for v in range(g.p)} for _ in range(g.p)]
+    for path in sorted(paths):
+        tops[path[0]][path[-1]].append(path)
+    return tops
 
 
 def enumerate_base_treks(g: DirectedGraph, leaves: Sequence[int]) -> list[Trek]:
     """All base treks between the leaves: legs are self-loop-free simple paths."""
-    dag = _offdiag_dag(g)
     treks = []
-    for top in range(dag.p):
-        by_end = _paths_to_all(dag, top)
+    for top, by_end in enumerate(_top_paths(g)):
         options = [by_end[leaf] for leaf in leaves]
-        if any(not o for o in options):
-            continue
-        for combo in itertools.product(*options):
-            treks.append(Trek(top=top, legs=tuple(combo)))
+        if all(options):
+            treks.extend(Trek(top=top, legs=combo) for combo in itertools.product(*options))
     return treks
 
 
@@ -208,18 +205,29 @@ def base_trek_cumulant(
         raise UnstableEffective(
             f"constant self-loop weight t={t} puts every eigenvalue at |t|>=1"
         )
-    entries = effective_matrix(g, t, offdiag).entries  # raises CyclicGraph first
+    entries = effective_matrix(g, t, offdiag).entries.tolist()  # raises CyclicGraph first
     if omega.p != g.p:
         raise ValueError("omega must be a cumulant on the same vertices")
-    values = {
-        key: sum(
-            base_trek_coefficient([len(leg) - 1 for leg in trek.legs], t)
-            * trek_monomial(entries, trek)
-            * omega.w[trek.top]
-            for trek in enumerate_base_treks(g, key)
-        )
-        for key in multiset_indices(g.p, omega.order)
-    }
+    weights = cache(lambda path: [entries[b][a] for a, b in zip(path, path[1:])])
+    # h is symmetric in the legs, so one coefficient serves each sorted leg tuple
+    coefficient = cache(lambda xs: base_trek_coefficient(xs, t))
+    paths = _top_paths(g)
+    values = {}
+    for key in multiset_indices(g.p, omega.order):
+        total = 0.0
+        for top, by_end in enumerate(paths):
+            # base treks in enumerate_base_treks order, each as (trek_monomial, leg lengths)
+            partial = [(1.0, ())]
+            for leaf in key:
+                partial = [
+                    (prod(weights(leg), start=value), lengths + (len(leg) - 1,))
+                    for value, lengths in partial
+                    for leg in by_end[leaf]
+                ]
+            w_top = float(omega.w[top])
+            for value, lengths in partial:
+                total += coefficient(tuple(sorted(lengths))) * value * w_top
+        values[key] = total
     return SymmetricTensor(omega.order, g.p, values)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,11 @@ from lyapcum import (
     DirectedGraph,
     NoiseSpec,
     ParameterMatrix,
+    SingularSystem,
     UnstableMatrix,
     equitrek_multisets,
     recover_noise,
+    random_omegas,
     recursive_residual,
     sample_stable_matrix,
     series_cumulant,
@@ -207,6 +211,54 @@ class TestSolveCumulant:
         assert [k for k in moved.keys() if moved[k] == 0.0] == [
             k for k in t.keys() if t[k] == 0.0
         ]
+
+    def test_golden_bytes(self):
+        """Fixed seeded solves: p = 1-8, a nilpotent, a diagonal and a radius-0.97 A.
+
+        The sha256 of every tensor's value vector and of every ``sym_defect``,
+        orders 2-4, recorded from the solver before its doubling became the
+        shared in-place kernel.
+        """
+        rng = np.random.default_rng(1968)
+        models = [
+            (sample_stable_matrix(random_pattern(rng, p), seed=p, target_radius=0.8), p)
+            for p in range(1, 9)
+        ]
+        path = DirectedGraph(5, [(v, v + 1) for v in range(4)])
+        models.append((sample_stable_matrix(path, seed=9), 5))
+        models.append((sample_stable_matrix(DirectedGraph(4, [(v, v) for v in range(4)]), seed=10), 4))
+        models.append(
+            (sample_stable_matrix(random_pattern(rng, 6, 0.6), seed=11, target_radius=0.97), 6)
+        )
+        assert models[8][0].radius() == 0.0 and models[10][0].radius() == pytest.approx(0.97)
+        values, defects = hashlib.sha256(), hashlib.sha256()
+        for a, p in models:
+            for omega in random_omegas(np.random.default_rng(p), p).values():
+                t = solve_cumulant(a, omega)
+                values.update(t._vec.tobytes())
+                defects.update(np.float64(t.sym_defect).tobytes())
+        assert values.hexdigest() == (
+            "3ef586f485e26cc28cc8ac9be59bd7f857fec947987fb5601e80ac59bf773590"
+        )
+        assert defects.hexdigest() == (
+            "981bdcb4c1c53db1e95ffa8555c198f3576f9ff6d4dbe3902bb3b740f0b23a70"
+        )
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_overflowing_tensor_is_singular(self, order):
+        # finite, shrinking squares (radius 0.5), but T x A overflows at once
+        pm = ParameterMatrix(two_node_chain(), np.array([[0.5, 0.0], [1e200, 0.0]]))
+        with pytest.raises(SingularSystem, match="^doubling produced non-finite values$"):
+            solve_cumulant(pm, DiagonalCumulant(order, [1.0, 1.0]))
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_non_finite_square_is_singular(self, order):
+        # nilpotent A whose square overflows; the tiny noise keeps T x A finite
+        # at orders 2 and 3, so the non-finite norm of A^2 is what fails
+        g = DirectedGraph(3, [(0, 1), (1, 2)])
+        pm = ParameterMatrix(g, np.array([[0.0, 0, 0], [1e200, 0, 0], [0, 1e200, 0]]))
+        with pytest.raises(SingularSystem, match="^doubling produced non-finite values$"):
+            solve_cumulant(pm, DiagonalCumulant(order, [1e-300] * 3))
 
     def test_symmetry_defect_small(self, rng):
         g = random_pattern(rng, 3)

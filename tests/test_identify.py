@@ -24,7 +24,9 @@ from lyapcum import (
     solve_cumulant,
     two_node_st_solutions,
 )
-from lyapcum.identify import NoMethodApplies
+from lyapcum import identify
+from lyapcum.identify import NoMethodApplies, _finish_report
+from lyapcum.tensors import SymmetricTensor
 from conftest import (
     bare_two_cycle,
     chain_with_end_loops,
@@ -145,7 +147,10 @@ class TestDagAllLoops:
         stack.t.values[(0, 0, 1)] *= 4.0
         report = identify_dag_all_loops(g, stack)
         assert report.verdict == "degenerate"
-        assert "unstable" in report.detail
+        radius = ParameterMatrix(g, report.a).radius()
+        assert radius >= 1.0
+        assert report.detail == f"recovered matrix is unstable (radius {radius:.4g})"
+        assert report.forward_residuals == {2: np.inf, 3: np.inf, 4: np.inf}
 
     def test_isolated_vertex_refused(self):
         g = DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1)])
@@ -322,14 +327,14 @@ class TestAutoIdentify:
 
 
 @st.composite
-def constructive_models(draw):
-    """A DAG with all self-loops or a polytree with looped sources, p <= 8.
+def constructive_models(draw, max_p=8, max_radius=0.95):
+    """A DAG with all self-loops or a polytree with looped sources, p <= max_p.
 
     The radius stays at or above 0.3: as A shrinks toward 0 every
     off-diagonal cumulant vanishes, and at radius 0.2 the deepest draws
     lose accuracy with depth (errors up to 4e-8).
     """
-    p = draw(st.integers(2, 8))
+    p = draw(st.integers(2, max_p))
     tree = [(draw(st.integers(0, k - 1)), k) for k in range(1, p)]
     if draw(st.booleans()):
         pairs = list(itertools.combinations(range(p), 2))
@@ -342,7 +347,7 @@ def constructive_models(draw):
         edges += [(v, v) for v in looped]
     g = DirectedGraph(p, set(edges))
     seed = draw(st.integers(0, 2**16))
-    pm = sample_stable_matrix(g, seed=seed, target_radius=draw(st.floats(0.3, 0.95)))
+    pm = sample_stable_matrix(g, seed=seed, target_radius=draw(st.floats(0.3, max_radius)))
     return g, pm, model_stack(pm, random_omegas(np.random.default_rng(seed), p))
 
 
@@ -365,6 +370,47 @@ class TestConstructiveProperties:
 
 class TestCertificate:
     """The verdict compares each forward residual with tol * max|T_n|."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(constructive_models(max_p=6, max_radius=0.9), st.floats(-6.0, -3.0), st.data())
+    def test_bound_brackets_the_resolved_residual(self, model, exponent, data):
+        """U lies in [old, 2 old] up to 1e-13 max|T|, so it decides as a second solve would.
+
+        ``old`` is the residual of a second solve, ``max|solve(A, Omega) - T|``;
+        A is the true matrix, then A moved on its pattern by up to 10^exponent.
+        A ``recovered`` verdict holds under the old rule too, and the verdicts
+        can differ only where some old residual is within 2x below the bound.
+        """
+        g, pm, stack = model
+        dense = {n: stack.tensor(n).to_dense() for n in stack.orders}
+        bump = np.zeros_like(pm.entries)
+        for i, j in g.sorted_edges:
+            bump[j, i] = data.draw(st.floats(-1.0, 1.0))
+        for entries in (pm.entries, pm.entries + 10.0**exponent * bump):
+            report = _finish_report("test", g, dense, entries, {}, 1e-8)
+            a = ParameterMatrix(g, entries)
+            old = {}
+            for n, tensor in dense.items():
+                forward = solve_cumulant(a, DiagonalCumulant(n, report.noise[n]))
+                old[n] = np.max(np.abs(forward.to_dense() - tensor))
+                slack = 1e-13 * np.max(np.abs(tensor))
+                assert old[n] - slack <= report.forward_residuals[n] <= 2 * old[n] + slack
+            ratio = max(old[n] / (1e-8 * stack.tensor(n).max_abs()) for n in dense)
+            if not 0.45 < ratio <= 1.0 + 1e-4:  # outside this band U <= 2 old decides alike
+                assert report.verdict == ("recovered" if ratio <= 0.45 else "degenerate")
+
+    def test_certificate_solves_nothing(self, monkeypatch):
+        g = DirectedGraph(5, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)] + [(v, v) for v in range(5)])
+        pm, _, stack = stack_for(g, seed=11)
+
+        def refuse(*args):
+            raise AssertionError("the certificate must not solve or fold again")
+
+        monkeypatch.setattr(identify, "solve_cumulant", refuse)
+        monkeypatch.setattr(SymmetricTensor, "from_dense", refuse)
+        report = auto_identify(g, stack)
+        assert report.verdict == "recovered"
+        assert np.max(np.abs(report.a - pm.entries)) <= 1e-8
 
     def test_large_polytree_tensors_recovered(self):
         # max|T_4| is 1.7e6 here, so an accurate recovery leaves absolute

@@ -334,6 +334,24 @@ class TestBaseTrekCumulant:
             else:
                 assert direct[key] == 0.0 and exact[key] == 0.0
 
+    def test_complete_dag_golden_bytes(self):
+        """The sha256 of the value vectors at orders 2-4 on the complete DAG, p = 5.
+
+        Recorded when every base trek recomputed its placement polynomial; the
+        per-call paths and the per-leg-tuple coefficients leave every bit alone.
+        """
+        p = 5
+        pairs = list(itertools.combinations(range(p), 2))
+        g = DirectedGraph(p, pairs + [(v, v) for v in range(p)])
+        weights = {(i, j): (-1) ** j * 0.7 / (1 + j - i) for i, j in pairs}
+        digest = hashlib.sha256()
+        for n in (2, 3, 4):
+            omega = DiagonalCumulant(n, np.linspace(0.5, 2.0, p))
+            digest.update(base_trek_cumulant(g, 0.4, weights, omega)._vec.tobytes())
+        assert digest.hexdigest() == (
+            "789cffbe4cfcca92678e403c9cb6a331a2be6e218e6a46eff5aa300e86dd61e9"
+        )
+
     def test_effective_matrix_names_unweighted_edge(self):
         g = DirectedGraph(3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError, match="no weight given for edge 1->2"):
