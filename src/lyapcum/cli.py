@@ -12,9 +12,10 @@ ppoly       CSV table of the self-loop placement polynomials
 
 Exit codes: 0 ok, 2 input error, 3 instability or solver breakdown,
 4 identification failure.
-Each subcommand takes only the options it reads.  JSON reports embed the
-library version and, as ``config``, every option but ``--out``; identical
-config reproduces byte-identical output.
+Each subcommand takes only the options it reads, and imports only the
+modules it runs: ``--version``, ``--help`` and ``ppoly`` start without numpy.
+JSON reports embed the library version and, as ``config``, every option but
+``--out``; identical config reproduces byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,41 +27,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .constraints import rank_constraints_scan
-from .engine import (
-    DiagonalCumulant,
-    ParameterMatrix,
-    SingularSystem,
-    UnstableMatrix,
-    random_omegas,
-    recursive_residual,
-    sample_stable_matrix,
-    solve_cumulant,
-)
-from .graphs import (
-    DirectedGraph,
-    DisconnectedGraph,
-    classify_star,
-    implied_conditional_independence,
-    implied_marginal_independence,
-)
-from .identify import (
-    CumulantStack,
-    DegenerateDenominator,
-    HypothesisViolated,
-    IdentifiabilityReport,
-    NoMethodApplies,
-    SingularBlock,
-    auto_identify,
-    count_equations_vs_parameters,
-    model_stack,
-)
-from .jacobian import local_identifiability_verdict
-from .tensors import DimensionMismatch, SymmetricTensor
-from .treks import placement_table_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -81,6 +48,8 @@ def _load_json(path: str):
 
 
 def _load_graph(path: str) -> DirectedGraph:
+    from .graphs import DirectedGraph
+
     try:
         return DirectedGraph.from_json_dict(_load_json(path))
     except (TypeError, ValueError) as exc:
@@ -125,6 +94,10 @@ def _materialize_parameters(g: DirectedGraph, args) -> tuple[ParameterMatrix, di
     together with ``--params`` is an input error; for a draw, the defaults
     are filled in here, before the report records them in ``config``.
     """
+    import numpy as np
+
+    from .engine import DiagonalCumulant, ParameterMatrix, random_omegas, sample_stable_matrix
+
     orders = _parse_orders(args.orders)
     if args.params:
         given = [f"--{name}" for name in ("seed", "radius") if getattr(args, name) is not None]
@@ -159,6 +132,8 @@ def _materialize_parameters(g: DirectedGraph, args) -> tuple[ParameterMatrix, di
 
 
 def cmd_cumulants(args) -> int:
+    from .engine import recursive_residual, solve_cumulant
+
     g = _load_graph(args.graph)
     pm, omegas = _materialize_parameters(g, args)
     if args.format == "csv" and 2 not in omegas:
@@ -191,6 +166,9 @@ def cmd_cumulants(args) -> int:
 
 
 def _load_stack(path: str) -> CumulantStack:
+    from .identify import CumulantStack
+    from .tensors import SymmetricTensor
+
     data = _load_json(path)
     try:
         tensors = data.get("tensors", data)
@@ -207,6 +185,16 @@ def _load_stack(path: str) -> CumulantStack:
 
 
 def cmd_identify(args) -> int:
+    from .identify import (
+        DegenerateDenominator,
+        HypothesisViolated,
+        IdentifiabilityReport,
+        NoMethodApplies,
+        SingularBlock,
+        auto_identify,
+        count_equations_vs_parameters,
+    )
+
     g = _load_graph(args.graph)
     stack = _load_stack(args.stack)
     if stack.p != g.p:
@@ -227,6 +215,8 @@ def cmd_identify(args) -> int:
         ).to_json_dict()
         code = EXIT_IDENTIFY
     except NoMethodApplies:
+        from .jacobian import local_identifiability_verdict
+
         verdict = local_identifiability_verdict(g, trials=args.trials, seed=args.seed)
         document["report"] = {
             "method": "jacobian",
@@ -248,6 +238,19 @@ def cmd_identify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    import numpy as np
+
+    from .constraints import rank_constraints_scan
+    from .engine import random_omegas, sample_stable_matrix
+    from .graphs import (
+        DisconnectedGraph,
+        classify_star,
+        implied_conditional_independence,
+        implied_marginal_independence,
+    )
+    from .identify import count_equations_vs_parameters, model_stack
+    from .jacobian import local_identifiability_verdict
+
     g = _load_graph(args.graph)
     document = {
         "version": __version__,
@@ -293,6 +296,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ppoly(args) -> int:
+    from .treks import placement_table_csv
+
     _write(args.out, placement_table_csv(args.xmax, args.ymax))
     return EXIT_OK
 
@@ -382,15 +387,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, DimensionMismatch) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except UnstableMatrix as exc:
-        print(f"instability: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except SingularSystem as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
+    except Exception as exc:
+        # raised only from modules a numeric command has loaded: import them here
+        from .engine import SingularSystem, UnstableMatrix
+        from .tensors import DimensionMismatch
+
+        for kind, label, code in (
+            (DimensionMismatch, "input error", EXIT_INPUT),
+            (UnstableMatrix, "instability", EXIT_UNSTABLE),
+            (SingularSystem, "solver error", EXIT_UNSTABLE),
+        ):
+            if isinstance(exc, kind):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

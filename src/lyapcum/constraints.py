@@ -8,6 +8,23 @@ their level partitions and shortest-equitrek tops agree.  For general
 graphs, parent and grandparent counts of a vertex set bound the rank of
 certain cumulant submatrices.
 
+Rank bounds.  Take the columns U of S, or of the slices of T, and rows
+that miss every diagonal entry ``S_jj``, ``T_jjj`` with j in U.  An
+equitrek from a row index to j in U then has positive length (the length-0
+trek is the noise term, on the diagonal), so its j-leg enters j from a
+parent of j.  In formulas, ``S = A S A^T + W2`` and
+``T = T x_1 A x_2 A x_3 A + W3`` with diagonal noise give, off the diagonal,
+column j = ``sum_{l in pa(j)} A_jl v_l`` for vectors ``v_l`` that depend on
+l alone.  So the off-diagonal S block and the stacked Q have rank at most
+|pa(U)|.  The sibling-pruned matrix keeps only rows of Q (U is among its
+own siblings), so its rank is at most |pa(U)| <= |pa(U) ∪ pa(pa(U))|, the
+bound it is checked against.  Without pa(U) the bound fails: in
+0 -> 2 <- 1 -> 0 with no loops, U = {0} has pa(pa(U)) empty, yet ``S_20``
+holds the trek 0 <- 1 -> 2.  When every vertex of pa(U) has a self-loop,
+pa(U) lies inside pa(pa(U)) and the bound is |pa(pa(U))|.  Either way it is
+never below |pa(U)|, so the grandparent check fails only where the Q check
+fails too.
+
 All toric arithmetic is exact (Python integers and Fractions) so that
 kernel vectors and row-equivalence checks are identities rather than
 float comparisons.
@@ -468,7 +485,6 @@ def _constraint_matrices(
     u_set = set(u)
     cols = list(u)
     pa = parent_set(g, u)
-    an2 = grandparent_set(g, u)
     sib = sibling_set(g, u)
 
     s_rows = [i for i in range(p) if i not in u_set]
@@ -496,7 +512,7 @@ def _constraint_matrices(
     return [
         ("parents-S", len(pa), s_part),
         ("parents-stacked-Q", len(pa), q_matrix),
-        ("grandparents", len(an2), g_matrix),
+        ("grandparents", len(pa | grandparent_set(g, u)), g_matrix),
     ]
 
 
@@ -507,9 +523,10 @@ def rank_constraints_scan(
 
     For each U with |U| <= max_subset: the off-diagonal S columns, the
     stacked S-plus-T-slices matrix Q, and the sibling-pruned grandparent
-    variant must have rank bounded by |pa(U)|, |pa(U)|, |an2(U)|
-    respectively.  Each result also carries the root sum of squares of all
-    (bound+1)-minors (``minor_norm``, zero when the bound holds exactly).
+    variant must have rank bounded by |pa(U)|, |pa(U)| and
+    |pa(U) ∪ pa(pa(U))| respectively (module docstring).  Each result also
+    carries the root sum of squares of all (bound+1)-minors (``minor_norm``,
+    zero when the bound holds exactly).
 
     Raises
     ------

@@ -33,53 +33,10 @@ from .engine import (
     solve_cumulant,
 )
 from .graphs import DirectedGraph
-from .tensors import SymmetricTensor, k_mode_product, multiset_indices
+from .tensors import k_mode_product, multiset_indices
 
 RANK_EPS = 1e-12
 GAP_STRUCTURAL = 1e6
-
-
-def jacobian_entry_order2(
-    a: np.ndarray, s: SymmetricTensor, row: tuple[int, int], col: tuple[int, int]
-) -> float:
-    """Entry of the order-2 modified Jacobian at row (i,j), column alpha->beta.
-
-    ``delta_j(beta) sum_l a_il s_(l alpha) + delta_i(beta) sum_k a_jk s_(k alpha)``.
-    """
-    i, j = row
-    alpha, beta = col
-    value = 0.0
-    if j == beta:
-        value += sum(a[i, l] * s[(l, alpha)] for l in range(s.p))
-    if i == beta:
-        value += sum(a[j, k] * s[(k, alpha)] for k in range(s.p))
-    return value
-
-
-def jacobian_entry_order3(
-    a: np.ndarray,
-    t: SymmetricTensor,
-    row: tuple[int, int, int],
-    col: tuple[int, int],
-) -> float:
-    """Entry of the order-3 modified Jacobian: the three-term delta sum."""
-    i, j, k = row
-    alpha, beta = col
-    p = t.p
-    value = 0.0
-    if i == beta:
-        value += sum(
-            a[j, m] * a[k, n] * t[(alpha, m, n)] for m in range(p) for n in range(p)
-        )
-    if j == beta:
-        value += sum(
-            a[i, l] * a[k, n] * t[(l, alpha, n)] for l in range(p) for n in range(p)
-        )
-    if k == beta:
-        value += sum(
-            a[i, l] * a[j, m] * t[(l, m, alpha)] for l in range(p) for m in range(p)
-        )
-    return value
 
 
 @dataclass
@@ -111,8 +68,7 @@ class ModifiedJacobian:
 def _edge_columns(u: np.ndarray, keys: list, edges: Sequence[tuple[int, int]]) -> np.ndarray:
     """Edge block of one order from ``u = T x_2 A ... x_n A``.
 
-    Row K, column alpha -> beta: ``sum_j delta(K_j, beta) u[alpha, K without K_j]``,
-    the delta sum of ``jacobian_entry_order2`` and ``jacobian_entry_order3``.
+    Row K, column alpha -> beta: ``sum_j delta(K_j, beta) u[alpha, K without K_j]``.
     """
     rows = np.array(keys, dtype=np.intp).reshape(-1, u.ndim)
     alpha, beta = np.array(edges, dtype=np.intp).reshape(-1, 2).T

@@ -31,24 +31,24 @@ an integer.  For two legs ``h_l = C(max, min - l) C(min, l)``: the
 coefficient of ``t^(2l)`` in the placement polynomial ``P_{x,y}``.
 
 Placement-polynomial arithmetic is exact over the integers, and a Fraction
-``t`` gives an exact coefficient, so the recursion checks are identities, not
-float comparisons.
+``t`` gives an exact coefficient.  The placement table needs neither graphs
+nor arrays, so the functions that do import ``graphs``, ``engine``,
+``tensors`` and numpy themselves.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
 from math import comb, prod
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .engine import DiagonalCumulant, ParameterMatrix
-from .graphs import DirectedGraph, Trek
-from .tensors import SymmetricTensor, multiset_indices
+    from .engine import DiagonalCumulant, ParameterMatrix
+    from .graphs import DirectedGraph, Trek
+    from .tensors import SymmetricTensor
 
 
 class PoleAtUnit(Exception):
@@ -134,6 +134,8 @@ def placement_table_csv(x_max: int, y_max: int) -> str:
 
 
 def _offdiag_dag(g: DirectedGraph) -> DirectedGraph:
+    from .graphs import DirectedGraph
+
     dag = DirectedGraph(g.p, [(i, j) for i, j in g.edges if i != j])
     dag.topological_order()  # raises CyclicGraph when not a DAG
     return dag
@@ -155,6 +157,8 @@ def _top_paths(g: DirectedGraph) -> list[dict[int, list[tuple[int, ...]]]]:
 
 def enumerate_base_treks(g: DirectedGraph, leaves: Sequence[int]) -> list[Trek]:
     """All base treks between the leaves: legs are self-loop-free simple paths."""
+    from .graphs import Trek
+
     treks = []
     for top, by_end in enumerate(_top_paths(g)):
         options = [by_end[leaf] for leaf in leaves]
@@ -174,6 +178,11 @@ def effective_matrix(
         If a weight is given for an edge that is not a DAG edge of ``g``, or
         a DAG edge has no weight.
     """
+    import numpy as np
+
+    from .engine import ParameterMatrix
+    from .graphs import DirectedGraph
+
     dag = _offdiag_dag(g)
     full = DirectedGraph(
         g.p, list(dag.edges) + [(v, v) for v in range(g.p)]
@@ -201,6 +210,8 @@ def base_trek_cumulant(
     ``T[i_1..i_n] = sum over base treks of C(legs; t) * (leg monomials) * w_top``;
     the sum is finite because base treks exclude loops.
     """
+    from .tensors import SymmetricTensor, multiset_indices
+
     if abs(t) >= 1:
         raise UnstableEffective(
             f"constant self-loop weight t={t} puts every eigenvalue at |t|>=1"
@@ -229,79 +240,3 @@ def base_trek_cumulant(
                 total += coefficient(tuple(sorted(lengths))) * value * w_top
         values[key] = total
     return SymmetricTensor(omega.order, g.p, values)
-
-
-# ---------------------------------------------------------------------------
-# recursion checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RecursionReport:
-    ok: bool
-    polynomial_checks: int
-    coefficient_checks: int
-    failures: list[str] = field(default_factory=list)
-
-
-def _poly_add(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for idx, c in enumerate(a):
-        out[idx] += c
-    for idx, c in enumerate(b):
-        out[idx] += c
-    return out
-
-
-def _poly_scale_shift(a: list[int], scale: int, shift: int) -> list[int]:
-    """scale * t^(2 shift) * a, in t^2 coefficient lists."""
-    return [0] * shift + [scale * c for c in a]
-
-
-def _trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def check_placement_recursions(x_max: int, y_max: int) -> RecursionReport:
-    """Verify the placement-polynomial and coefficient recursions.
-
-    (i) ``P_{x+1,y+1} = t^2 P_{x,y+1} + (1 + (t^2-1) [x=y]) P_{x+1,y}
-    + (1 - t^2) P_{x,y}`` as exact integer identities, and (ii)
-    ``C(x+1,y+1;t) = (t (C(x,y+1;t) + C(x+1,y;t)) + C(x,y;t)) / (1-t^2)``
-    at exact rational sample points, for all 0 <= x <= y within the bounds.
-    """
-    report = RecursionReport(ok=True, polynomial_checks=0, coefficient_checks=0)
-    sample_ts = [Fraction(1, 2), Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7)]
-    for x in range(x_max + 1):
-        for y in range(x, y_max + 1):
-            lhs = _trim(placement_polynomial(x + 1, y + 1))
-            rhs = _poly_scale_shift(placement_polynomial(x, y + 1), 1, 1)
-            if x == y:
-                rhs = _poly_add(
-                    rhs, _poly_scale_shift(placement_polynomial(x + 1, y), 1, 1)
-                )
-            else:
-                rhs = _poly_add(rhs, placement_polynomial(x + 1, y))
-            pxy = placement_polynomial(x, y)
-            rhs = _poly_add(rhs, pxy)
-            rhs = _poly_add(rhs, _poly_scale_shift(pxy, -1, 1))
-            report.polynomial_checks += 1
-            if _trim(rhs) != lhs:
-                report.ok = False
-                report.failures.append(f"polynomial recursion fails at (x,y)=({x},{y})")
-            for t in sample_ts:
-                lhs_c = base_trek_coefficient((x + 1, y + 1), t)
-                rhs_c = (
-                    t * base_trek_coefficient((x, y + 1), t)
-                    + t * base_trek_coefficient((x + 1, y), t)
-                    + base_trek_coefficient((x, y), t)
-                ) / (1 - t * t)
-                report.coefficient_checks += 1
-                if lhs_c != rhs_c:
-                    report.ok = False
-                    report.failures.append(
-                        f"coefficient recursion fails at (x,y,t)=({x},{y},{t})"
-                    )
-    return report

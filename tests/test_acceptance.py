@@ -17,13 +17,10 @@ from lyapcum import (
     SingularBlock,
     build_modified_jacobian,
     base_trek_cumulant,
-    check_placement_recursions,
     count_equations_vs_parameters,
     effective_matrix,
     identify_dag_all_loops,
     identify_polytree,
-    jacobian_entry_order2,
-    jacobian_entry_order3,
     level_polynomial_checks,
     local_identifiability_verdict,
     model_stack,
@@ -42,6 +39,7 @@ from lyapcum import (
 from lyapcum.identify import NoMethodApplies, auto_identify
 from lyapcum.jacobian import augmentation_rows, numeric_rank
 from lyapcum.tensors import multiset_indices
+from oracles import check_placement_recursions, jacobian_entry_order2, jacobian_entry_order3
 from conftest import (
     bare_two_cycle,
     diamond,

@@ -3,6 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyapcum import (
     DiagonalCumulant,
@@ -315,7 +317,28 @@ class TestRankConstraints:
             gp = next(
                 r for r in results if r.kind == "grandparents" and r.u == (1, 2)
             )
-            assert gp.bound == 1 and gp.rank <= 1
+            # pa(U) = {0, 1} and pa(pa(U)) = {0}: the bound counts their union
+            assert gp.bound == 2 and gp.rank <= 1
+
+    def test_grandparent_bound_counts_parents(self):
+        # 0 -> 2 <- 1 -> 0 without loops: pa({0}) = {1} has no parents, yet
+        # S_20 holds the trek 0 <- 1 -> 2, so the bound must count pa(U)
+        g = DirectedGraph(3, [(0, 2), (1, 0), (1, 2)])
+        _, _, stack = tree_stack(g, seed=0)
+        results = rank_constraints_scan(g, stack, max_subset=2)
+        gp = next(r for r in results if r.kind == "grandparents" and r.u == (0,))
+        assert gp.bound == 1 and gp.rank == 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_model_stacks_meet_every_bound(self, data):
+        # exact model stacks of any digraph, looped or not, satisfy every bound
+        p = data.draw(st.integers(2, 5))
+        pairs = [(i, j) for i in range(p) for j in range(p)]
+        g = DirectedGraph(p, data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+        _, _, stack = tree_stack(g, seed=data.draw(st.integers(0, 10_000)))
+        for r in rank_constraints_scan(g, stack, max_subset=2):
+            assert r.rank <= r.bound
 
     def test_full_subset_is_vacuous(self):
         g = DirectedGraph(2, [(0, 0), (0, 1), (1, 0), (1, 1)])

@@ -8,8 +8,6 @@ from lyapcum import (
     DirectedGraph,
     ParameterMatrix,
     build_modified_jacobian,
-    jacobian_entry_order2,
-    jacobian_entry_order3,
     local_identifiability_verdict,
     offdiag_rank,
     random_omegas,
@@ -18,6 +16,7 @@ from lyapcum import (
 )
 from lyapcum.jacobian import augmentation_rows, numeric_rank, two_cycle_components
 from lyapcum.tensors import multiset_indices
+from oracles import jacobian_entry_order2, jacobian_entry_order3
 from conftest import (
     collider_square,
     diamond,

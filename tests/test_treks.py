@@ -15,7 +15,6 @@ from lyapcum import (
     UnstableEffective,
     base_trek_coefficient,
     base_trek_cumulant,
-    check_placement_recursions,
     effective_matrix,
     enumerate_base_treks,
     enumerate_equitreks,
@@ -25,6 +24,7 @@ from lyapcum import (
     solve_cumulant,
 )
 from lyapcum.treks import placement_table_csv, trek_monomial
+from oracles import check_placement_recursions
 from conftest import sink_loop_chain, two_node_chain, unit_parameters
 
 
