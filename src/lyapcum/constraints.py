@@ -5,8 +5,8 @@ Directed trees with a single self-loop at the source admit a monomial
 exponent matrix yields binomial invariants through exact kernel
 computation, and two trees give the same constraint ideal exactly when
 their level partitions and shortest-equitrek tops agree.  For general
-graphs, parent and grandparent counts of a vertex set bound the rank of
-certain cumulant submatrices.
+graphs, the parent count of a vertex set bounds the rank of certain
+cumulant submatrices.
 
 Rank bounds.  Take the columns U of S, or of the slices of T, and rows
 that miss every diagonal entry ``S_jj``, ``T_jjj`` with j in U.  An
@@ -16,14 +16,15 @@ parent of j.  In formulas, ``S = A S A^T + W2`` and
 ``T = T x_1 A x_2 A x_3 A + W3`` with diagonal noise give, off the diagonal,
 column j = ``sum_{l in pa(j)} A_jl v_l`` for vectors ``v_l`` that depend on
 l alone.  So the off-diagonal S block and the stacked Q have rank at most
-|pa(U)|.  The sibling-pruned matrix keeps only rows of Q (U is among its
-own siblings), so its rank is at most |pa(U)| <= |pa(U) ∪ pa(pa(U))|, the
-bound it is checked against.  Without pa(U) the bound fails: in
+|pa(U)|.
+
+No grandparent bound is checked.  The sibling-pruned matrix that bound
+was checked on keeps only rows of Q (U is among its own siblings), and
+its valid bound |pa(U) ∪ pa(pa(U))| is never below |pa(U)|: in
 0 -> 2 <- 1 -> 0 with no loops, U = {0} has pa(pa(U)) empty, yet ``S_20``
-holds the trek 0 <- 1 -> 2.  When every vertex of pa(U) has a self-loop,
-pa(U) lies inside pa(pa(U)) and the bound is |pa(pa(U))|.  Either way it is
-never below |pa(U)|, so the grandparent check fails only where the Q check
-fails too.
+holds the trek 0 <- 1 -> 2.  Such a check fails only where the Q check
+fails, so it adds no constraint; a matrix whose rank the grandparents
+bound below |pa(U)| is not built here.
 
 All toric arithmetic is exact (Python integers and Fractions) so that
 kernel vectors and row-equivalence checks are identities rather than
@@ -426,7 +427,7 @@ def tree_equivalence(
 
 @dataclass
 class RankConstraintResult:
-    kind: str  # parents-S | parents-stacked-Q | grandparents
+    kind: str  # parents-S | parents-stacked-Q
     u: tuple[int, ...]
     bound: int
     rank: int
@@ -453,15 +454,6 @@ def parent_set(g: DirectedGraph, u: Sequence[int]) -> set[int]:
     return out
 
 
-def grandparent_set(g: DirectedGraph, u: Sequence[int]) -> set[int]:
-    return parent_set(g, sorted(parent_set(g, u)))
-
-
-def sibling_set(g: DirectedGraph, u: Sequence[int]) -> set[int]:
-    pa_u = parent_set(g, u)
-    return {w for w in range(g.p) if set(g.parents[w]) <= pa_u}
-
-
 def _minor_norm(sing: np.ndarray, size: int) -> float:
     """Root sum of squares of all size x size minors, from the singular values.
 
@@ -485,7 +477,6 @@ def _constraint_matrices(
     u_set = set(u)
     cols = list(u)
     pa = parent_set(g, u)
-    sib = sibling_set(g, u)
 
     s_rows = [i for i in range(p) if i not in u_set]
     s_part = s_dense[np.ix_(s_rows, cols)]
@@ -496,35 +487,20 @@ def _constraint_matrices(
         q_blocks.append(t_dense[i][np.ix_(keep, cols)])
     q_matrix = np.vstack(q_blocks)
 
-    g_rows = [i for i in range(p) if i not in sib]
-    g_blocks = [s_dense[np.ix_(g_rows, cols)]] if g_rows else []
-    for i in range(p):
-        if i in sib:
-            keep = [j for j in range(p) if j not in sib]
-        else:
-            keep = list(range(p))
-        if keep:
-            g_blocks.append(t_dense[i][np.ix_(keep, cols)])
-    g_matrix = (
-        np.vstack(g_blocks) if g_blocks else np.zeros((0, len(cols)))
-    )
-
     return [
         ("parents-S", len(pa), s_part),
         ("parents-stacked-Q", len(pa), q_matrix),
-        ("grandparents", len(pa | grandparent_set(g, u)), g_matrix),
     ]
 
 
 def rank_constraints_scan(
     g: DirectedGraph, stack: CumulantStack, max_subset: int
 ) -> list[RankConstraintResult]:
-    """Check every parent/grandparent rank bound over subsets U.
+    """Check every parent rank bound over subsets U.
 
-    For each U with |U| <= max_subset: the off-diagonal S columns, the
-    stacked S-plus-T-slices matrix Q, and the sibling-pruned grandparent
-    variant must have rank bounded by |pa(U)|, |pa(U)| and
-    |pa(U) ∪ pa(pa(U))| respectively (module docstring).  Each result also
+    For each U with |U| <= max_subset: the off-diagonal S columns and the
+    stacked S-plus-T-slices matrix Q must have rank at most |pa(U)| (module
+    docstring).  Each result also
     carries the root sum of squares of all (bound+1)-minors (``minor_norm``,
     zero when the bound holds exactly).
 

@@ -15,12 +15,14 @@ serves the solve and the forward-residual certificate of a recovered A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .graphs import DirectedGraph
-from .tensors import DimensionMismatch, SymmetricTensor, tucker_product
+from .tensors import DimensionMismatch, SymmetricTensor
 
 # rho(A) must stay below 1 - STABILITY_MARGIN to certify stability
 STABILITY_MARGIN = 1e-9
@@ -84,9 +86,12 @@ class DiagonalCumulant:
         return dense.reshape((self.p,) * self.order)
 
 
+@lru_cache(maxsize=32)
 def _diagonal_positions(p: int, order: int) -> np.ndarray:
-    """Flat positions of the entries (i, ..., i) in a dense (p,) * order array."""
-    return np.arange(p) * ((p**order - 1) // (p - 1) if p > 1 else 0)
+    """Cached, read-only flat positions of the entries (i, ..., i) in a (p,) * order array."""
+    positions = np.arange(p) * ((p**order - 1) // (p - 1) if p > 1 else 0)
+    positions.setflags(write=False)
+    return positions
 
 
 class ParameterMatrix:
@@ -120,8 +125,12 @@ class ParameterMatrix:
         return self.g.p
 
     def radius(self) -> float:
+        """Spectral radius, computed once per matrix."""
         if self._radius is None:
-            self._radius = spectral_radius(self.entries)
+            if self.g.is_dag:  # triangular up to a relabeling: the eigenvalues are the a_jj
+                self._radius = float(np.abs(self.entries.diagonal()).max())
+            else:
+                self._radius = spectral_radius(self.entries)
         return self._radius
 
     def squared_power(self, k: int) -> tuple[np.ndarray, np.float64]:
@@ -136,7 +145,7 @@ class ParameterMatrix:
         while len(squares) <= k:
             m = squares[-1][0] @ squares[-1][0] if squares else self.entries
             m.setflags(write=False)
-            squares += ((m, np.max(np.sum(np.abs(m), axis=1))),)
+            squares += ((m, np.abs(m).sum(axis=1).max()),)
         self._squares = squares  # replaced, never mutated: a racing thread only recomputes
         return squares[k]
 
@@ -168,7 +177,7 @@ def _double(flat: np.ndarray, a: ParameterMatrix, n: int, stop: float) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(MAX_DOUBLINGS):
             m, norm = a.squared_power(k)
-            if not np.isfinite(norm):
+            if not math.isfinite(norm):
                 raise SingularSystem("doubling produced non-finite values")
             q = norm**n
             if q < stop:
@@ -269,16 +278,23 @@ def recursive_residual(
     if t.order != omega.order or t.p != a.p or omega.p != a.p:
         raise DimensionMismatch("orders or dimensions do not match")
     diagonal, rest = _defect(t.to_dense(), a)
-    return float(max(np.max(np.abs(rest)), np.max(np.abs(diagonal.w - omega.w))))
+    return float(max(np.max(np.abs(rest)), np.max(np.abs(diagonal - omega.w))))
 
 
-def _defect(dense: np.ndarray, a: ParameterMatrix) -> tuple[DiagonalCumulant, np.ndarray]:
-    """``T - T x_1 A ... x_n A`` as its diagonal and the unfolded off-diagonal rest."""
-    rest = (dense - tucker_product(dense, a.entries)).reshape(-1)
-    on_diagonal = _diagonal_positions(a.p, dense.ndim)
+def _defect(dense: np.ndarray, a: ParameterMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``T - T x_1 A ... x_n A`` as its diagonal and the unfolded off-diagonal rest.
+
+    Each mode is one GEMM of :func:`tensors.tucker_product`, less its checks.
+    """
+    p = a.p
+    image = dense.reshape(-1, p)
+    for _ in range(dense.ndim):
+        image = (a.entries @ image.T).reshape(-1, p)
+    rest = (dense.reshape(-1, p) - image).reshape(-1)
+    on_diagonal = _diagonal_positions(p, dense.ndim)
     diag = rest[on_diagonal]
     rest[on_diagonal] = 0.0
-    return DiagonalCumulant(dense.ndim, diag), rest.reshape(-1, a.p)
+    return diag, rest.reshape(-1, p)
 
 
 def recover_noise(
@@ -291,17 +307,17 @@ def recover_noise(
     """
     if t.p != a.p:
         raise DimensionMismatch("tensor dimension does not match matrix")
-    omega, rest = _defect(t.to_dense(), a)
-    return omega, float(np.max(np.abs(rest)))
+    diag, rest = _defect(t.to_dense(), a)
+    return DiagonalCumulant(t.order, diag), float(np.max(np.abs(rest)))
 
 
-def _forward_residual(dense: np.ndarray, a: ParameterMatrix) -> tuple[DiagonalCumulant, float]:
-    """Recovered noise and the bound U of ``CERTIFY_STOP``; inf for an unstable A."""
-    omega, rest = _defect(dense, a)
+def _forward_residual(dense: np.ndarray, a: ParameterMatrix) -> tuple[np.ndarray, float]:
+    """Recovered noise diagonal and the bound U of ``CERTIFY_STOP``; inf for an unstable A."""
+    diag, rest = _defect(dense, a)
     if not a.stable:
-        return omega, np.inf
-    q = _double(rest, a, omega.order, CERTIFY_STOP)
-    return omega, float(np.max(np.abs(rest))) / (1.0 - q)
+        return diag, np.inf
+    q = _double(rest, a, dense.ndim, CERTIFY_STOP)
+    return diag, float(np.abs(rest).max()) / (1.0 - q)
 
 
 def sample_stable_matrix(

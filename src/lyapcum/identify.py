@@ -8,12 +8,14 @@ forms give each source's self-loop; every other row of A is a least-squares
 solve over the second- and third-order identities of the rows already
 recovered.  All block solves are rank revealing and report condition
 numbers; non-generic inputs surface as diagnostics instead of silent
-garbage.
+garbage.  The elimination is planned once per graph and run once per
+stack; the split changes which work is repeated, not the arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -248,41 +250,6 @@ def _solve_block(matrix: np.ndarray, rhs: np.ndarray, vertex: int):
     return solution, float(cond)
 
 
-def _source_self_loop(
-    g: DirectedGraph, stack: CumulantStack, source: int, child: int
-) -> float:
-    """Base-case recovery of a source's self-loop from the (source, child) pair.
-
-    Valid whenever all walks from the source to the child stay on the pair's
-    own edges, which holds when no other non-self parent of the child is
-    reachable from the source.
-    """
-    reachable = g.descendant_sets[source]
-    outside = [
-        q for q in g.parents[child] if q != child and q != source and q in reachable
-    ]
-    if outside:
-        raise HypothesisViolated(
-            f"pair ({source},{child}) is contaminated by parents {outside}"
-        )
-    s = stack.s
-    t = stack.t
-    see, sec = s[(source, source)], s[(source, child)]
-    teee, teec = t[(source,) * 3], t[(source, source, child)]
-    if g.has_self_loop(child):
-        if stack.r is None:
-            raise HypothesisViolated(
-                "fourth-order cumulants required for a looped child base case"
-            )
-        r = stack.r
-        a00, _, _ = _both_loops_edge(
-            see, sec, teee, teec, r[(source,) * 4], r[(source,) * 3 + (child,)]
-        )
-        return a00
-    a00, _ = _source_loop_only_edge(see, sec, teee, teec)
-    return a00
-
-
 def _finish_report(
     method: str,
     g: DirectedGraph,
@@ -303,13 +270,12 @@ def _finish_report(
     noise = {}
     residuals = {}
     for order, tensor in dense.items():
-        w, residuals[order] = _forward_residual(tensor, recovered)
-        noise[order] = w.w
+        noise[order], residuals[order] = _forward_residual(tensor, recovered)
     detail = "" if recovered.stable else (
         f"recovered matrix is unstable (radius {recovered.radius():.4g})"
     )
     certified = all(
-        residuals[order] <= tol * np.max(np.abs(tensor)) for order, tensor in dense.items()
+        residuals[order] <= tol * np.abs(tensor).max() for order, tensor in dense.items()
     )
     verdict = "recovered" if certified else "degenerate"
     return IdentifiabilityReport(
@@ -326,6 +292,34 @@ def _finish_report(
 # ---------------------------------------------------------------------------
 # DAGs with all self-loops, and polytrees with looped sources
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=32)
+def _plan(g: DirectedGraph) -> tuple[tuple, ...]:
+    """The graph-only half of :func:`_eliminate`: one step per vertex, in topological order.
+
+    A source j gets ``(j, child, looped, None, None)``: its first child, which
+    the callers' refusal of isolated vertices guarantees, and whether that
+    child is looped.  No other parent q of the child is reachable from j, or
+    a child of j on the path to q would come first.  A non-source j gets
+    ``(j, None, False, unknowns, rows)``: its pattern row and the read-only
+    rows ``done`` and ``done + p`` of the ``(2p, p)`` buffers of the run.
+    """
+    order = g.topological_order()  # raises CyclicGraph on cycles
+    pos = {v: idx for idx, v in enumerate(order)}
+    steps = []
+    for idx, j in enumerate(order):
+        if j in g.sources:
+            child = min((c for c in g.children[j] if c != j), key=pos.__getitem__)
+            steps.append((j, child, g.has_self_loop(child), None, None))
+        else:
+            done = np.array(order[:idx], dtype=np.intp)
+            unknowns = np.array(g.parents[j], dtype=np.intp)
+            rows = np.concatenate([done, done + g.p])
+            unknowns.setflags(write=False)
+            rows.setflags(write=False)
+            steps.append((j, None, False, unknowns, rows))
+    return tuple(steps)
 
 
 def _eliminate(
@@ -345,37 +339,40 @@ def _eliminate(
     Rows that vanish on j's unknowns are dropped and the rest are scaled to
     unit max; ``block_conditions`` holds the condition of that scaled block.
     """
-    order = g.topological_order()  # raises CyclicGraph on cycles
-    pos = {v: idx for idx, v in enumerate(order)}
+    plan = _plan(g)
+    p = g.p
     dense = {n: stack.tensor(n).to_dense() for n in stack.orders}
-    s_dense, t_dense = dense[2], dense[3]
-    entries = np.zeros((g.p, g.p))
-    s_coef = np.zeros((g.p, g.p))  # row z: a_z S, set once z is recovered
-    t_coef = np.zeros((g.p, g.p))  # row z: T x_1 a_z x_2 a_z
-    done: list[int] = []
+    s, t, r = dense[2], dense[3], dense.get(4)
+    entries = np.zeros((p, p))
+    coef = np.zeros((2 * p, p))  # rows z and p + z: a_z S and T x_1 a_z x_2 a_z
+    diag = np.arange(p)
+    rhs = np.concatenate([s, t[diag, diag]])  # rows z and p + z: S_z. and T_zz.
     conditions: dict[str, float] = {}
-    for j in order:
-        if j in g.sources:
-            children = [c for c in g.children[j] if c != j]
-            if not children:
-                raise HypothesisViolated(f"source {j} has no outgoing edge")
-            child = min(children, key=pos.__getitem__)
-            entries[j, j] = _source_self_loop(g, stack, j, child)
+    for j, child, looped, unknowns, rows in plan:
+        if unknowns is None:
+            see, sec = s.item(j, j), s.item(j, child)
+            teee, teec = t.item(j, j, j), t.item(j, j, child)
+            if not looped:
+                entries[j, j] = _source_loop_only_edge(see, sec, teee, teec)[0]
+            elif r is None:
+                raise HypothesisViolated(
+                    "fourth-order cumulants required for a looped child base case"
+                )
+            else:
+                entries[j, j] = _both_loops_edge(
+                    see, sec, teee, teec, r.item(j, j, j, j), r.item(j, j, j, child)
+                )[0]
         else:
-            unknowns = list(g.parents[j])
-            rows = np.ix_(done, unknowns)
-            block = np.vstack([s_coef[rows], t_coef[rows]])
-            rhs = np.concatenate([s_dense[done, j], t_dense[done, done, j]])
-            scale = np.max(np.abs(block), axis=1)
+            block = coef[rows[:, None], unknowns]
+            scale = np.abs(block).max(axis=1)
             keep = scale > 0.0
             solution, cond = _solve_block(
-                block[keep] / scale[keep, None], rhs[keep] / scale[keep], j
+                block[keep] / scale[keep, None], rhs[rows, j][keep] / scale[keep], j
             )
             entries[j, unknowns] = solution
             conditions[f"vertex-{j}"] = cond
-        s_coef[j] = entries[j] @ s_dense
-        t_coef[j] = entries[j] @ t_dense @ entries[j]
-        done.append(j)
+        coef[j] = entries[j] @ s
+        coef[p + j] = entries[j] @ t @ entries[j]
     return _finish_report(method, g, dense, entries, conditions, tol)
 
 

@@ -164,14 +164,14 @@ class SymmetricTensor:
         """
         dense = np.asarray(dense, dtype=float)
         p = dense.shape[0]
-        if any(s != p for s in dense.shape):
+        if dense.shape != (p,) * dense.ndim:
             raise DimensionMismatch("dense tensor must be hypercubic")
         orbit = dense.reshape(-1)[_orbits(p, dense.ndim)]
         tensor = cls.__new__(cls)  # the vector is in multiset order: skip __init__
         tensor.order, tensor.p = dense.ndim, p
         # axis 0 of a C-contiguous array sums row by row, in order, as n! adds do
         tensor._vec = orbit.sum(axis=0) / len(orbit)
-        tensor.sym_defect = float(np.max(np.ptp(orbit, axis=0)))
+        tensor.sym_defect = float(np.ptp(orbit, axis=0).max())
         return tensor
 
     @classmethod

@@ -360,14 +360,20 @@ class TestAnalyze:
         assert lines[1].split(",")[2] == "7"
 
     def test_parent_without_loop_reports(self, tmp_path):
-        # 0 -> 2 <- 1 -> 0 without loops: the grandparent bound of U = {0}
-        # counts pa(U) = {1}, so the model's own stack passes the scan
+        # 0 -> 2 <- 1 -> 0 without loops: the model's own stack passes the
+        # scan, which reports the two parent bounds of each U
         graph = write_json(tmp_path / "g.json", {"p": 3, "edges": [[0, 2], [1, 0], [1, 2]]})
         out = tmp_path / "an.json"
         assert main(["analyze", "--graph", graph, "--max-subset", "2", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        gp = next(r for r in doc["rank_constraints"] if r["kind"] == "grandparents" and r["U"] == [0])
-        assert gp["bound"] == 1 and gp["rank"] == 1
+        rows = {(r["kind"], tuple(r["U"])): r for r in doc["rank_constraints"]}
+        assert set(rows) == {
+            (kind, u)
+            for kind in ("parents-S", "parents-stacked-Q")
+            for u in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+        }
+        assert rows["parents-stacked-Q", (0,)]["bound"] == 1
+        assert rows["parents-stacked-Q", (0,)]["rank"] == 1
 
     def test_two_cycle_notes_augmentation(self, tmp_path):
         graph = write_json(

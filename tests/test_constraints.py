@@ -313,21 +313,20 @@ class TestRankConstraints:
             td = stack.t.to_dense()
             slice_matrix = td[3][:, [1, 2]]
             assert np.linalg.matrix_rank(slice_matrix, tol=1e-9) <= 1
+            # the scan checks parent bounds only: pa(U) = {0, 1} for U = (1, 2)
             results = rank_constraints_scan(g, stack, max_subset=2)
-            gp = next(
-                r for r in results if r.kind == "grandparents" and r.u == (1, 2)
-            )
-            # pa(U) = {0, 1} and pa(pa(U)) = {0}: the bound counts their union
-            assert gp.bound == 2 and gp.rank <= 1
+            assert {r.kind for r in results} == {"parents-S", "parents-stacked-Q"}
+            q = next(r for r in results if r.kind == "parents-stacked-Q" and r.u == (1, 2))
+            assert q.bound == 2 and q.rank <= 2
 
-    def test_grandparent_bound_counts_parents(self):
+    def test_parent_without_loop_meets_q_bound(self):
         # 0 -> 2 <- 1 -> 0 without loops: pa({0}) = {1} has no parents, yet
-        # S_20 holds the trek 0 <- 1 -> 2, so the bound must count pa(U)
+        # S_20 holds the trek 0 <- 1 -> 2, which the Q bound |pa(U)| = 1 counts
         g = DirectedGraph(3, [(0, 2), (1, 0), (1, 2)])
         _, _, stack = tree_stack(g, seed=0)
         results = rank_constraints_scan(g, stack, max_subset=2)
-        gp = next(r for r in results if r.kind == "grandparents" and r.u == (0,))
-        assert gp.bound == 1 and gp.rank == 1
+        q = next(r for r in results if r.kind == "parents-stacked-Q" and r.u == (0,))
+        assert q.bound == 1 and q.rank == 1
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.data())

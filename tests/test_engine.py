@@ -22,6 +22,7 @@ from lyapcum import (
     solve_cumulant,
     spectral_radius,
 )
+from lyapcum.engine import STABILITY_MARGIN
 from lyapcum.tensors import SymmetricTensor, multiset_indices
 from conftest import two_node_chain, unit_noise, unit_parameters
 
@@ -81,6 +82,28 @@ class TestParameterMatrix:
         unstable = ParameterMatrix(two_node_chain(), np.array([[1.0, 0.0], [1.0, 0.0]]))
         with pytest.raises(UnstableMatrix):
             unstable.require_stable()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_dag_radius_is_the_largest_loop(self, data):
+        # a DAG's radius is max|a_jj|, read without an eigenvalue solve
+        p = data.draw(st.integers(1, 8))
+        perm = data.draw(st.permutations(range(p)))
+        edges = {
+            (perm[i], perm[j])
+            for i in range(p)
+            for j in range(i if data.draw(st.booleans()) else i + 1, p)
+            if data.draw(st.booleans())
+        }
+        g = DirectedGraph(p, edges) if edges else DirectedGraph(p, [(0, 0)])
+        assert g.is_dag
+        entries = np.zeros((p, p))
+        for i, j in g.sorted_edges:
+            entries[j, i] = data.draw(st.floats(-1.5, 1.5) if i == j else st.floats(-3.0, 3.0))
+        pm = ParameterMatrix(g, entries)
+        rho = spectral_radius(entries)
+        assert abs(pm.radius() - rho) <= 1e-14 * max(1.0, rho)
+        assert pm.stable == (rho < 1.0 - STABILITY_MARGIN)
 
 
 class TestSolveCumulant:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -510,3 +511,129 @@ class TestExperimentalEnumerator:
             np.allclose([c.a00, c.a10, c.a11], [a00, a10, a11], rtol=0, atol=1e-8)
             for c in candidates
         )
+
+
+def seeded_constructive(rng, p, polytree):
+    """A relabeled DAG with all self-loops, or a polytree with looped sources."""
+    tree = [(int(rng.integers(k)), k) for k in range(1, p)]
+    if polytree:
+        edges = [(u, v) if rng.uniform() < 0.5 else (v, u) for u, v in tree]
+        looped = set(DirectedGraph(p, edges).sources)
+        looped |= {v for v in range(p) if rng.uniform() < 0.4}
+    else:
+        extra = [(i, j) for i, j in itertools.combinations(range(p), 2) if rng.uniform() < 0.3]
+        edges, looped = tree + extra, set(range(p))
+    g = DirectedGraph(p, set(edges) | {(v, v) for v in looped})
+    return g.relabel([int(v) for v in rng.permutation(p)])
+
+
+class TestGoldenBytes:
+    def test_identification_golden_bytes(self):
+        """Seeded DAG-all-loops and polytree round trips, p = 2-8, three draws each.
+
+        The sha256 of every report's A, noise vectors, forward residuals and
+        block conditions, recorded before the elimination was split into a
+        per-graph plan and a per-stack run.
+        """
+        rng = np.random.default_rng(2024)
+        digests = {key: hashlib.sha256() for key in ("a", "noise", "residuals", "conditions")}
+        methods = []
+        for p in range(2, 9):
+            for polytree in (False, True):
+                for _ in range(3):
+                    g = seeded_constructive(rng, p, polytree)
+                    pm = sample_stable_matrix(
+                        g, seed=int(rng.integers(2**31)), target_radius=rng.uniform(0.3, 0.9)
+                    )
+                    report = auto_identify(g, model_stack(pm, random_omegas(rng, p)))
+                    assert report.verdict == "recovered"
+                    methods.append(report.method)
+                    digests["a"].update(report.a.tobytes())
+                    for n in sorted(report.noise):
+                        digests["noise"].update(report.noise[n].tobytes())
+                    for n in sorted(report.forward_residuals):
+                        digests["residuals"].update(np.float64(report.forward_residuals[n]).tobytes())
+                    for key, cond in report.block_conditions.items():
+                        digests["conditions"].update(key.encode() + np.float64(cond).tobytes())
+        assert set(methods) == {"dag-all-loops", "polytree"}
+        assert {key: d.hexdigest() for key, d in digests.items()} == {
+            "a": "6b17083a3efcb5806aade316343aedb329e83f1725820ad412879bfce035af5a",
+            "noise": "0b20e16874f94f0ee6a1dd43d4d99d0f36b6d3ff5f20e953d4cb4dc733f7b094",
+            "residuals": "ff9d460006b1e27f359970ac2eab6bd1ede51ce1474d21b2a19134de74b8ed50",
+            "conditions": "b7a522f22d8a89a2aff0e7db538bf8ce633557804b30ceb5b24ca71cf2980833",
+        }
+
+
+class TestErrorParity:
+    """Each refusal keeps its type and message, also when the graph's plan is cached."""
+
+    CASES = {
+        # a source with no outgoing edge is an isolated vertex, refused up front
+        "source-without-edge": (
+            DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (1, 2)]), (2, 3, 4),
+            [
+                (identify_dag_all_loops, HypothesisViolated,
+                 r"isolated vertices \(0,\) are never identifiable"),
+                (identify_polytree, HypothesisViolated, r"graph is not a polytree"),
+                (auto_identify, NoMethodApplies,
+                 r"graph matches neither constructive hypothesis class"),
+            ],
+        ),
+        "looped-child-without-order-4": (
+            DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)]), (2, 3),
+            [
+                (f, HypothesisViolated,
+                 r"fourth-order cumulants required for a looped child base case")
+                for f in (identify_dag_all_loops, identify_polytree, auto_identify)
+            ],
+        ),
+        "diamond": (
+            diamond(), (2, 3, 4),
+            [
+                (identify_dag_all_loops, SingularBlock,
+                 r"singular block at vertex 3 \(condition number \S+\)"),
+                (identify_polytree, HypothesisViolated, r"graph is not a polytree"),
+                (auto_identify, NoMethodApplies,
+                 r"graph matches neither constructive hypothesis class"),
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_same_refusal_twice(self, name):
+        g, orders, expected = self.CASES[name]
+        _, _, stack = stack_for(g, seed=21, orders=orders)
+        for method, error, message in expected:
+            raised = []
+            for _ in range(2):
+                with pytest.raises(error, match=f"^{message}$") as err:
+                    method(g, stack)
+                raised.append(str(err.value))
+            assert raised[0] == raised[1]
+
+    def test_second_call_uses_the_cached_plan(self):
+        g = DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 2), (1, 2)])
+        _, _, stack = stack_for(g, seed=21, orders=(2, 3))
+        hits = identify._plan.cache_info().hits
+        for _ in range(2):
+            with pytest.raises(HypothesisViolated, match="fourth-order"):
+                identify_dag_all_loops(g, stack)
+        assert identify._plan.cache_info().hits >= hits + 1
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_first_child_is_never_contaminated(self, p):
+        """No other parent of a source's first child is reachable from the source.
+
+        Over every DAG on p vertices: such a parent q would put a child of
+        the source on the path to q, before the first child.  So the plan
+        needs no contamination check.
+        """
+        slots = [(i, j) for i in range(p) for j in range(p) if i != j]
+        for mask in range(1 << len(slots)):
+            g = DirectedGraph(p, [e for k, e in enumerate(slots) if mask >> k & 1])
+            if not g.is_dag or g.isolated_vertices:
+                continue
+            for j, child, _, unknowns, _ in identify._plan(g):
+                if unknowns is None:
+                    others = set(g.parents[child]) - {j, child}
+                    assert not others & g.descendant_sets[j]

@@ -109,3 +109,13 @@ def test_cumulants_loads_only_its_modules(tmp_path):
     assert code == 0
     assert {"lyapcum.engine", "lyapcum.graphs", "lyapcum.tensors"} <= modules
     assert not modules & {"lyapcum.jacobian", "lyapcum.constraints", "lyapcum.treks"}
+
+
+def test_graphs_without_numpy(tmp_path):
+    src = str(Path(lyapcum.__file__).resolve().parent.parent)
+    probe = "import sys, lyapcum.graphs; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path, check=True, capture_output=True, text=True,
+    )
+    assert out.stdout.strip() == "False"
