@@ -19,8 +19,7 @@ _EXPORTS = {
         implied_marginal_independence""",
     "identify": """CumulantStack DegenerateDenominator HypothesisViolated
         IdentifiabilityReport SingularBlock auto_identify count_equations_vs_parameters
-        identify_dag_all_loops identify_polytree identify_two_node model_stack
-        two_node_st_solutions""",
+        identify_dag_all_loops identify_polytree model_stack two_node_st_solutions""",
     "jacobian": """ModifiedJacobian build_modified_jacobian local_identifiability_verdict
         offdiag_rank""",
     "tensors": "DimensionMismatch SymmetricTensor k_mode_product tucker_product",

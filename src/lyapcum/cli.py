@@ -112,6 +112,8 @@ def _materialize_parameters(g: DirectedGraph, args) -> tuple[ParameterMatrix, di
             }
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed parameter file: {exc}") from exc
+        if not all(np.isfinite(x).all() for x in [entries, *(w.w for w in omegas.values())]):
+            raise InputError("parameter file has non-finite entries")
         try:
             pm = ParameterMatrix(g, entries)
         except ValueError as exc:

@@ -469,27 +469,21 @@ def _minor_norm(sing: np.ndarray, size: int) -> float:
 
 
 def _constraint_matrices(
-    g: DirectedGraph, stack: CumulantStack, u: tuple[int, ...]
+    g: DirectedGraph, stacked: np.ndarray, u: tuple[int, ...]
 ) -> list[tuple[str, int, np.ndarray]]:
+    """The two rank-bounded matrices of U, gathered by one index array.
+
+    ``stacked`` is S over the ``(p^2, p)`` unfolding of T, whose row
+    ``p + i p + j`` is ``T_ij.``; Q keeps S's rows off U and T's rows off
+    the diagonals ``(i, i)`` with i in U, and its first block is S's.
+    """
     p = g.p
-    s_dense = stack.s.to_dense()
-    t_dense = stack.t.to_dense()
-    u_set = set(u)
-    cols = list(u)
-    pa = parent_set(g, u)
-
-    s_rows = [i for i in range(p) if i not in u_set]
-    s_part = s_dense[np.ix_(s_rows, cols)]
-
-    q_blocks = [s_part]
-    for i in range(p):
-        keep = [j for j in range(p) if not (i == j and i in u_set)]
-        q_blocks.append(t_dense[i][np.ix_(keep, cols)])
-    q_matrix = np.vstack(q_blocks)
-
+    rows = np.delete(np.arange(p + p * p), [*u, *(p + i * (p + 1) for i in u)])
+    q_matrix = stacked[np.ix_(rows, u)]
+    bound = len(parent_set(g, u))
     return [
-        ("parents-S", len(pa), s_part),
-        ("parents-stacked-Q", len(pa), q_matrix),
+        ("parents-S", bound, q_matrix[: p - len(u)]),
+        ("parents-stacked-Q", bound, q_matrix),
     ]
 
 
@@ -510,11 +504,13 @@ def rank_constraints_scan(
         If an observed rank exceeds its bound (the stack cannot come from a
         model point of this graph).
     """
+    p = g.p
+    stacked = np.vstack([stack.s.to_dense(), stack.t.to_dense().reshape(p * p, p)])
     results = []
     violations = []
     for size in range(1, max_subset + 1):
-        for u in itertools.combinations(range(g.p), size):
-            for kind, bound, matrix in _constraint_matrices(g, stack, u):
+        for u in itertools.combinations(range(p), size):
+            for kind, bound, matrix in _constraint_matrices(g, stacked, u):
                 rank, sing = numeric_rank(matrix)
                 rows, cols = matrix.shape
                 result = RankConstraintResult(

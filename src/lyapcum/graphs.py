@@ -23,6 +23,13 @@ class DisconnectedGraph(Exception):
     """The undirected skeleton is disconnected."""
 
 
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer: a float or a bool is a ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def check_permutation(perm: Iterable[int], p: int) -> list[int]:
     """``perm`` as a list.
 
@@ -244,7 +251,8 @@ class DirectedGraph:
     def from_json_dict(cls, data: dict) -> "DirectedGraph":
         if not isinstance(data, dict) or "p" not in data or "edges" not in data:
             raise ValueError("graph JSON must contain 'p' and 'edges'")
-        return cls(int(data["p"]), [tuple(e) for e in data["edges"]])
+        edges = [tuple(json_int(v, "an edge endpoint") for v in e) for e in data["edges"]]
+        return cls(json_int(data["p"], "'p'"), edges)
 
 
 @dataclass(frozen=True)

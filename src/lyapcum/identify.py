@@ -1,15 +1,16 @@
 """Constructive parameter recovery from steady-state cumulants.
 
-Implements the closed-form two-node recoveries, one topological-order
-elimination shared by DAGs with all self-loops and polytrees with
-self-loops at all sources (two-node pairs included), and an
-equation-counting diagnostic for non-identifiable patterns.  The closed
-forms give each source's self-loop; every other row of A is a least-squares
-solve over the second- and third-order identities of the rows already
-recovered.  All block solves are rank revealing and report condition
-numbers; non-generic inputs surface as diagnostics instead of silent
-garbage.  The elimination is planned once per graph and run once per
-stack; the split changes which work is repeated, not the arithmetic.
+Implements one topological-order elimination, shared by DAGs with all
+self-loops and polytrees with self-loops at all sources, two-node pairs
+included, and an equation-counting diagnostic for non-identifiable patterns.
+Each source's self-loop is the closed-form a00 of the pair it forms with its
+first child, a rational function of the pair's cumulants; every other row of
+A is a least-squares solve over the second- and third-order identities of
+the rows already recovered.  All block solves are rank revealing and report
+condition numbers, and the recovered A is certified by its forward residual;
+non-generic inputs surface as diagnostics instead of silent garbage.  The
+elimination is planned once per graph and run once per stack; the split
+changes which work is repeated, not the arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .engine import (
     DiagonalCumulant,
     ParameterMatrix,
     _forward_residual,
-    recover_noise,
     solve_cumulant,
 )
 from .graphs import DirectedGraph, equitrek_multisets
@@ -131,103 +131,44 @@ class IdentifiabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# two-node closed forms
+# source self-loops: the closed form on a source's pair
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TwoNodeResult:
-    a00: float
-    a10: float
-    a11: float | None
-    noise: dict[int, np.ndarray]
-
-
-def _guard(name: str, value: float, scale: float, tol: float) -> float:
+def _guard(name: str, value: float, scale: float) -> None:
     # a denominator is degenerate when cancellation or an exact structural
     # zero wipes out its significant digits relative to the assembled terms
-    if abs(value) <= tol * scale:
+    if abs(value) <= DEGENERACY_TOL * scale:
         raise DegenerateDenominator(f"denominator {name} = {value:.3g} is degenerate")
-    return value
 
 
-def _both_loops_edge(
-    s00, s01, t000, t001, r0000, r0001, tol=DEGENERACY_TOL
-) -> tuple[float, float, float]:
-    """Closed-form (a00, a10, a11) for the pair model with both self-loops."""
+def _both_loops_edge(s00, s01, t000, t001, r0000, r0001) -> float:
+    """Closed-form a00 of the pair model 0 -> 1 with both self-loops.
+
+    The guards are the denominators of the pair's whole rational solution
+    (a10 and a11 divide by ``r0001^2 core^3``), so a pair that fails them is
+    refused even though a00 alone would not divide by zero.
+    """
     core = s00 * t001 - s01 * t000
     core_scale = abs(s00 * t001) + abs(s01 * t000)
     mix = r0000 * t001 - r0001 * t000
     mix_scale = abs(r0000 * t001) + abs(r0001 * t000)
-    _guard(
-        "s01 (r0000 t001 - r0001 t000)", s01 * mix, abs(s01) * mix_scale, tol
-    )
-    _guard(
-        "r0001^2 (s00 t001 - s01 t000)^3",
-        r0001**2 * core**3,
-        r0001**2 * core_scale**3,
-        tol,
-    )
+    _guard("s01 (r0000 t001 - r0001 t000)", s01 * mix, abs(s01) * mix_scale)
+    _guard("r0001^2 (s00 t001 - s01 t000)^3", r0001**2 * core**3, r0001**2 * core_scale**3)
     if abs(s01 * mix) == 0.0 or abs(r0001) == 0.0:
         raise DegenerateDenominator("structurally zero denominator")
-    a00 = -r0001 * core / (s01 * mix)
-    a10 = (
-        -(s01**2)
-        * t001
-        * (r0000 * s01 * t001 + r0001 * s00 * t001 - 2 * r0001 * s01 * t000)
-        * mix
-        / (r0001**2 * core**3)
-    )
-    a11 = mix * s01**2 * (r0000 * s00 * t001**2 - r0001 * s01 * t000**2) / (
-        core**3 * r0001**2
-    )
-    return a00, a10, a11
+    return -r0001 * core / (s01 * mix)
 
 
-def _source_loop_only_edge(s00, s01, t000, t001, tol=DEGENERACY_TOL):
-    """Closed-form (a00, a10) when only the source carries a self-loop."""
-    t_scale = max(abs(t000), abs(t001))
-    _guard("s01 t000", s01 * t000, abs(s00) * t_scale, tol)
-    _guard("s00^2 t001", s00**2 * t001, s00**2 * t_scale, tol)
-    a00 = s00 * t001 / (s01 * t000)
-    a10 = s01**2 * t000 / (s00**2 * t001)
-    return a00, a10
+def _source_loop_only_edge(s00, s01, t000, t001) -> float:
+    """Closed-form a00 when only the source of the pair carries a self-loop.
 
-
-def identify_two_node(
-    stack: CumulantStack, variant: str, tol: float = DEGENERACY_TOL
-) -> TwoNodeResult:
-    """Recover the two-node chain 0 -> 1 by the closed-form expressions.
-
-    ``variant='both-loops'`` solves the model with self-loops at 0 and 1 from
-    (S, T, R); ``variant='source-loop-only'`` solves the model with a loop
-    only at 0 from (S, T).
-
-    Raises
-    ------
-    DegenerateDenominator
-        When a denominator vanishes relative to its assembled terms
-        (threshold ``tol``), signalling a non-generic input.
+    The second guard is the denominator of ``a10 = s01^2 t000 / (s00^2 t001)``.
     """
-    if stack.p != 2:
-        raise HypothesisViolated("two-node recovery needs p = 2")
-    s00, s01 = stack.s[(0, 0)], stack.s[(0, 1)]
-    t000, t001 = stack.t[(0, 0, 0)], stack.t[(0, 0, 1)]
-    if variant == "both-loops":
-        if stack.r is None:
-            raise HypothesisViolated("both-loops variant needs fourth-order input")
-        r0000, r0001 = stack.r[(0, 0, 0, 0)], stack.r[(0, 0, 0, 1)]
-        a00, a10, a11 = _both_loops_edge(s00, s01, t000, t001, r0000, r0001, tol)
-        g = DirectedGraph(2, [(0, 0), (0, 1), (1, 1)])
-    elif variant == "source-loop-only":
-        a00, a10 = _source_loop_only_edge(s00, s01, t000, t001, tol)
-        a11 = None
-        g = DirectedGraph(2, [(0, 0), (0, 1)])
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    a = ParameterMatrix(g, np.array([[a00, 0.0], [a10, a11 or 0.0]]))
-    noise = {n: recover_noise(stack.tensor(n), a)[0].w for n in stack.orders}
-    return TwoNodeResult(a00=a00, a10=a10, a11=a11, noise=noise)
+    t_scale = max(abs(t000), abs(t001))
+    _guard("s01 t000", s01 * t000, abs(s00) * t_scale)
+    _guard("s00^2 t001", s00**2 * t001, s00**2 * t_scale)
+    return s00 * t001 / (s01 * t000)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +294,7 @@ def _eliminate(
             see, sec = s.item(j, j), s.item(j, child)
             teee, teec = t.item(j, j, j), t.item(j, j, child)
             if not looped:
-                entries[j, j] = _source_loop_only_edge(see, sec, teee, teec)[0]
+                entries[j, j] = _source_loop_only_edge(see, sec, teee, teec)
             elif r is None:
                 raise HypothesisViolated(
                     "fourth-order cumulants required for a looped child base case"
@@ -361,14 +302,14 @@ def _eliminate(
             else:
                 entries[j, j] = _both_loops_edge(
                     see, sec, teee, teec, r.item(j, j, j, j), r.item(j, j, j, child)
-                )[0]
+                )
         else:
-            block = coef[rows[:, None], unknowns]
+            block, target = coef[rows[:, None], unknowns], rhs[rows, j]
             scale = np.abs(block).max(axis=1)
             keep = scale > 0.0
-            solution, cond = _solve_block(
-                block[keep] / scale[keep, None], rhs[rows, j][keep] / scale[keep], j
-            )
+            if not keep.all():  # the masks cost near the SVD's time, so only when needed
+                block, target, scale = block[keep], target[keep], scale[keep]
+            solution, cond = _solve_block(block / scale[:, None], target / scale, j)
             entries[j, unknowns] = solution
             conditions[f"vertex-{j}"] = cond
         coef[j] = entries[j] @ s
@@ -388,9 +329,10 @@ def identify_dag_all_loops(
     Raises
     ------
     HypothesisViolated
-        If the graph has isolated vertices, a source pair is contaminated,
-        or a looped child of a source needs fourth-order input the stack
-        lacks.
+        If the graph has isolated vertices, or a looped child of a source
+        needs fourth-order input the stack lacks.
+    DegenerateDenominator
+        If a source's closed form meets a vanishing denominator.
     CyclicGraph
         If the graph has a directed cycle.
     SingularBlock

@@ -16,7 +16,7 @@ from math import comb, prod
 
 import numpy as np
 
-from .graphs import check_permutation
+from .graphs import check_permutation, json_int
 
 
 class DimensionMismatch(Exception):
@@ -218,7 +218,7 @@ class SymmetricTensor:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SymmetricTensor":
         try:
-            order, p = int(data["order"]), int(data["p"])
+            order, p = json_int(data["order"], "'order'"), json_int(data["p"], "'p'")
             entries = data["entries"]
             values = {
                 tuple(sorted(int(s) for s in key.split(","))): float(v)

@@ -1,15 +1,18 @@
 """Loop oracles the tests check the package against.
 
 The modified-Jacobian entries as explicit delta sums (``jacobian`` builds
-them from one contraction per order), and the two-leg recursions of the
+them from one contraction per order), the two-leg recursions of the
 placement polynomials and base-trek coefficients, which ``treks`` derives
-from the n-leg placement formula.
+from the n-leg placement formula, and the rational function that gives the
+whole of A for the pair 0 -> 1 (``identify`` keeps only its a00, for each
+source's self-loop), with exact pair cumulants to evaluate it on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -128,3 +131,43 @@ def check_placement_recursions(x_max: int, y_max: int) -> RecursionReport:
                         f"coefficient recursion fails at (x,y,t)=({x},{y},{t})"
                     )
     return report
+
+
+def pair_cumulants(a00, a10, a11, w0, w1, order: int) -> list:
+    """Exact order-n cumulants of the pair 0 -> 1, indexed by the count m of 1s.
+
+    A is lower triangular, so an index 0 maps only to 0 (through a00) and an
+    index 1 to 0 or 1 (through a10 or a11); the Lyapunov equation
+    ``T = T x_1 A ... x_n A + Omega`` then reads
+    ``T_m = a00^(n-m) sum_k C(m, k) a10^(m-k) a11^k T_k + Omega_m``, solved
+    for m = 0..n in turn.  Fraction arguments give Fraction cumulants.
+    """
+    out = []
+    for m in range(order + 1):
+        known = sum(comb(m, k) * a10 ** (m - k) * a11**k * out[k] for k in range(m))
+        omega = w0 if m == 0 else w1 if m == order else 0
+        out.append((omega + a00 ** (order - m) * known) / (1 - a00 ** (order - m) * a11**m))
+    return out
+
+
+def pair_both_loops(s00, s01, t000, t001, r0000, r0001) -> tuple:
+    """(a00, a10, a11) of the pair 0 -> 1 with both self-loops, from (S, T, R)."""
+    core = s00 * t001 - s01 * t000
+    mix = r0000 * t001 - r0001 * t000
+    a00 = -r0001 * core / (s01 * mix)
+    a10 = (
+        -(s01**2)
+        * t001
+        * (r0000 * s01 * t001 + r0001 * s00 * t001 - 2 * r0001 * s01 * t000)
+        * mix
+        / (r0001**2 * core**3)
+    )
+    a11 = mix * s01**2 * (r0000 * s00 * t001**2 - r0001 * s01 * t000**2) / (
+        core**3 * r0001**2
+    )
+    return a00, a10, a11
+
+
+def pair_source_loop_only(s00, s01, t000, t001) -> tuple:
+    """(a00, a10) of the pair 0 -> 1 with a self-loop at 0 only, from (S, T)."""
+    return s00 * t001 / (s01 * t000), s01**2 * t000 / (s00**2 * t001)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import lyapcum
 from lyapcum import (
     DirectedGraph,
+    SymmetricTensor,
     __version__,
     model_stack,
     random_omegas,
@@ -179,6 +180,9 @@ BAD_INPUTS = {
     ),
     # stable (radius 0.5) but the cumulants overflow: SingularSystem
     "overflowing-solve": ("cumulants --graph {d}/g2.json --params {d}/huge.json", 3),
+    # non-finite parameters, refused before the stability check or the solve
+    "params-nan-a": ("cumulants --graph {d}/g2.json --params {d}/nan-a.json", 2),
+    "params-inf-omega": ("cumulants --graph {d}/g2.json --params {d}/inf-omega.json", 2),
 }
 
 
@@ -199,6 +203,14 @@ def bad_dir(tmp_path_factory):
     write_json(
         d / "huge.json",
         {"A": [[0.5, 0.0], [1e200, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
+    )
+    write_json(
+        d / "nan-a.json",
+        {"A": [[float("nan"), 0.0], [1.0, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
+    )
+    write_json(
+        d / "inf-omega.json",
+        {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": {"2": [1.0, float("inf")], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
     )
     write_json(d / "list.json", [1, 2])
     assert main(["cumulants", "--graph", str(d / "g2.json"), "--out", str(d / "stack.json")]) == 0
@@ -229,6 +241,96 @@ def test_bad_input_exits_2(bad_dir, tmp_path, capsys, case):
     assert "Traceback" not in err
     assert "error" in err.strip().splitlines()[-1]
     assert not out.exists()
+
+
+# graph and stack JSON with a float or a bool where an integer is read:
+# (graph text, or (tensor, field, value) replaced in the good stack)
+NON_INTEGER_JSON = {
+    "graph-p-overflows": '{"p": 1e400, "edges": []}',
+    "graph-p-fraction": '{"p": 2.7, "edges": [[0, 0], [0, 1]]}',
+    "graph-p-bool": '{"p": true, "edges": [[0, 0]]}',
+    "graph-edge-fraction": '{"p": 2, "edges": [[0, 0], [0, 1.5]]}',
+    "stack-order-infinite": ("4", "order", float("inf")),
+    "stack-order-float": ("3", "order", 3.0),
+    "stack-p-bool": ("2", "p", True),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_INTEGER_JSON))
+def test_non_integer_json_exits_2(bad_dir, tmp_path, capsys, case):
+    spec = NON_INTEGER_JSON[case]
+    path = tmp_path / "bad.json"
+    if isinstance(spec, str):
+        path.write_text(spec)
+        with pytest.raises(ValueError, match="must be a JSON integer"):
+            DirectedGraph.from_json_dict(json.loads(spec))
+        argv = ["cumulants", "--graph", str(path), "--seed", "1"]
+    else:
+        tensor, field, value = spec
+        doc = json.loads((bad_dir / "stack.json").read_text())
+        doc["tensors"][tensor][field] = value
+        write_json(path, doc)
+        with pytest.raises(ValueError, match="must be a JSON integer"):
+            SymmetricTensor.from_json_dict(doc["tensors"][tensor])
+        argv = ["identify", "--graph", str(bad_dir / "g2.json"), "--stack", str(path)]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "must be a JSON integer" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+JSON_SCALARS = st.one_of(
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 2.7, 2.0, True, False, None]),
+    st.integers(-2, 4),
+    st.floats(),
+    st.text(max_size=3),
+)
+JSON_VALUES = st.one_of(
+    JSON_SCALARS,
+    st.lists(JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=2), JSON_SCALARS, max_size=3),
+)
+
+
+@st.composite
+def malformed_inputs(draw):
+    """A graph file, or a stack file, with one field of a good document replaced."""
+    if draw(st.booleans()):
+        doc = {"p": 2, "edges": [[0, 0], [0, 1]]}
+        field = draw(st.sampled_from(["p", "edges", "edge", "document"]))
+        if field == "edge":
+            doc["edges"][1] = draw(st.lists(JSON_SCALARS, max_size=3))
+        elif field == "document":
+            doc = draw(JSON_VALUES)
+        else:
+            doc[field] = draw(JSON_VALUES)
+        return "graph", doc
+    tensor = draw(st.sampled_from(["2", "3", "4"]))
+    field = draw(st.sampled_from(["order", "p", "entries", "entry", "tensor"]))
+    return "stack", (tensor, field, draw(JSON_VALUES))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(malformed_inputs())
+def test_malformed_json_never_raises(bad_dir, kind_and_doc):
+    # whatever the loaders are fed, main answers with an exit code
+    kind, doc = kind_and_doc
+    path = bad_dir / "fuzz.json"
+    if kind == "graph":
+        argv = ["cumulants", "--graph", write_json(path, doc), "--seed", "1", "--orders", "2,3"]
+    else:
+        tensor, field, value = doc
+        doc = json.loads((bad_dir / "stack.json").read_text())
+        if field == "tensor":
+            doc["tensors"][tensor] = value
+        elif field == "entry":
+            doc["tensors"][tensor]["entries"]["0,1" + ",1" * (int(tensor) - 2)] = value
+        else:
+            doc["tensors"][tensor][field] = value
+        argv = ["identify", "--graph", str(bad_dir / "g2.json"), "--stack", write_json(path, doc)]
+    assert main(argv + ["--out", str(bad_dir / "fuzz-out.json")]) in (0, 2, 3, 4)
 
 
 def test_config_is_the_parsed_options(tmp_path, fig1_graph):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from lyapcum import (
     count_equations_vs_parameters,
     identify_dag_all_loops,
     identify_polytree,
-    identify_two_node,
     model_stack,
     random_omegas,
     sample_stable_matrix,
@@ -28,6 +28,7 @@ from lyapcum import (
 from lyapcum import identify
 from lyapcum.identify import NoMethodApplies, _finish_report
 from lyapcum.tensors import SymmetricTensor
+from oracles import pair_both_loops, pair_cumulants, pair_source_loop_only
 from conftest import (
     bare_two_cycle,
     chain_with_end_loops,
@@ -48,43 +49,100 @@ def stack_for(g, seed, radius=0.6, orders=(2, 3, 4)):
 
 
 class TestTwoNode:
+    """The two-node pairs, through the elimination entry points."""
+
     def test_both_loops_round_trip(self):
         g = two_node_both_loops()
         pm = ParameterMatrix(g, np.array([[0.4, 0.0], [0.7, 0.3]]))
         stack = model_stack(pm, unit_noise(2))
-        res = identify_two_node(stack, "both-loops")
-        assert res.a00 == pytest.approx(0.4, abs=1e-9)
-        assert res.a10 == pytest.approx(0.7, abs=1e-9)
-        assert res.a11 == pytest.approx(0.3, abs=1e-9)
-        np.testing.assert_allclose(res.noise[2], [1.0, 1.0], atol=1e-9)
+        report = identify_dag_all_loops(g, stack)
+        assert report.verdict == "recovered"
+        np.testing.assert_allclose(report.a, pm.entries, atol=1e-9)
+        for order in (2, 3, 4):
+            np.testing.assert_allclose(report.noise[order], [1.0, 1.0], atol=1e-9)
 
     def test_source_loop_only_formula(self):
         g = two_node_chain()
         pm = ParameterMatrix(g, np.array([[0.5, 0.0], [1.0, 0.0]]))
         stack = model_stack(pm, unit_noise(2, orders=(2, 3)))
-        res = identify_two_node(stack, "source-loop-only")
+        report = identify_polytree(g, stack)
         s, t = stack.s, stack.t
-        assert res.a00 == pytest.approx(
+        assert report.verdict == "recovered"
+        assert report.a[0, 0] == pytest.approx(
             s[(0, 0)] * t[(0, 0, 1)] / (s[(0, 1)] * t[(0, 0, 0)]), rel=1e-14
         )
-        assert res.a00 == pytest.approx(0.5, abs=1e-12)
-        assert res.a10 == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(res.noise[2], [1.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(res.noise[3], [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(report.a, pm.entries, atol=1e-12)
+        np.testing.assert_allclose(report.noise[2], [1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(report.noise[3], [1.0, 1.0], atol=1e-12)
 
     def test_missing_edge_degenerates(self):
         g = two_node_chain()
         pm = ParameterMatrix(g, np.array([[0.5, 0.0], [0.0, 0.0]]))
         stack = model_stack(pm, unit_noise(2, orders=(2, 3)))
-        with pytest.raises(DegenerateDenominator):
-            identify_two_node(stack, "source-loop-only")
+        with pytest.raises(DegenerateDenominator, match="s01 t000"):
+            identify_polytree(g, stack)
 
     def test_both_loops_needs_fourth_order(self):
         g = two_node_both_loops()
         pm = ParameterMatrix(g, np.array([[0.4, 0.0], [0.7, 0.3]]))
         stack = model_stack(pm, unit_noise(2, orders=(2, 3)))
-        with pytest.raises(HypothesisViolated):
-            identify_two_node(stack, "both-loops")
+        with pytest.raises(HypothesisViolated, match="fourth-order"):
+            identify_dag_all_loops(g, stack)
+
+
+# rational pair points (a00, a10, a11, w0, w1), a11 = 0 for the source-loop-only pair
+PAIR_POINTS = [
+    (Fraction(2, 5), Fraction(7, 10), Fraction(3, 10), Fraction(1), Fraction(1)),
+    (Fraction(-1, 3), Fraction(5, 4), Fraction(1, 2), Fraction(2), Fraction(3, 7)),
+    (Fraction(3, 4), Fraction(-2, 9), Fraction(-3, 5), Fraction(5, 2), Fraction(1, 3)),
+]
+
+
+def stack_pair(stack):
+    """(s00, s01, t000, t001), plus (r0000, r0001) with order 4, of a float stack."""
+    out = (stack.s[(0, 0)], stack.s[(0, 1)], stack.t[(0, 0, 0)], stack.t[(0, 0, 1)])
+    return out if stack.r is None else out + (stack.r[(0, 0, 0, 0)], stack.r[(0, 0, 0, 1)])
+
+
+def exact_pair(a00, a10, a11, w0, w1, orders):
+    """The same entries, exact: the cumulants with no 1 and with one 1, per order."""
+    return tuple(x for n in orders for x in pair_cumulants(a00, a10, a11, w0, w1, n)[:2])
+
+
+class TestPairOracle:
+    """The pair's rational function A(S, T, R), against the elimination."""
+
+    @pytest.mark.parametrize("point", PAIR_POINTS)
+    def test_exact_cumulants_give_exact_a(self, point):
+        a00, a10, a11, w0, w1 = point
+        assert pair_both_loops(*exact_pair(a00, a10, a11, w0, w1, (2, 3, 4))) == (a00, a10, a11)
+        assert pair_source_loop_only(*exact_pair(a00, a10, 0, w0, w1, (2, 3))) == (a00, a10)
+
+    @pytest.mark.parametrize("point", PAIR_POINTS)
+    def test_exact_cumulants_match_the_solver(self, point):
+        a00, a10, a11, w0, w1 = point
+        pm = ParameterMatrix(two_node_both_loops(), np.array([[a00, 0], [a10, a11]], float))
+        omegas = {n: DiagonalCumulant(n, np.array([w0, w1], float)) for n in (2, 3, 4)}
+        stack = model_stack(pm, omegas)
+        for n in (2, 3, 4):
+            exact = pair_cumulants(a00, a10, a11, w0, w1, n)
+            got = [stack.tensor(n)[(0,) * (n - m) + (1,) * m] for m in range(n + 1)]
+            np.testing.assert_allclose(got, [float(x) for x in exact], rtol=1e-13)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_elimination_matches_oracle(self, seed):
+        # a00 is the same expression, so it is bit-equal; the rest of A comes
+        # from the least-squares rows of the elimination
+        for g, orders, method, oracle in (
+            (two_node_both_loops(), (2, 3, 4), identify_dag_all_loops, pair_both_loops),
+            (two_node_chain(), (2, 3), identify_polytree, pair_source_loop_only),
+        ):
+            _, _, stack = stack_for(g, seed=seed + 400, orders=orders)
+            report = method(g, stack)
+            a = oracle(*stack_pair(stack)) + (0.0,)  # a11 = 0 without the sink loop
+            assert report.verdict == "recovered"
+            assert report.a[0, 0] == a[0]
+            np.testing.assert_allclose(report.a[1], a[1:3], rtol=1e-12, atol=1e-12)
 
 
 class TestDagAllLoops:

@@ -23,8 +23,7 @@ EXPORTS = {
     # identify
     "CumulantStack", "DegenerateDenominator", "HypothesisViolated", "IdentifiabilityReport",
     "SingularBlock", "auto_identify", "count_equations_vs_parameters",
-    "identify_dag_all_loops", "identify_polytree", "identify_two_node", "model_stack",
-    "two_node_st_solutions",
+    "identify_dag_all_loops", "identify_polytree", "model_stack", "two_node_st_solutions",
     # jacobian
     "ModifiedJacobian", "build_modified_jacobian", "local_identifiability_verdict",
     "offdiag_rank",
