@@ -14,17 +14,16 @@ _EXPORTS = {
         random_omegas recover_noise recursive_residual sample_stable_matrix
         series_cumulant simulate_and_estimate solve_cumulant spectral_radius""",
     "graphs": """CyclicGraph DirectedGraph DisconnectedGraph EquitrekGraph
-        StarClassification Trek classify_star enumerate_equitreks equitrek_exists
-        equitrek_graph equitrek_multisets implied_conditional_independence
-        implied_marginal_independence""",
+        StarClassification classify_star equitrek_graph equitrek_multisets
+        implied_conditional_independence implied_marginal_independence""",
     "identify": """CumulantStack DegenerateDenominator HypothesisViolated
         IdentifiabilityReport SingularBlock auto_identify count_equations_vs_parameters
-        identify_dag_all_loops identify_polytree model_stack two_node_st_solutions""",
+        identify_dag_all_loops identify_polytree model_stack""",
     "jacobian": """ModifiedJacobian build_modified_jacobian local_identifiability_verdict
         offdiag_rank""",
     "tensors": "DimensionMismatch SymmetricTensor k_mode_product tucker_product",
     "treks": """PoleAtUnit UnstableEffective base_trek_coefficient base_trek_cumulant
-        effective_matrix enumerate_base_treks placement_polynomial""",
+        effective_matrix placement_polynomial""",
     "constraints": """ModelInconsistency ToricMatrix integer_kernel kernel_binomial_values
         level_partition level_polynomial_checks rank_constraints_scan
         shortest_equitrek_top top_trek_polynomial_check toric_matrix tree_equivalence""",

@@ -41,9 +41,9 @@ class InputError(Exception):
 
 def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -70,7 +70,10 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _dump(document: dict) -> str:
@@ -110,7 +113,7 @@ def _materialize_parameters(g: DirectedGraph, args) -> tuple[ParameterMatrix, di
                 int(n): DiagonalCumulant(int(n), np.asarray(w, dtype=float))
                 for n, w in data["omega"].items()
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InputError(f"malformed parameter file: {exc}") from exc
         if not all(np.isfinite(x).all() for x in [entries, *(w.w for w in omegas.values())]):
             raise InputError("parameter file has non-finite entries")

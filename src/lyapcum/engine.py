@@ -77,9 +77,6 @@ class DiagonalCumulant:
     def p(self) -> int:
         return len(self.w)
 
-    def to_tensor(self) -> SymmetricTensor:
-        return SymmetricTensor.diagonal(self.w, self.order)
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.p**self.order)
         dense[_diagonal_positions(self.p, self.order)] = self.w
@@ -159,9 +156,6 @@ class ParameterMatrix:
                 f"spectral radius {self.radius():.6g} is not below "
                 f"{1.0 - STABILITY_MARGIN}"
             )
-
-    def negated(self) -> "ParameterMatrix":
-        return ParameterMatrix(self.g, -self.entries)
 
     def __repr__(self) -> str:
         return f"ParameterMatrix(p={self.p}, radius={self.radius():.4g})"

@@ -12,7 +12,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class CyclicGraph(Exception):
@@ -217,22 +217,6 @@ class DirectedGraph:
         return order
 
     @cached_property
-    def descendant_sets(self) -> tuple[frozenset[int], ...]:
-        """``descendant_sets[v]`` = vertices reachable from v (v included)."""
-        out = []
-        for v in range(self.p):
-            seen = {v}
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                for c in self.children[x]:
-                    if c not in seen:
-                        seen.add(c)
-                        stack.append(c)
-            out.append(frozenset(seen))
-        return tuple(out)
-
-    @cached_property
     def equitrek_graph(self) -> "EquitrekGraph":
         """Bidirected equitrek graph: the two-leg case of :func:`equitrek_multisets`."""
         return EquitrekGraph(p=self.p, biedges=frozenset(equitrek_multisets(self, 2)))
@@ -253,37 +237,6 @@ class DirectedGraph:
             raise ValueError("graph JSON must contain 'p' and 'edges'")
         edges = [tuple(json_int(v, "an edge endpoint") for v in e) for e in data["edges"]]
         return cls(json_int(data["p"], "'p'"), edges)
-
-
-@dataclass(frozen=True)
-class Trek:
-    """Tuple of directed paths (legs) out of one common top vertex.
-
-    Each leg is a vertex sequence starting at ``top``; consecutive vertices
-    must be graph edges.  A trek is an equitrek when all legs have equal edge
-    length and a base trek when no leg repeats a vertex.
-    """
-
-    top: int
-    legs: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.legs:
-            raise ValueError("a trek needs at least one leg")
-        if any(leg[0] != self.top for leg in self.legs):
-            raise ValueError("all legs must start at the top vertex")
-
-    @property
-    def leg_lengths(self) -> tuple[int, ...]:
-        return tuple(len(leg) - 1 for leg in self.legs)
-
-    @property
-    def is_equitrek(self) -> bool:
-        return len(set(self.leg_lengths)) == 1
-
-    @property
-    def is_base_trek(self) -> bool:
-        return all(len(set(leg)) == len(leg) for leg in self.legs)
 
 
 @dataclass(frozen=True)
@@ -311,26 +264,6 @@ class EquitrekGraph:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_equitreks(
-    g: DirectedGraph, leaves: Sequence[int], max_len: int
-) -> list[Trek]:
-    """All equitreks with leg length <= ``max_len``, by length, top, then leg order."""
-    leaves = tuple(leaves)
-    if not leaves:
-        raise ValueError("leaf tuple must be nonempty")
-    # walks[top]: the walks of the current length out of top, in lexicographic
-    # order since children are sorted
-    walks = [[(top,)] for top in range(g.p)]
-    treks = []
-    for length in range(max_len + 1):
-        if length:
-            walks = [[w + (c,) for w in out for c in g.children[w[-1]]] for out in walks]
-        for top, out in enumerate(walks):
-            per_leaf = [[w for w in out if w[-1] == leaf] for leaf in leaves]
-            treks.extend(Trek(top=top, legs=legs) for legs in itertools.product(*per_leaf))
-    return treks
-
-
 def equitrek_multisets(g: DirectedGraph, order: int) -> set[tuple[int, ...]]:
     """Sorted leaf multisets of the equitreks with ``order`` legs.
 
@@ -355,13 +288,6 @@ def equitrek_multisets(g: DirectedGraph, order: int) -> set[tuple[int, ...]]:
 def equitrek_graph(g: DirectedGraph) -> EquitrekGraph:
     """Bidirected equitrek graph of ``g``, memoized on the graph."""
     return g.equitrek_graph
-
-
-def equitrek_exists(g: DirectedGraph, i: int, j: int) -> bool:
-    """True iff some equitrek joins i and j (the empty trek covers i == j)."""
-    if i == j:
-        return True
-    return g.equitrek_graph.has_biedge(i, j)
 
 
 def implied_marginal_independence(

@@ -424,77 +424,6 @@ def count_equations_vs_parameters(g: DirectedGraph, n_max: int) -> EquationCount
 
 
 # ---------------------------------------------------------------------------
-# experimental: two-node solutions from (S, T) only
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TwoNodeCandidate:
-    a00: float
-    a10: float
-    a11: float
-    stable: bool
-    residual: float
-
-
-def two_node_st_solutions(stack: CumulantStack) -> list[TwoNodeCandidate]:
-    """Every parameter point of the both-loops pair 0 -> 1 that fits (S, T).
-
-    With lower-triangular A the ratios ``u = s01/s00 = x b/(1 - x c)``,
-    ``v = t001/t000 = x^2 b/(1 - x^2 c)`` and
-    ``w = t011/t000 = x b (b + 2 c v)/(1 - x c^2)`` do not depend on the
-    noise (x = a00, b = a10, c = a11).  The first two give
-    ``c = (v - u x)/(x^2 D)`` and ``b = u (1 - x c)/x`` with ``D = v - u``;
-    substituting them into the third leaves a cubic in x whose root x = 1,
-    where ``I - kron(A, A)`` is singular, is spurious.  Dividing it out gives
-    ``w D^2 x^2 + (u^2 v^2 + w v (v - 2u)) x + (w v^2 - u v^2 (2v - u)) = 0``.
-    Each root that refits the three ratios to 1e-8 is tagged with Schur
-    stability.  The true parameters are among them unless ``|a00| < 1e-9``
-    or ``|x^2 D| < 1e-12``; nothing here assumes that only one is stable.
-    """
-    u = stack.s[(0, 1)] / stack.s[(0, 0)]
-    v = stack.t[(0, 0, 1)] / stack.t[(0, 0, 0)]
-    w = stack.t[(0, 1, 1)] / stack.t[(0, 0, 0)]
-    d = v - u
-    coeffs = [
-        w * d * d,
-        u * u * v * v + w * v * (v - 2 * u),
-        w * v * v - u * v * v * (2 * v - u),
-    ]
-    if not np.all(np.isfinite(coeffs)):
-        return []
-    found: list[TwoNodeCandidate] = []
-    # the true a00 is a root, so both are real; rounding near a double root
-    # can still leave a conjugate pair, whose real part the residual judges
-    for x in np.roots(coeffs).real:
-        if abs(x) < 1e-9 or abs(x * x * d) < 1e-12:
-            continue
-        c = (v - u * x) / (x * x * d)
-        b = u * (1 - x * c) / x
-        model = np.array(
-            [
-                x * b / (1 - x * c),
-                x * x * b / (1 - x * x * c),
-                x * b * (b + 2 * c * v) / (1 - x * c * c),
-            ]
-        )
-        residual = float(np.max(np.abs(model - [u, v, w])))
-        if not residual <= 1e-8 or any(abs(f.a00 - x) < 1e-7 for f in found):
-            continue
-        found.append(
-            TwoNodeCandidate(
-                a00=float(x),
-                a10=float(b),
-                a11=float(c),
-                stable=bool(max(abs(x), abs(c)) < 1.0),
-                residual=residual,
-            )
-        )
-    found.sort(key=lambda f: (round(f.a00, 9), round(f.a10, 9)))
-    return found
-
-
-# ---------------------------------------------------------------------------
 # method auto-selection
 # ---------------------------------------------------------------------------
 

@@ -224,7 +224,7 @@ class SymmetricTensor:
                 tuple(sorted(int(s) for s in key.split(","))): float(v)
                 for key, v in entries.items()
             }
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed tensor JSON: {exc}") from exc
         # counted before the tensor is built, so a huge (p, order) allocates nothing
         expected = comb(p + order - 1, order)

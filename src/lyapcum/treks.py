@@ -1,4 +1,4 @@
-"""Trek monomials, base-trek enumeration and the base-trek calculus.
+"""The base-trek calculus: placement polynomials and the exact cumulant.
 
 Every steady-state cumulant entry is a sum over equitreks of noise-weighted
 edge monomials.  For a DAG whose self-loops all carry one weight ``t``, the
@@ -38,16 +38,13 @@ nor arrays, so the functions that do import ``graphs``, ``engine``,
 
 from __future__ import annotations
 
-import itertools
 from functools import cache
 from math import comb, prod
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .engine import DiagonalCumulant, ParameterMatrix
-    from .graphs import DirectedGraph, Trek
+    from .graphs import DirectedGraph
     from .tensors import SymmetricTensor
 
 
@@ -57,20 +54,6 @@ class PoleAtUnit(Exception):
 
 class UnstableEffective(Exception):
     """The assembled constant-self-loop matrix is not Schur stable."""
-
-
-# ---------------------------------------------------------------------------
-# trek monomials (the truncated trek sum is engine.series_cumulant)
-# ---------------------------------------------------------------------------
-
-
-def trek_monomial(entries: np.ndarray, trek: Trek) -> float:
-    """Product of edge weights along all legs of a trek."""
-    value = 1.0
-    for leg in trek.legs:
-        for a, b in zip(leg, leg[1:]):
-            value *= entries[b, a]
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +112,7 @@ def placement_table_csv(x_max: int, y_max: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# base-trek enumeration and the exact cumulant
+# base treks and the exact cumulant
 # ---------------------------------------------------------------------------
 
 
@@ -153,18 +136,6 @@ def _top_paths(g: DirectedGraph) -> list[dict[int, list[tuple[int, ...]]]]:
     for path in sorted(paths):
         tops[path[0]][path[-1]].append(path)
     return tops
-
-
-def enumerate_base_treks(g: DirectedGraph, leaves: Sequence[int]) -> list[Trek]:
-    """All base treks between the leaves: legs are self-loop-free simple paths."""
-    from .graphs import Trek
-
-    treks = []
-    for top, by_end in enumerate(_top_paths(g)):
-        options = [by_end[leaf] for leaf in leaves]
-        if all(options):
-            treks.extend(Trek(top=top, legs=combo) for combo in itertools.product(*options))
-    return treks
 
 
 def effective_matrix(
@@ -227,7 +198,7 @@ def base_trek_cumulant(
     for key in multiset_indices(g.p, omega.order):
         total = 0.0
         for top, by_end in enumerate(paths):
-            # base treks in enumerate_base_treks order, each as (trek_monomial, leg lengths)
+            # the base treks out of top in path order, each as (edge-weight product, leg lengths)
             partial = [(1.0, ())]
             for leaf in key:
                 partial = [

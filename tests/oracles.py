@@ -1,22 +1,36 @@
 """Loop oracles the tests check the package against.
 
-The modified-Jacobian entries as explicit delta sums (``jacobian`` builds
-them from one contraction per order), the two-leg recursions of the
-placement polynomials and base-trek coefficients, which ``treks`` derives
-from the n-leg placement formula, and the rational function that gives the
-whole of A for the pair 0 -> 1 (``identify`` keeps only its a00, for each
-source's self-loop), with exact pair cumulants to evaluate it on.
+- The modified-Jacobian entries as explicit delta sums (``jacobian`` builds
+  them from one contraction per order).
+- The two-leg recursions of the placement polynomials and base-trek
+  coefficients, which ``treks`` derives from the n-leg placement formula.
+- Treks as explicit vertex paths: the brute-force equitrek enumeration and
+  trek monomials, whose sum ``engine.series_cumulant`` truncates, and the
+  base-trek enumeration that ``treks.base_trek_cumulant`` sums over, written
+  from the definition of a base trek rather than from its path table.
+- The rational function that gives the whole of A for the pair 0 -> 1
+  (``identify`` keeps only its a00, for each source's self-loop), with exact
+  pair cumulants to evaluate it on, and every parameter point of the
+  both-loops pair that fits (S, T) alone.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 import numpy as np
 
-from lyapcum import SymmetricTensor, base_trek_coefficient, placement_polynomial
+from lyapcum import (
+    CumulantStack,
+    DirectedGraph,
+    SymmetricTensor,
+    base_trek_coefficient,
+    placement_polynomial,
+)
 
 
 def jacobian_entry_order2(
@@ -60,6 +74,87 @@ def jacobian_entry_order3(
             a[i, l] * a[j, m] * t[(l, m, alpha)] for l in range(p) for m in range(p)
         )
     return value
+
+
+@dataclass(frozen=True)
+class Trek:
+    """Tuple of directed paths (legs) out of one common top vertex.
+
+    Each leg is a vertex sequence starting at ``top``; consecutive vertices
+    must be graph edges.  A trek is an equitrek when all legs have equal edge
+    length and a base trek when no leg repeats a vertex.
+    """
+
+    top: int
+    legs: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if not self.legs:
+            raise ValueError("a trek needs at least one leg")
+        if any(leg[0] != self.top for leg in self.legs):
+            raise ValueError("all legs must start at the top vertex")
+
+    @property
+    def leg_lengths(self) -> tuple[int, ...]:
+        return tuple(len(leg) - 1 for leg in self.legs)
+
+    @property
+    def is_equitrek(self) -> bool:
+        return len(set(self.leg_lengths)) == 1
+
+    @property
+    def is_base_trek(self) -> bool:
+        return all(len(set(leg)) == len(leg) for leg in self.legs)
+
+
+def enumerate_equitreks(
+    g: DirectedGraph, leaves: Sequence[int], max_len: int
+) -> list[Trek]:
+    """All equitreks with leg length <= ``max_len``, by length, top, then leg order."""
+    leaves = tuple(leaves)
+    if not leaves:
+        raise ValueError("leaf tuple must be nonempty")
+    # walks[top]: the walks of the current length out of top, in lexicographic
+    # order since children are sorted
+    walks = [[(top,)] for top in range(g.p)]
+    treks = []
+    for length in range(max_len + 1):
+        if length:
+            walks = [[w + (c,) for w in out for c in g.children[w[-1]]] for out in walks]
+        for top, out in enumerate(walks):
+            per_leaf = [[w for w in out if w[-1] == leaf] for leaf in leaves]
+            treks.extend(Trek(top=top, legs=legs) for legs in itertools.product(*per_leaf))
+    return treks
+
+
+def trek_monomial(entries: np.ndarray, trek: Trek) -> float:
+    """Product of edge weights along all legs of a trek."""
+    value = 1.0
+    for leg in trek.legs:
+        for a, b in zip(leg, leg[1:]):
+            value *= entries[b, a]
+    return value
+
+
+def enumerate_base_treks(g: DirectedGraph, leaves: Sequence[int]) -> list[Trek]:
+    """All base treks between the leaves, by top, then leg order.
+
+    A leg is any path out of the top that repeats no vertex, so it never
+    takes a self-loop; each top pairs every such path to each leaf.
+    """
+
+    def simple_paths(path: tuple[int, ...], leaf: int) -> list[tuple[int, ...]]:
+        found = [path] if path[-1] == leaf else []
+        for c in g.children[path[-1]]:
+            if c not in path:
+                found += simple_paths(path + (c,), leaf)
+        return found
+
+    treks = []
+    for top in range(g.p):
+        options = [sorted(simple_paths((top,), leaf)) for leaf in leaves]
+        treks.extend(Trek(top=top, legs=legs) for legs in itertools.product(*options))
+    return treks
 
 
 @dataclass
@@ -171,3 +266,69 @@ def pair_both_loops(s00, s01, t000, t001, r0000, r0001) -> tuple:
 def pair_source_loop_only(s00, s01, t000, t001) -> tuple:
     """(a00, a10) of the pair 0 -> 1 with a self-loop at 0 only, from (S, T)."""
     return s00 * t001 / (s01 * t000), s01**2 * t000 / (s00**2 * t001)
+
+
+@dataclass
+class TwoNodeCandidate:
+    a00: float
+    a10: float
+    a11: float
+    stable: bool
+    residual: float
+
+
+def two_node_st_solutions(stack: CumulantStack) -> list[TwoNodeCandidate]:
+    """Every parameter point of the both-loops pair 0 -> 1 that fits (S, T).
+
+    With lower-triangular A the ratios ``u = s01/s00 = x b/(1 - x c)``,
+    ``v = t001/t000 = x^2 b/(1 - x^2 c)`` and
+    ``w = t011/t000 = x b (b + 2 c v)/(1 - x c^2)`` do not depend on the
+    noise (x = a00, b = a10, c = a11).  The first two give
+    ``c = (v - u x)/(x^2 D)`` and ``b = u (1 - x c)/x`` with ``D = v - u``;
+    substituting them into the third leaves a cubic in x whose root x = 1,
+    where ``I - kron(A, A)`` is singular, is spurious.  Dividing it out gives
+    ``w D^2 x^2 + (u^2 v^2 + w v (v - 2u)) x + (w v^2 - u v^2 (2v - u)) = 0``.
+    Each root that refits the three ratios to 1e-8 is tagged with Schur
+    stability.  The true parameters are among them unless ``|a00| < 1e-9``
+    or ``|x^2 D| < 1e-12``; nothing here assumes that only one is stable.
+    """
+    u = stack.s[(0, 1)] / stack.s[(0, 0)]
+    v = stack.t[(0, 0, 1)] / stack.t[(0, 0, 0)]
+    w = stack.t[(0, 1, 1)] / stack.t[(0, 0, 0)]
+    d = v - u
+    coeffs = [
+        w * d * d,
+        u * u * v * v + w * v * (v - 2 * u),
+        w * v * v - u * v * v * (2 * v - u),
+    ]
+    if not np.all(np.isfinite(coeffs)):
+        return []
+    found: list[TwoNodeCandidate] = []
+    # the true a00 is a root, so both are real; rounding near a double root
+    # can still leave a conjugate pair, whose real part the residual judges
+    for x in np.roots(coeffs).real:
+        if abs(x) < 1e-9 or abs(x * x * d) < 1e-12:
+            continue
+        c = (v - u * x) / (x * x * d)
+        b = u * (1 - x * c) / x
+        model = np.array(
+            [
+                x * b / (1 - x * c),
+                x * x * b / (1 - x * x * c),
+                x * b * (b + 2 * c * v) / (1 - x * c * c),
+            ]
+        )
+        residual = float(np.max(np.abs(model - [u, v, w])))
+        if not residual <= 1e-8 or any(abs(f.a00 - x) < 1e-7 for f in found):
+            continue
+        found.append(
+            TwoNodeCandidate(
+                a00=float(x),
+                a10=float(b),
+                a11=float(c),
+                stable=bool(max(abs(x), abs(c)) < 1.0),
+                residual=residual,
+            )
+        )
+    found.sort(key=lambda f: (round(f.a00, 9), round(f.a10, 9)))
+    return found

@@ -183,6 +183,16 @@ BAD_INPUTS = {
     # non-finite parameters, refused before the stability check or the solve
     "params-nan-a": ("cumulants --graph {d}/g2.json --params {d}/nan-a.json", 2),
     "params-inf-omega": ("cumulants --graph {d}/g2.json --params {d}/inf-omega.json", 2),
+    "params-omega-list": ("cumulants --graph {d}/g2.json --params {d}/omega-list.json", 2),
+    # a JSON integer too large for a float
+    "params-huge-integer": ("cumulants --graph {d}/g2.json --params {d}/huge-int.json", 2),
+    "stack-huge-integer": ("identify --graph {d}/g2.json --stack {d}/huge-int-stack.json", 2),
+    # JSON is UTF-8; these files are Latin-1
+    "params-not-utf8": ("cumulants --graph {d}/g2.json --params {d}/latin1-params.json", 2),
+    "stack-not-utf8": ("identify --graph {d}/g2.json --stack {d}/latin1-stack.json", 2),
+    # the report cannot be written
+    "out-is-a-directory": ("cumulants --graph {d}/g2.json --out {d}", 2),
+    "out-under-missing-directory": ("cumulants --graph {d}/g2.json --out {d}/no/out.json", 2),
 }
 
 
@@ -212,6 +222,14 @@ def bad_dir(tmp_path_factory):
         d / "inf-omega.json",
         {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": {"2": [1.0, float("inf")], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
     )
+    write_json(
+        d / "omega-list.json",
+        {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]},
+    )
+    write_json(
+        d / "huge-int.json",
+        {"A": [[0.5, 0.0], [10**400, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
+    )
     write_json(d / "list.json", [1, 2])
     assert main(["cumulants", "--graph", str(d / "g2.json"), "--out", str(d / "stack.json")]) == 0
     good = json.loads((d / "stack.json").read_text())
@@ -224,6 +242,13 @@ def bad_dir(tmp_path_factory):
     duplicate = copy.deepcopy(good)
     duplicate["tensors"]["2"]["entries"]["1,0"] = 5.0  # second spelling of "0,1"
     write_json(d / "dup.json", duplicate)
+    huge = copy.deepcopy(good)
+    huge["tensors"]["2"]["entries"]["0,1"] = 10**400
+    write_json(d / "huge-int-stack.json", huge)
+    params = json.loads((d / "params.json").read_text())
+    for name, doc in (("latin1-params.json", params), ("latin1-stack.json", good)):
+        doc = dict(doc, note="caf\u00e9")
+        (d / name).write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
     return d
 
 
@@ -231,7 +256,9 @@ def bad_dir(tmp_path_factory):
 def test_bad_input_exits_2(bad_dir, tmp_path, capsys, case):
     command, expected = BAD_INPUTS[case]
     out = tmp_path / "out.json"
-    argv = [tok.format(d=bad_dir) for tok in command.split()] + ["--out", str(out)]
+    # a later --out in the case's own arguments wins
+    subcommand, *rest = [tok.format(d=bad_dir) for tok in command.split()]
+    argv = [subcommand, "--out", str(out), *rest]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects the value
@@ -296,8 +323,21 @@ JSON_VALUES = st.one_of(
 
 @st.composite
 def malformed_inputs(draw):
-    """A graph file, or a stack file, with one field of a good document replaced."""
-    if draw(st.booleans()):
+    """A graph, stack or parameter file with one field of a good document replaced."""
+    kind = draw(st.sampled_from(["graph", "stack", "params"]))
+    if kind == "params":
+        doc = {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0]}}
+        field = draw(st.sampled_from(["A", "row", "omega", "order", "document"]))
+        if field == "row":
+            doc["A"][1] = draw(JSON_VALUES)
+        elif field == "order":
+            doc["omega"][draw(st.sampled_from(["2", "3"]))] = draw(JSON_VALUES)
+        elif field == "document":
+            doc = draw(JSON_VALUES)
+        else:
+            doc[field] = draw(JSON_VALUES)
+        return "params", doc
+    if kind == "graph":
         doc = {"p": 2, "edges": [[0, 0], [0, 1]]}
         field = draw(st.sampled_from(["p", "edges", "edge", "document"]))
         if field == "edge":
@@ -320,6 +360,9 @@ def test_malformed_json_never_raises(bad_dir, kind_and_doc):
     path = bad_dir / "fuzz.json"
     if kind == "graph":
         argv = ["cumulants", "--graph", write_json(path, doc), "--seed", "1", "--orders", "2,3"]
+    elif kind == "params":
+        argv = ["cumulants", "--graph", str(bad_dir / "g2.json"), "--params", write_json(path, doc),
+                "--orders", "2,3"]
     else:
         tensor, field, value = doc
         doc = json.loads((bad_dir / "stack.json").read_text())

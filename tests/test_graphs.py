@@ -13,8 +13,6 @@ from lyapcum import (
     DisconnectedGraph,
     ParameterMatrix,
     classify_star,
-    enumerate_equitreks,
-    equitrek_exists,
     equitrek_graph,
     equitrek_multisets,
     implied_conditional_independence,
@@ -24,6 +22,7 @@ from lyapcum import (
     solve_cumulant,
     spectral_radius,
 )
+from oracles import enumerate_equitreks
 from conftest import (
     bare_two_cycle,
     collider_square,
@@ -119,14 +118,15 @@ class TestEnumerateEquitreks:
 class TestEquitrekExists:
     def test_collider_square(self):
         g = collider_square()
-        assert not equitrek_exists(g, 0, 2)
-        assert equitrek_exists(g, 1, 3)
+        assert not g.equitrek_graph.has_biedge(0, 2)
+        assert g.equitrek_graph.has_biedge(1, 3)
 
     def test_reflexive(self):
-        assert equitrek_exists(bare_two_cycle(), 0, 0)
+        # the empty trek joins a vertex to itself
+        assert bare_two_cycle().equitrek_graph.has_biedge(0, 0)
 
     def test_bare_two_cycle(self):
-        assert not equitrek_exists(bare_two_cycle(), 0, 1)
+        assert not bare_two_cycle().equitrek_graph.has_biedge(0, 1)
 
     def test_matches_enumeration_small(self, rng):
         # nonemptiness of the literal bounded enumeration at the
@@ -137,7 +137,7 @@ class TestEquitrekExists:
             for i in range(p):
                 for j in range(i, p):
                     enumerated = bool(enumerate_equitreks(g, (i, j), p * p))
-                    assert equitrek_exists(g, i, j) == enumerated
+                    assert g.equitrek_graph.has_biedge(i, j) == enumerated
 
     def test_matches_boolean_powers(self, rng):
         # independent oracle at p in {4,5}: a shared top at distance l exists
@@ -159,7 +159,7 @@ class TestEquitrekExists:
                     )
             for i in range(p):
                 for j in range(i, p):
-                    assert equitrek_exists(g, i, j) == ((i, j) in joined)
+                    assert g.equitrek_graph.has_biedge(i, j) == ((i, j) in joined)
 
 
 class TestEquitrekGraph:

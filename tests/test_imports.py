@@ -17,13 +17,12 @@ EXPORTS = {
     "series_cumulant", "simulate_and_estimate", "solve_cumulant", "spectral_radius",
     # graphs
     "CyclicGraph", "DirectedGraph", "DisconnectedGraph", "EquitrekGraph",
-    "StarClassification", "Trek", "classify_star", "enumerate_equitreks", "equitrek_exists",
-    "equitrek_graph", "equitrek_multisets", "implied_conditional_independence",
-    "implied_marginal_independence",
+    "StarClassification", "classify_star", "equitrek_graph", "equitrek_multisets",
+    "implied_conditional_independence", "implied_marginal_independence",
     # identify
     "CumulantStack", "DegenerateDenominator", "HypothesisViolated", "IdentifiabilityReport",
     "SingularBlock", "auto_identify", "count_equations_vs_parameters",
-    "identify_dag_all_loops", "identify_polytree", "model_stack", "two_node_st_solutions",
+    "identify_dag_all_loops", "identify_polytree", "model_stack",
     # jacobian
     "ModifiedJacobian", "build_modified_jacobian", "local_identifiability_verdict",
     "offdiag_rank",
@@ -31,7 +30,7 @@ EXPORTS = {
     "DimensionMismatch", "SymmetricTensor", "k_mode_product", "tucker_product",
     # treks
     "PoleAtUnit", "UnstableEffective", "base_trek_coefficient", "base_trek_cumulant",
-    "effective_matrix", "enumerate_base_treks", "placement_polynomial",
+    "effective_matrix", "placement_polynomial",
     # constraints
     "ModelInconsistency", "ToricMatrix", "integer_kernel", "kernel_binomial_values",
     "level_partition", "level_polynomial_checks", "rank_constraints_scan",
@@ -59,6 +58,20 @@ def test_unknown_name():
         lyapcum.check_placement_recursions
     with pytest.raises(ImportError):
         exec("from lyapcum import no_such_name", {})
+
+
+# test-only oracles, now in tests/oracles.py, or wrappers of graph properties
+RETIRED = ["Trek", "enumerate_equitreks", "equitrek_exists", "two_node_st_solutions",
+           "enumerate_base_treks"]
+
+
+@pytest.mark.parametrize("name", RETIRED)
+def test_retired_name(name):
+    assert name not in dir(lyapcum)
+    with pytest.raises(AttributeError):
+        getattr(lyapcum, name)
+    with pytest.raises(ImportError):
+        exec(f"from lyapcum import {name}", {})
 
 
 # runs `main` in a fresh interpreter, then writes the loaded modules to argv[1]

@@ -16,15 +16,18 @@ from lyapcum import (
     base_trek_coefficient,
     base_trek_cumulant,
     effective_matrix,
-    enumerate_base_treks,
-    enumerate_equitreks,
     placement_polynomial,
     sample_stable_matrix,
     series_cumulant,
     solve_cumulant,
 )
-from lyapcum.treks import placement_table_csv, trek_monomial
-from oracles import check_placement_recursions
+from lyapcum.treks import placement_table_csv
+from oracles import (
+    check_placement_recursions,
+    enumerate_base_treks,
+    enumerate_equitreks,
+    trek_monomial,
+)
 from conftest import sink_loop_chain, two_node_chain, unit_parameters
 
 
