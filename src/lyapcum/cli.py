@@ -56,6 +56,17 @@ def _load_graph(path: str) -> DirectedGraph:
         raise InputError(str(exc)) from exc
 
 
+def _require_size(g: DirectedGraph, order: int) -> None:
+    """Refuse a graph whose dense order-n tensor would exceed 2**28 entries.
+
+    That is 2 GiB of float64, and the doubling holds a term of the same size.
+    """
+    if g.p**order > 2**28:
+        raise InputError(
+            f"p={g.p} is too large: a dense order-{order} tensor would exceed 2**28 entries"
+        )
+
+
 def _parse_orders(text: str) -> tuple[int, ...]:
     try:
         orders = tuple(sorted(int(x) for x in text.split(",")))
@@ -90,7 +101,9 @@ def _config_dict(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _materialize_parameters(g: DirectedGraph, args) -> tuple[ParameterMatrix, dict]:
+def _materialize_parameters(
+    g: DirectedGraph, args, orders: tuple[int, ...]
+) -> tuple[ParameterMatrix, dict]:
     """Inline parameters from ``--params``, or a draw from ``--seed`` and ``--radius``.
 
     ``cumulants`` parses both draw options as None when absent, so one given
@@ -101,7 +114,6 @@ def _materialize_parameters(g: DirectedGraph, args) -> tuple[ParameterMatrix, di
 
     from .engine import DiagonalCumulant, ParameterMatrix, random_omegas, sample_stable_matrix
 
-    orders = _parse_orders(args.orders)
     if args.params:
         given = [f"--{name}" for name in ("seed", "radius") if getattr(args, name) is not None]
         if given:
@@ -140,7 +152,9 @@ def cmd_cumulants(args) -> int:
     from .engine import recursive_residual, solve_cumulant
 
     g = _load_graph(args.graph)
-    pm, omegas = _materialize_parameters(g, args)
+    orders = _parse_orders(args.orders)
+    _require_size(g, orders[-1])
+    pm, omegas = _materialize_parameters(g, args, orders)
     if args.format == "csv" and 2 not in omegas:
         raise InputError("--format csv writes the order-2 tensor; add 2 to --orders")
     pm.require_stable()
@@ -177,14 +191,12 @@ def _load_stack(path: str) -> CumulantStack:
     data = _load_json(path)
     try:
         tensors = data.get("tensors", data)
-        s = SymmetricTensor.from_json_dict(tensors["2"])
-        t = SymmetricTensor.from_json_dict(tensors["3"])
-        r = (
-            SymmetricTensor.from_json_dict(tensors["4"])
-            if "4" in tensors
-            else None
-        )
-        return CumulantStack(s=s, t=t, r=r)
+        keys = [key for key in ("2", "3", "4") if key in tensors]
+        loaded = [SymmetricTensor.from_json_dict(tensors[key]) for key in keys]
+        wrong = [key for key, t in zip(keys, loaded) if str(t.order) != key]
+        if wrong:
+            raise ValueError(f"keys {wrong} do not match their tensors' orders")
+        return CumulantStack(*loaded)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed stack file: {exc}") from exc
 
@@ -231,7 +243,7 @@ def cmd_identify(args) -> int:
         document["jacobian"] = verdict.to_json_dict()
         code = EXIT_OK if verdict.verdict == "locally-identifiable" else EXIT_IDENTIFY
     document["equation_count"] = count_equations_vs_parameters(
-        g, 4 if stack.r is not None else 3
+        g, max(stack.orders)
     ).to_json_dict()
     _write(args.out, _dump(document))
     return code
@@ -254,9 +266,12 @@ def cmd_analyze(args) -> int:
         implied_marginal_independence,
     )
     from .identify import count_equations_vs_parameters, model_stack
-    from .jacobian import local_identifiability_verdict
+    from .jacobian import local_identifiability_verdict, two_cycle_components
 
     g = _load_graph(args.graph)
+    _require_size(g, 3)
+    if two_cycle_components(g):  # the verdict's augmentation solves order 4
+        _require_size(g, 4)
     document = {
         "version": __version__,
         "config": _config_dict(args),

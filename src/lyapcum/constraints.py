@@ -95,7 +95,10 @@ def _tree_structure(g: DirectedGraph) -> tuple[int, list[int], list[tuple[int, .
 
 def level_partition(g: DirectedGraph) -> list[list[int]]:
     """Vertex sets by shortest-path distance from the source."""
-    _, levels, _ = _tree_structure(g)
+    return _partition(_tree_structure(g)[1])
+
+
+def _partition(levels: list[int]) -> list[list[int]]:
     out: list[list[int]] = [[] for _ in range(max(levels) + 1)]
     for v, level in enumerate(levels):
         out[level].append(v)
@@ -109,7 +112,12 @@ def shortest_equitrek_top(g: DirectedGraph, indices: Sequence[int]) -> int:
     the source (only it can pad short legs); equal levels put the top at the
     deepest common ancestor.
     """
-    source, levels, paths = _tree_structure(g)
+    return _top(_tree_structure(g), indices)
+
+
+def _top(tree: tuple, indices: Sequence[int]) -> int:
+    """:func:`shortest_equitrek_top` on the ``(source, levels, paths)`` of a tree."""
+    source, levels, paths = tree
     idx = list(indices)
     if len({levels[i] for i in idx}) > 1:
         return source
@@ -160,9 +168,14 @@ def toric_matrix(g: DirectedGraph, order: int) -> ToricMatrix:
     v parameter and of every edge (self-loop padding counts on the source
     loop row).
     """
+    return _toric(g, _tree_structure(g), order)
+
+
+def _toric(g: DirectedGraph, tree: tuple, order: int) -> ToricMatrix:
+    """:func:`toric_matrix` on the ``(source, levels, paths)`` of the tree g."""
     if order < 2:
         raise ValueError("order must be at least 2")
-    source, levels, paths = _tree_structure(g)
+    source, levels, paths = tree
     edges = sorted(g.edges)
     row_labels: list[tuple] = []
     for m in range(2, order + 1):
@@ -179,7 +192,7 @@ def toric_matrix(g: DirectedGraph, order: int) -> ToricMatrix:
 
     matrix = np.zeros((len(row_labels), len(col_labels)), dtype=int)
     for col, (m, key) in enumerate(col_labels):
-        top = shortest_equitrek_top(g, key)
+        top = _top(tree, key)
         matrix[v_row[(m, top)], col] = 1
         # unequal leaf levels force top = source and source-loop padding up
         # to the deepest leaf; equal levels need no padding at all
@@ -357,7 +370,8 @@ def top_trek_polynomial_check(
     pairs leave an uncancelled source-loop power even at the padded top, so
     they are predicted nonzero for every l.
     """
-    source, levels, _ = _tree_structure(g)
+    tree = _tree_structure(g)
+    source, levels, _ = tree
     s, t = stack.s, stack.t
     lhs = s[(source, top)] * s[(i, j)] * t[(top, top, j)]
     rhs = s[(source, i)] * s[(top, top)] * t[(top, j, j)]
@@ -367,7 +381,7 @@ def top_trek_polynomial_check(
         value=lhs - rhs,
         scale=max(abs(lhs), abs(rhs), 1e-300),
         expected_zero=(
-            levels[i] == levels[j] and top == shortest_equitrek_top(g, (i, j))
+            levels[i] == levels[j] and top == _top(tree, (i, j))
         ),
     )
 
@@ -396,22 +410,22 @@ def tree_equivalence(
     """
     if g.p != h.p:
         raise HypothesisViolated("trees must share the vertex count")
-    levels_g = [set(level) for level in level_partition(g)]
-    levels_h = [set(level) for level in level_partition(h)]
+    tree_g, tree_h = _tree_structure(g), _tree_structure(h)
+    levels_g = [set(level) for level in _partition(tree_g[1])]
+    levels_h = [set(level) for level in _partition(tree_h[1])]
     if levels_g != levels_h:
         return TreeEquivalence(
             equal=False, witness=f"level partitions differ: {levels_g} vs {levels_h}"
         )
     for i, j in itertools.combinations(range(g.p), 2):
-        top_g = shortest_equitrek_top(g, (i, j))
-        top_h = shortest_equitrek_top(h, (i, j))
+        top_g, top_h = _top(tree_g, (i, j)), _top(tree_h, (i, j))
         if top_g != top_h:
             return TreeEquivalence(
                 equal=False,
                 witness=f"pair ({i},{j}) has tops {top_g} vs {top_h}",
             )
-    rref_g = _rref(toric_matrix(g, order).matrix)
-    rref_h = _rref(toric_matrix(h, order).matrix)
+    rref_g = _rref(_toric(g, tree_g, order).matrix)
+    rref_h = _rref(_toric(h, tree_h, order).matrix)
     if rref_g != rref_h:
         raise RuntimeError(
             "tops and levels agree but exponent row spaces differ; "

@@ -57,53 +57,46 @@ class SingularBlock(Exception):
         )
 
 
-@dataclass
 class CumulantStack:
-    """Second-, third-, and optionally fourth-order cumulant tensors."""
+    """Cumulant tensors keyed by order: orders 2 and 3 required, order 4 optional."""
 
-    s: SymmetricTensor
-    t: SymmetricTensor
-    r: SymmetricTensor | None = None
-
-    def __post_init__(self):
-        if self.s.order != 2 or self.t.order != 3:
-            raise ValueError("stack needs an order-2 s and an order-3 t")
-        if self.s.p != self.t.p or (self.r is not None and self.r.p != self.s.p):
+    def __init__(self, *tensors: SymmetricTensor):
+        self._by_order = {t.order: t for t in sorted(tensors, key=lambda t: t.order)}
+        if len(self._by_order) != len(tensors):
+            raise ValueError("stack takes one tensor per order")
+        if not {2, 3} <= self._by_order.keys() <= {2, 3, 4}:
+            raise ValueError(
+                f"stack needs orders 2 and 3 and at most order 4, got {list(self._by_order)}"
+            )
+        if len({t.p for t in tensors}) != 1:
             raise ValueError("stack tensors must share the dimension p")
-        if self.r is not None and self.r.order != 4:
-            raise ValueError("r must have order 4")
 
     @property
     def p(self) -> int:
-        return self.s.p
+        return self._by_order[2].p
 
-    def tensor(self, order: int) -> SymmetricTensor:
-        if order == 2:
-            return self.s
-        if order == 3:
-            return self.t
-        if order == 4 and self.r is not None:
-            return self.r
-        raise KeyError(f"no order-{order} tensor in the stack")
+    @property
+    def s(self) -> SymmetricTensor:
+        return self._by_order[2]
+
+    @property
+    def t(self) -> SymmetricTensor:
+        return self._by_order[3]
 
     @property
     def orders(self) -> tuple[int, ...]:
-        return (2, 3) if self.r is None else (2, 3, 4)
+        return tuple(self._by_order)
+
+    def tensor(self, order: int) -> SymmetricTensor:
+        return self._by_order[order]
 
     def relabel(self, perm) -> "CumulantStack":
-        return CumulantStack(
-            s=self.s.relabel(perm),
-            t=self.t.relabel(perm),
-            r=None if self.r is None else self.r.relabel(perm),
-        )
+        return CumulantStack(*(t.relabel(perm) for t in self._by_order.values()))
 
 
 def model_stack(a: ParameterMatrix, omegas: dict[int, DiagonalCumulant]) -> CumulantStack:
     """Forward map: solve the Lyapunov equations into a stack."""
-    tensors = {n: solve_cumulant(a, w) for n, w in omegas.items()}
-    return CumulantStack(
-        s=tensors[2], t=tensors[3], r=tensors.get(4)
-    )
+    return CumulantStack(*(solve_cumulant(a, w) for w in omegas.values()))
 
 
 @dataclass

@@ -26,13 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from .engine import (
-    DiagonalCumulant,
     ParameterMatrix,
     random_omegas,
     sample_stable_matrix,
-    solve_cumulant,
+    solve_cumulant,  # not called here: perfbench's tracer test reads it (ROADMAP item 1)
 )
 from .graphs import DirectedGraph
+from .identify import CumulantStack, model_stack
 from .tensors import k_mode_product, multiset_indices
 
 RANK_EPS = 1e-12
@@ -50,8 +50,6 @@ class ModifiedJacobian:
     matrix: np.ndarray
     rows: list[tuple[int, tuple[int, ...]]]
     cols: list[tuple]
-    orders: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
 
     def offdiag_row_indices(self) -> list[int]:
         return [
@@ -82,24 +80,22 @@ def _edge_columns(u: np.ndarray, keys: list, edges: Sequence[tuple[int, int]]) -
 def build_modified_jacobian(
     g: DirectedGraph,
     a: ParameterMatrix,
-    omegas: dict[int, DiagonalCumulant],
-    orders: Sequence[int] = (2, 3),
+    stack: CumulantStack,
     order4_rows: Sequence[tuple[int, ...]] | None = None,
 ) -> ModifiedJacobian:
-    """Assemble the modified Jacobian for the requested cumulant orders.
+    """Assemble the modified Jacobian at A from every order of the stack.
 
     Edge columns hold ``sum_k T_n x_1 A ... x_k E_(beta alpha) ... x_n A``
     at the multiset rows, read from ``T_n x_2 A ... x_n A`` (``_edge_columns``);
     noise columns are unit vectors on the diagonal rows of their order.
-    Order-4 rows default to all multisets but can be restricted
-    (``order4_rows``) for targeted augmentation.
+    The tensors are read, never solved: a model stack of A gives the
+    Jacobian of the parametrization.  Order-4 rows default to all multisets
+    but can be restricted (``order4_rows``) for targeted augmentation.
     """
-    orders = tuple(sorted(orders))
-    if any(n not in omegas for n in orders):
-        raise ValueError("an omega is required for every requested order")
     a.require_stable()
     p = g.p
-    edges = tuple(g.sorted_edges)
+    orders = stack.orders
+    edges = g.sorted_edges
     cols: list[tuple] = [("a", alpha, beta) for alpha, beta in edges]
     for n in orders:
         cols.extend(("w", n, i) for i in range(p))
@@ -111,7 +107,7 @@ def build_modified_jacobian(
             keys = [tuple(sorted(k)) for k in order4_rows]
         else:
             keys = multiset_indices(p, n)
-        u = solve_cumulant(a, omegas[n]).to_dense()
+        u = stack.tensor(n).to_dense()
         for axis in range(1, n):
             u = k_mode_product(u, a.entries, axis)
         block = np.zeros((len(keys), len(cols)))
@@ -123,11 +119,7 @@ def build_modified_jacobian(
                 block[keys.index(diag_key), w_base + i] = 1.0
         rows.extend((n, key) for key in keys)
         blocks.append(block)
-    matrix = np.vstack(blocks)
-
-    return ModifiedJacobian(
-        matrix=matrix, rows=rows, cols=cols, orders=orders, edges=edges
-    )
+    return ModifiedJacobian(matrix=np.vstack(blocks), rows=rows, cols=cols)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +250,12 @@ def local_identifiability_verdict(
         radius = 0.45 if trial % 2 == 0 else 0.85
         a = sample_stable_matrix(g, seed=seed * 1000 + trial, target_radius=radius)
         rng = np.random.default_rng(seed * 1000 + trial + 7)
-        orders = (2, 3)
-        mj = build_modified_jacobian(g, a, random_omegas(rng, g.p, orders), orders)
+        mj = build_modified_jacobian(g, a, model_stack(a, random_omegas(rng, g.p, (2, 3))))
         rank, sing = offdiag_rank(mj)
         augmented = False
         if rank < n_edges and needs_augment:
-            orders = (2, 3, 4)
-            mj = build_modified_jacobian(
-                g, a, random_omegas(rng, g.p, orders), orders, order4_rows=extra_rows
-            )
+            stack = model_stack(a, random_omegas(rng, g.p, (2, 3, 4)))
+            mj = build_modified_jacobian(g, a, stack, order4_rows=extra_rows)
             rank, sing = offdiag_rank(mj)
             augmented = True
         nonzero = sing[sing > 0]

@@ -399,9 +399,7 @@ def test_criterion_5_jacobian_suite():
                     a, b = (v, u) if flip else (u, v)
                     entries[b, a] = 1.0
                 pm = ParameterMatrix(complete, entries)
-                mj = build_modified_jacobian(
-                    complete, pm, unit_noise(p, (2, 3)), (2, 3)
-                )
+                mj = build_modified_jacobian(complete, pm, model_stack(pm, unit_noise(p, (2, 3))))
                 rank, _ = offdiag_rank(mj)
                 crit.check(
                     rank == p * p,
@@ -415,7 +413,7 @@ def test_criterion_5_jacobian_suite():
             for seed in range(20):
                 pm = sample_stable_matrix(g, seed=seed, target_radius=0.5)
                 omegas = random_omegas(np.random.default_rng(seed + 77), p, (2, 3))
-                rank, _ = offdiag_rank(build_modified_jacobian(g, pm, omegas, (2, 3)))
+                rank, _ = offdiag_rank(build_modified_jacobian(g, pm, model_stack(pm, omegas)))
                 crit.check(
                     rank == len(g.edges), f"sampled p={p} seed={seed}: rank {rank}"
                 )
@@ -423,7 +421,8 @@ def test_criterion_5_jacobian_suite():
     # the half-diagonal pair fixture: every 3x3 submatrix has rank 3
     gc = DirectedGraph(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
     pmc = ParameterMatrix(gc, np.array([[0.5, 0.0], [1.0, 0.5]]))
-    block = build_modified_jacobian(gc, pmc, unit_noise(2, (2, 3)), (2, 3)).offdiag_a_block()
+    mjc = build_modified_jacobian(gc, pmc, model_stack(pmc, unit_noise(2, (2, 3))))
+    block = mjc.offdiag_a_block()
     for cols in itertools.combinations(range(4), 3):
         rank, _ = numeric_rank(block[:, cols])
         crit.check(rank == 3, f"3x3 submatrix {cols}: rank {rank}")
@@ -432,12 +431,12 @@ def test_criterion_5_jacobian_suite():
     gt = two_cycle_with_loops()
     pmt = sample_stable_matrix(gt, seed=9, target_radius=0.5)
     omegas23 = random_omegas(np.random.default_rng(11), 2, (2, 3))
-    rank23, _ = offdiag_rank(build_modified_jacobian(gt, pmt, omegas23, (2, 3)))
+    rank23, _ = offdiag_rank(build_modified_jacobian(gt, pmt, model_stack(pmt, omegas23)))
     crit.check(rank23 == 3, f"two-cycle rank at orders 2,3: {rank23}")
     omegas234 = random_omegas(np.random.default_rng(11), 2, (2, 3, 4))
     rank4, _ = offdiag_rank(
         build_modified_jacobian(
-            gt, pmt, omegas234, (2, 3, 4), order4_rows=augmentation_rows(gt)
+            gt, pmt, model_stack(pmt, omegas234), order4_rows=augmentation_rows(gt)
         )
     )
     crit.check(rank4 == 4, f"augmented two-cycle rank: {rank4}")

@@ -1,6 +1,9 @@
 import copy
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +160,9 @@ BAD_INPUTS = {
     "stack-duplicate-multiset": ("identify --graph {d}/g2.json --stack {d}/dup.json", 2),
     "stack-p-mismatch": ("identify --graph {d}/g3.json --stack {d}/stack.json", 2),
     "stack-not-an-object": ("identify --graph {d}/g2.json --stack {d}/list.json", 2),
+    # each key must name its tensor's own order
+    "stack-keys-swapped": ("identify --graph {d}/g2.json --stack {d}/swapped.json", 2),
+    "stack-key-4-holds-order-3": ("identify --graph {d}/g2.json --stack {d}/four-is-three.json", 2),
     "graph-edges-not-a-list": ("cumulants --graph {d}/edges5.json", 2),
     "negative-seed": ("cumulants --graph {d}/g2.json --seed -1", 2),
     "negative-xmax": ("ppoly --xmax -2", 2),
@@ -242,6 +248,12 @@ def bad_dir(tmp_path_factory):
     duplicate = copy.deepcopy(good)
     duplicate["tensors"]["2"]["entries"]["1,0"] = 5.0  # second spelling of "0,1"
     write_json(d / "dup.json", duplicate)
+    swapped = copy.deepcopy(good)
+    swapped["tensors"]["2"], swapped["tensors"]["3"] = good["tensors"]["3"], good["tensors"]["2"]
+    write_json(d / "swapped.json", swapped)
+    four_is_three = copy.deepcopy(good)
+    four_is_three["tensors"]["4"] = good["tensors"]["3"]
+    write_json(d / "four-is-three.json", four_is_three)
     huge = copy.deepcopy(good)
     huge["tensors"]["2"]["entries"]["0,1"] = 10**400
     write_json(d / "huge-int-stack.json", huge)
@@ -422,11 +434,59 @@ def test_stack_json_round_trip(stack_dir, graph_and_seed):
     loaded = _load_stack(str(out))
     pm = sample_stable_matrix(g, seed=seed)
     expected = model_stack(pm, random_omegas(np.random.default_rng(seed + 1), g.p, (2, 3, 4)))
-    for got, want in ((loaded.s, expected.s), (loaded.t, expected.t), (loaded.r, expected.r)):
+    for got, want in ((loaded.s, expected.s), (loaded.t, expected.t), (loaded.tensor(4), expected.tensor(4))):
         assert list(got.values) == list(want.values)
         assert np.array(list(got.values.values())).tobytes() == (
             np.array(list(want.values.values())).tobytes()
         )
+
+
+def test_other_stack_keys_are_ignored(bad_dir, tmp_path):
+    # a key outside 2-4 is not read, whatever it holds
+    doc = json.loads((bad_dir / "stack.json").read_text())
+    reports = []
+    for k, extra in enumerate(({}, {"5": "not a tensor"}, {"5": doc["tensors"]["3"]})):
+        stack = write_json(tmp_path / f"stack{k}.json", {"tensors": {**doc["tensors"], **extra}})
+        out = tmp_path / f"out{k}.json"
+        argv = ["identify", "--graph", str(bad_dir / "g2.json"), "--stack", stack, "--out", str(out)]
+        assert main(argv) == 0
+        reports.append(json.loads(out.read_text())["report"])
+    assert reports[0] == reports[1] == reports[2]
+
+
+# graphs whose dense tensors the numeric commands cannot hold: (command, graph)
+TOO_LARGE = {
+    "cumulants-p300": ("cumulants", {"p": 300, "edges": []}),
+    "cumulants-p1e11": ("cumulants", {"p": 100_000_000_000, "edges": []}),
+    "cumulants-p1e400": ("cumulants", {"p": 10**400, "edges": []}),
+    "analyze-p1e11": ("analyze", {"p": 100_000_000_000, "edges": []}),
+    # order 3 fits at p = 130, but the two-cycle's augmentation solves order 4
+    "analyze-two-cycle-p130": ("analyze", {"p": 130, "edges": [[0, 1], [1, 0]]}),
+}
+
+
+@pytest.mark.parametrize("case", list(TOO_LARGE))
+def test_too_large_graph_exits_2(tmp_path, case):
+    # refused before anything is allocated or iterated over range(p); a
+    # subprocess, so that a missing check fails on the timeout instead of hanging
+    command, graph = TOO_LARGE[case]
+    path = write_json(tmp_path / "big.json", graph)
+    src = str(Path(lyapcum.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lyapcum.cli", command, "--graph", path],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error:") and "too large" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and not proc.stdout
+
+
+def test_size_limit_is_per_order(tmp_path):
+    # p = 300 is refused at order 4 but solves at order 2
+    graph = write_json(tmp_path / "g300.json", {"p": 300, "edges": []})
+    out = tmp_path / "s.json"
+    assert main(["cumulants", "--graph", graph, "--orders", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tensors"]["2"]["p"] == 300
 
 
 def test_cumulants_p12(tmp_path):

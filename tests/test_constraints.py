@@ -26,6 +26,7 @@ from lyapcum import (
     toric_matrix,
     tree_equivalence,
 )
+from lyapcum import constraints
 from lyapcum.constraints import _minor_norm
 from lyapcum.identify import CumulantStack
 from conftest import (
@@ -74,6 +75,25 @@ class TestTreeStructure:
         assert shortest_equitrek_top(g, (1, 2)) == 0
         assert shortest_equitrek_top(g, (1, 3)) == 0  # levels differ
         assert shortest_equitrek_top(g, (3, 3)) == 3
+
+    def test_each_call_walks_each_tree_once(self, monkeypatch):
+        walks = []
+        real = constraints._tree_structure
+        monkeypatch.setattr(
+            constraints, "_tree_structure", lambda g: walks.append(g) or real(g)
+        )
+        g, h = five_node_tree(), five_node_tree().relabel([0, 2, 1, 4, 3])
+        stack = tree_stack(g, seed=1)[2]
+        for call, trees in (
+            (lambda: toric_matrix(g, 4), [g]),
+            (lambda: tree_equivalence(g, g), [g, g]),
+            (lambda: tree_equivalence(g, h), [g, h]),
+            (lambda: level_polynomial_checks(g, stack), [g]),
+            (lambda: top_trek_polynomial_check(g, stack, 3, 4, 2), [g]),
+        ):
+            walks.clear()
+            call()
+            assert walks == trees
 
 
 class TestToricMatrix:
@@ -355,9 +375,7 @@ class TestRankConstraints:
     def test_corrupted_stack_raises(self):
         g = fork_three()
         _, _, stack = tree_stack(g, seed=11)
-        broken = CumulantStack(
-            s=stack.s, t=stack.t, r=stack.r
-        )
+        broken = CumulantStack(*(stack.tensor(n) for n in stack.orders))
         broken.s.values[(1, 2)] += 0.5  # breaks the parent bound
         with pytest.raises(ModelInconsistency):
             rank_constraints_scan(g, broken, max_subset=2)

@@ -52,6 +52,45 @@ def stack_for(g, seed, radius=0.6, orders=(2, 3, 4)):
     return pm, omegas, model_stack(pm, omegas)
 
 
+class TestCumulantStack:
+    @staticmethod
+    def tensors(p=3, orders=(2, 3, 4)):
+        return {n: SymmetricTensor.diagonal(np.arange(1.0, p + 1), n) for n in orders}
+
+    def test_keyed_by_each_tensor_order(self):
+        t = self.tensors()
+        stack = CumulantStack(t[4], t[2], t[3])
+        assert stack.orders == (2, 3, 4) and stack.p == 3
+        assert (stack.s, stack.t, stack.tensor(4)) == (t[2], t[3], t[4])
+        assert CumulantStack(t[3], t[2]).orders == (2, 3)
+
+    @pytest.mark.parametrize(
+        "orders, message",
+        [
+            ((3, 4), "orders 2 and 3"),
+            ((2,), "orders 2 and 3"),
+            ((2, 3, 5), "at most order 4"),
+            ((1, 2, 3), "at most order 4"),
+            ((2, 3, 3), "one tensor per order"),
+        ],
+    )
+    def test_refuses_bad_orders(self, orders, message):
+        t = self.tensors(orders=set(orders))
+        with pytest.raises(ValueError, match=message):
+            CumulantStack(*(t[n] for n in orders))
+
+    def test_refuses_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="share the dimension p"):
+            CumulantStack(self.tensors(3)[2], self.tensors(4)[3])
+
+    @pytest.mark.parametrize("orders", [(2, 3), (2, 3, 4)])
+    def test_relabel_keeps_orders(self, orders):
+        stack = CumulantStack(*self.tensors(orders=orders).values())
+        moved = stack.relabel([2, 0, 1])
+        assert moved.orders == orders
+        assert moved.s[(2, 2)] == stack.s[(0, 0)]
+
+
 class TestTwoNode:
     """The two-node pairs, through the elimination entry points."""
 
@@ -105,7 +144,10 @@ PAIR_POINTS = [
 def stack_pair(stack):
     """(s00, s01, t000, t001), plus (r0000, r0001) with order 4, of a float stack."""
     out = (stack.s[(0, 0)], stack.s[(0, 1)], stack.t[(0, 0, 0)], stack.t[(0, 0, 1)])
-    return out if stack.r is None else out + (stack.r[(0, 0, 0, 0)], stack.r[(0, 0, 0, 1)])
+    if 4 not in stack.orders:
+        return out
+    r = stack.tensor(4)
+    return out + (r[(0, 0, 0, 0)], r[(0, 0, 0, 1)])
 
 
 def exact_pair(a00, a10, a11, w0, w1, orders):

@@ -1,14 +1,18 @@
+import hashlib
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
 from lyapcum import (
+    CumulantStack,
     DiagonalCumulant,
     DirectedGraph,
     ParameterMatrix,
     build_modified_jacobian,
     local_identifiability_verdict,
+    model_stack,
     offdiag_rank,
     random_omegas,
     sample_stable_matrix,
@@ -157,7 +161,7 @@ class TestBuild:
     def test_column_count(self):
         g = two_cycle_with_loops()
         pm = sample_stable_matrix(g, seed=0, target_radius=0.5)
-        mj = build_modified_jacobian(g, pm, unit_noise(2, (2, 3)), (2, 3))
+        mj = build_modified_jacobian(g, pm, model_stack(pm, unit_noise(2, (2, 3))))
         assert mj.matrix.shape[1] == 4 + 2 + 2
         assert len(mj.rows) == 3 + 4
 
@@ -168,7 +172,7 @@ class TestBuild:
             2: DiagonalCumulant(2, rng.uniform(0.5, 2, 3)),
             3: DiagonalCumulant(3, rng.uniform(0.5, 2, 3)),
         }
-        mj = build_modified_jacobian(g, pm, omegas, (2, 3))
+        mj = build_modified_jacobian(g, pm, model_stack(pm, omegas))
         s = solve_cumulant(pm, omegas[2])
         t = solve_cumulant(pm, omegas[3])
         for r_idx, (order, key) in enumerate(mj.rows):
@@ -193,7 +197,7 @@ class TestBuild:
         pm = sample_stable_matrix(g, seed=9, target_radius=0.5)
         omegas = random_omegas(rng, 3, (2, 3, 4))
         rows = augmentation_rows(g) if augmented else None
-        mj = build_modified_jacobian(g, pm, omegas, (2, 3, 4), order4_rows=rows)
+        mj = build_modified_jacobian(g, pm, model_stack(pm, omegas), order4_rows=rows)
         order4 = [(r, key) for r, (n, key) in enumerate(mj.rows) if n == 4]
         assert len(order4) == (3 if augmented else 15)
         for c_idx, tag in enumerate(mj.cols):
@@ -205,10 +209,26 @@ class TestBuild:
                     numeric[key], rel=1e-6, abs=1e-8
                 )
 
+    def test_reads_the_stack_and_solves_nothing(self, monkeypatch):
+        g = two_cycle_with_loops()
+        pm = sample_stable_matrix(g, seed=0, target_radius=0.5)
+        stack = model_stack(pm, unit_noise(2, (2, 3, 4)))
+        expected = build_modified_jacobian(g, pm, stack)
+
+        def refuse(*args):
+            raise AssertionError("the Jacobian must read its tensors, not solve them")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lyapcum") and hasattr(module, "solve_cumulant"):
+                monkeypatch.setattr(module, "solve_cumulant", refuse)
+        mj = build_modified_jacobian(g, pm, stack)
+        assert [n for n, _ in mj.rows] == [2] * 3 + [3] * 4 + [4] * 5
+        assert np.array_equal(mj.matrix, expected.matrix)
+
     def test_noise_columns_are_units(self):
         g = two_node_chain()
         pm = ParameterMatrix(g, np.array([[0.5, 0.0], [1.0, 0.0]]))
-        mj = build_modified_jacobian(g, pm, unit_noise(2, (2, 3)), (2, 3))
+        mj = build_modified_jacobian(g, pm, model_stack(pm, unit_noise(2, (2, 3))))
         w_cols = [i for i, tag in enumerate(mj.cols) if tag[0] == "w"]
         block = mj.matrix[:, w_cols]
         assert np.count_nonzero(block) == len(w_cols)
@@ -217,7 +237,7 @@ class TestBuild:
     def test_diagonal_disconnected_block_zero(self):
         g = DirectedGraph(3, [(i, i) for i in range(3)])
         pm = ParameterMatrix(g, np.diag([0.3, 0.4, 0.5]))
-        mj = build_modified_jacobian(g, pm, unit_noise(3, (2, 3)), (2, 3))
+        mj = build_modified_jacobian(g, pm, model_stack(pm, unit_noise(3, (2, 3))))
         assert np.count_nonzero(mj.offdiag_a_block()) == 0
 
 
@@ -227,7 +247,7 @@ class TestExampleFixtureRanks:
         # block of the complete two-vertex graph has rank 3
         g = DirectedGraph(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
         pm = ParameterMatrix(g, np.array([[0.5, 0.0], [1.0, 0.5]]))
-        mj = build_modified_jacobian(g, pm, unit_noise(2, (2, 3)), (2, 3))
+        mj = build_modified_jacobian(g, pm, model_stack(pm, unit_noise(2, (2, 3))))
         block = mj.offdiag_a_block()
         assert block.shape == (3, 4)
         for cols in itertools.combinations(range(4), 3):
@@ -238,13 +258,13 @@ class TestExampleFixtureRanks:
         g = two_cycle_with_loops()
         pm = sample_stable_matrix(g, seed=2, target_radius=0.5)
         rng = np.random.default_rng(3)
-        mj = build_modified_jacobian(g, pm, random_omegas(rng, 2, (2, 3)), (2, 3))
+        mj = build_modified_jacobian(g, pm, model_stack(pm, random_omegas(rng, 2, (2, 3))))
         rank, _ = offdiag_rank(mj)
         assert rank == 3 < len(g.edges)
         rows = augmentation_rows(g)
         assert rows == [(0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 0, 1)]
         mj4 = build_modified_jacobian(
-            g, pm, random_omegas(rng, 2, (2, 3, 4)), (2, 3, 4), order4_rows=rows
+            g, pm, model_stack(pm, random_omegas(rng, 2, (2, 3, 4))), order4_rows=rows
         )
         rank4, _ = offdiag_rank(mj4)
         assert rank4 == 4
@@ -257,7 +277,7 @@ class TestExampleFixtureRanks:
                     continue
                 pm = sample_stable_matrix(g, seed=int(rng.integers(1e6)), target_radius=0.5)
                 mj = build_modified_jacobian(
-                    g, pm, random_omegas(rng, p, (2, 3)), (2, 3)
+                    g, pm, model_stack(pm, random_omegas(rng, p, (2, 3)))
                 )
                 rank, _ = offdiag_rank(mj)
                 assert rank == len(g.edges)
@@ -272,7 +292,7 @@ class TestRankIdentity:
             g = random_all_loops_graph(rng, p, edge_prob=0.5)
             pm = sample_stable_matrix(g, seed=trial, target_radius=0.5)
             orders = (2, 3) if trial % 3 else (2, 3, 4)
-            mj = build_modified_jacobian(g, pm, random_omegas(rng, p, orders), orders)
+            mj = build_modified_jacobian(g, pm, model_stack(pm, random_omegas(rng, p, orders)))
             full_rank, _ = numeric_rank(mj.matrix)
             off_rank, _ = offdiag_rank(mj)
             assert full_rank == len(orders) * p + off_rank
@@ -280,9 +300,9 @@ class TestRankIdentity:
     def test_rank_monotone_in_rows(self, rng):
         g = two_cycle_with_loops()
         pm = sample_stable_matrix(g, seed=11, target_radius=0.5)
-        omegas = random_omegas(rng, 2, (2, 3, 4))
-        small = build_modified_jacobian(g, pm, omegas, (2, 3))
-        grown = build_modified_jacobian(g, pm, omegas, (2, 3, 4))
+        stack = model_stack(pm, random_omegas(rng, 2, (2, 3, 4)))
+        small = build_modified_jacobian(g, pm, CumulantStack(stack.s, stack.t))
+        grown = build_modified_jacobian(g, pm, stack)
         assert offdiag_rank(grown)[0] >= offdiag_rank(small)[0]
 
 
@@ -311,7 +331,7 @@ class TestVerdict:
         pm = sample_stable_matrix(g, seed=4, target_radius=0.5)
         rng = np.random.default_rng(5)
         for orders in ((2, 3), (2, 3, 4)):
-            mj = build_modified_jacobian(g, pm, random_omegas(rng, 4, orders), orders)
+            mj = build_modified_jacobian(g, pm, model_stack(pm, random_omegas(rng, 4, orders)))
             rank, _ = offdiag_rank(mj)
             assert rank == len(g.edges) - 1
         report = local_identifiability_verdict(g, trials=4, seed=0)
@@ -322,8 +342,7 @@ class TestVerdict:
         # a DAG with one self-loop that is neither all-looped nor a
         # polytree; no constructive method applies, yet the rank verdict
         # certifies local identifiability
-        from lyapcum.identify import NoMethodApplies, auto_identify, model_stack
-        from lyapcum import random_omegas, sample_stable_matrix
+        from lyapcum.identify import NoMethodApplies, auto_identify
 
         g = DirectedGraph(
             5, [(0, 0), (0, 1), (0, 2), (1, 4), (1, 3), (2, 3), (3, 4)]
@@ -409,3 +428,44 @@ class TestComponentZeroPattern:
                         )
                     else:
                         assert value == 0.0
+
+
+class TestGoldenBytes:
+    GRAPHS = {
+        "dag": (collider_square(), 0),
+        "cycle": (
+            DirectedGraph(4, [(i, i) for i in range(4)] + [(i, (i + 1) % 4) for i in range(4)]), 1
+        ),
+        "two-cycle-beside-loop": (
+            DirectedGraph(4, [(0, 0), (1, 1), (0, 1), (1, 0), (2, 2), (2, 3)]), 2
+        ),
+        "diamond": (diamond(), 3),
+    }
+
+    def test_verdict_golden_bytes(self):
+        """The sha256 of every trial's singular values, per graph, at a fixed seed.
+
+        Recorded before the Jacobian read its tensors from a cumulant stack
+        in place of solving them itself.
+        """
+        digests, verdicts = {}, {}
+        for name, (g, seed) in self.GRAPHS.items():
+            report = local_identifiability_verdict(g, trials=4, seed=seed)
+            digest = hashlib.sha256()
+            for trial in report.trials:
+                digest.update(bytes([trial.augmented, trial.rank]))
+                digest.update(np.array(trial.singular_values, dtype=np.float64).tobytes())
+            digests[name] = digest.hexdigest()
+            verdicts[name] = (report.verdict, report.augmented)
+        assert verdicts == {
+            "dag": ("locally-identifiable", False),
+            "cycle": ("locally-identifiable", False),
+            "two-cycle-beside-loop": ("locally-identifiable", True),
+            "diamond": ("rank-deficient", False),
+        }
+        assert digests == {
+            "dag": "baaa1b19fa2676cdc9ec7a722bd67b033022f6acda0c77592059c7e707c5ed38",
+            "cycle": "5857372e03ff367b5b078b07f8775962cbe91621dbbe4f62be3b90145251b35a",
+            "two-cycle-beside-loop": "5f5fec82fbeb1352faf1c84bfd9441a5825a55f813f1279b6ed6fcffe929e44f",
+            "diamond": "6f13912abde8785ec4550be5c640cf851a6684d1fafb31a986c44e4a4742df5a",
+        }
