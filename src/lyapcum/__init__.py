@@ -22,7 +22,7 @@ _EXPORTS = {
     "jacobian": """ModifiedJacobian build_modified_jacobian local_identifiability_verdict
         offdiag_rank""",
     "tensors": "DimensionMismatch SymmetricTensor k_mode_product tucker_product",
-    "treks": """PoleAtUnit UnstableEffective base_trek_coefficient base_trek_cumulant
+    "treks": """PoleAtUnit base_trek_coefficient base_trek_cumulant
         effective_matrix placement_polynomial""",
     "constraints": """ModelInconsistency ToricMatrix integer_kernel kernel_binomial_values
         level_partition level_polynomial_checks rank_constraints_scan

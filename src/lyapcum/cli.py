@@ -91,9 +91,20 @@ def _dump(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _config_dict(args: argparse.Namespace) -> dict:
-    """Every parsed option except the output path, which never changes the bytes."""
-    return {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+def _document(args: argparse.Namespace, g: DirectedGraph) -> dict:
+    """Report head: version, graph and, as ``config``, every option but ``--out``."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+    return {"version": __version__, "config": config, "graph": g.to_json_dict()}
+
+
+def _draw(g: DirectedGraph, args, orders: tuple[int, ...]) -> tuple[ParameterMatrix, dict]:
+    """A drawn from ``--seed`` and ``--radius``, the noise of ``orders`` from seed + 1."""
+    import numpy as np
+
+    from .engine import random_omegas, sample_stable_matrix
+
+    pm = sample_stable_matrix(g, seed=args.seed, target_radius=args.radius)
+    return pm, random_omegas(np.random.default_rng(args.seed + 1), g.p, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +123,7 @@ def _materialize_parameters(
     """
     import numpy as np
 
-    from .engine import DiagonalCumulant, ParameterMatrix, random_omegas, sample_stable_matrix
+    from .engine import DiagonalCumulant, ParameterMatrix
 
     if args.params:
         given = [f"--{name}" for name in ("seed", "radius") if getattr(args, name) is not None]
@@ -143,9 +154,7 @@ def _materialize_parameters(
     for name in ("seed", "radius"):
         if getattr(args, name) is None:
             setattr(args, name, OPTIONS[f"--{name}"]["default"])
-    pm = sample_stable_matrix(g, seed=args.seed, target_radius=args.radius)
-    rng = np.random.default_rng(args.seed + 1)
-    return pm, random_omegas(rng, g.p, orders)
+    return _draw(g, args, orders)
 
 
 def cmd_cumulants(args) -> int:
@@ -167,14 +176,10 @@ def cmd_cumulants(args) -> int:
         t = solve_cumulant(pm, omega)
         tensors[str(n)] = t.to_json_dict()
         residuals[str(n)] = recursive_residual(t, pm, omega)
-    document = {
-        "version": __version__,
-        "config": _config_dict(args),
-        "graph": g.to_json_dict(),
-        "a": [list(row) for row in pm.entries],
-        "tensors": tensors,
-        "recursive_residuals": residuals,
-    }
+    document = _document(args, g)
+    document.update(
+        a=[list(row) for row in pm.entries], tensors=tensors, recursive_residuals=residuals
+    )
     _write(args.out, _dump(document))
     return EXIT_OK
 
@@ -216,11 +221,7 @@ def cmd_identify(args) -> int:
     stack = _load_stack(args.stack)
     if stack.p != g.p:
         raise InputError(f"stack has p={stack.p}, graph has p={g.p}")
-    document = {
-        "version": __version__,
-        "config": _config_dict(args),
-        "graph": g.to_json_dict(),
-    }
+    document = _document(args, g)
     try:
         report = auto_identify(g, stack, tol=args.tol)
         document["report"] = report.to_json_dict()
@@ -255,10 +256,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    import numpy as np
-
     from .constraints import rank_constraints_scan
-    from .engine import random_omegas, sample_stable_matrix
     from .graphs import (
         DisconnectedGraph,
         classify_star,
@@ -266,17 +264,13 @@ def cmd_analyze(args) -> int:
         implied_marginal_independence,
     )
     from .identify import count_equations_vs_parameters, model_stack
-    from .jacobian import local_identifiability_verdict, two_cycle_components
+    from .jacobian import augmentation_rows, local_identifiability_verdict
 
     g = _load_graph(args.graph)
-    _require_size(g, 3)
-    if two_cycle_components(g):  # the verdict's augmentation solves order 4
+    _require_size(g, 3)  # first: augmentation_rows walks every vertex
+    if augmentation_rows(g):  # the verdict's augmentation solves order 4
         _require_size(g, 4)
-    document = {
-        "version": __version__,
-        "config": _config_dict(args),
-        "graph": g.to_json_dict(),
-    }
+    document = _document(args, g)
     try:
         star = classify_star(g)
         document["star"] = {"kind": star.kind, "center": star.center}
@@ -303,10 +297,7 @@ def cmd_analyze(args) -> int:
     document["local_identifiability"] = verdict.to_json_dict()
     document["equation_count"] = count_equations_vs_parameters(g, 4).to_json_dict()
 
-    pm = sample_stable_matrix(g, seed=args.seed, target_radius=args.radius)
-    rng = np.random.default_rng(args.seed + 1)
-    # the rank scan reads S and T only
-    stack = model_stack(pm, random_omegas(rng, g.p, (2, 3)))
+    stack = model_stack(*_draw(g, args, (2, 3)))  # the rank scan reads S and T only
     document["rank_constraints"] = [
         res.to_json_dict()
         for res in rank_constraints_scan(g, stack, max_subset=args.max_subset)

@@ -289,6 +289,12 @@ class PolynomialCheck:
     scale: float
     expected_zero: bool
 
+    @classmethod
+    def of(cls, family: str, indices: tuple[int, ...], lhs: float, rhs: float,
+           expected_zero: bool) -> "PolynomialCheck":
+        """The check of ``lhs - rhs`` at the scale ``max(|lhs|, |rhs|, 1e-300)``."""
+        return cls(family, indices, lhs - rhs, max(abs(lhs), abs(rhs), 1e-300), expected_zero)
+
     @property
     def ok(self) -> bool:
         if self.expected_zero:
@@ -312,51 +318,28 @@ def level_polynomial_checks(
     s, t = stack.s, stack.t
     checks: list[PolynomialCheck] = []
     for i in range(g.p):
-        worst_value = 0.0
-        worst_scale = 1e-300
-        for j in range(g.p):
-            if j == i:
-                continue
-            lhs = s[(i, j)] ** 3 * t[(i, i, i)] ** 2
-            rhs = s[(i, i)] ** 3 * t[(i, i, j)] * t[(i, j, j)]
-            scale = max(abs(lhs), abs(rhs), 1e-300)
-            if abs(lhs - rhs) / scale > abs(worst_value) / worst_scale:
-                worst_value, worst_scale = lhs - rhs, scale
-        checks.append(
-            PolynomialCheck(
-                family="source-balance",
-                indices=(i,),
-                value=worst_value,
-                scale=worst_scale,
-                expected_zero=(i == source),
-            )
-        )
+        # the all-zero baseline, then every j: max keeps the first largest ratio
+        balances = [(0.0, 0.0)] + [
+            (s[(i, j)] ** 3 * t[(i, i, i)] ** 2, s[(i, i)] ** 3 * t[(i, i, j)] * t[(i, j, j)])
+            for j in range(g.p)
+            if j != i
+        ]
+        checks.append(max(
+            (PolynomialCheck.of("source-balance", (i,), lhs, rhs, i == source)
+             for lhs, rhs in balances),
+            key=lambda check: abs(check.value) / check.scale,
+        ))
     for i, j in itertools.combinations(range(g.p), 2):
-        lhs = s[(source, i)] * t[(source, source, j)]
-        rhs = s[(source, j)] * t[(source, source, i)]
-        checks.append(
-            PolynomialCheck(
-                family="same-level",
-                indices=(i, j),
-                value=lhs - rhs,
-                scale=max(abs(lhs), abs(rhs), 1e-300),
-                expected_zero=(levels[i] == levels[j]),
-            )
-        )
+        checks.append(PolynomialCheck.of(
+            "same-level", (i, j), s[(source, i)] * t[(source, source, j)],
+            s[(source, j)] * t[(source, source, i)], levels[i] == levels[j],
+        ))
     for i, j in itertools.permutations(range(g.p), 2):
-        if levels[i] == levels[j]:
-            continue
-        lhs = s[(i, j)] * t[(source, source, j)]
-        rhs = s[(source, j)] * t[(source, i, j)]
-        checks.append(
-            PolynomialCheck(
-                family="level-order",
-                indices=(i, j),
-                value=lhs - rhs,
-                scale=max(abs(lhs), abs(rhs), 1e-300),
-                expected_zero=(levels[j] > levels[i]),
-            )
-        )
+        if levels[i] != levels[j]:
+            checks.append(PolynomialCheck.of(
+                "level-order", (i, j), s[(i, j)] * t[(source, source, j)],
+                s[(source, j)] * t[(source, i, j)], levels[j] > levels[i],
+            ))
     return checks
 
 
@@ -373,16 +356,11 @@ def top_trek_polynomial_check(
     tree = _tree_structure(g)
     source, levels, _ = tree
     s, t = stack.s, stack.t
-    lhs = s[(source, top)] * s[(i, j)] * t[(top, top, j)]
-    rhs = s[(source, i)] * s[(top, top)] * t[(top, j, j)]
-    return PolynomialCheck(
-        family="top-trek",
-        indices=(i, j, top),
-        value=lhs - rhs,
-        scale=max(abs(lhs), abs(rhs), 1e-300),
-        expected_zero=(
-            levels[i] == levels[j] and top == _top(tree, (i, j))
-        ),
+    return PolynomialCheck.of(
+        "top-trek", (i, j, top),
+        s[(source, top)] * s[(i, j)] * t[(top, top, j)],
+        s[(source, i)] * s[(top, top)] * t[(top, j, j)],
+        levels[i] == levels[j] and top == _top(tree, (i, j)),
     )
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import DirectedGraph
-from .tensors import DimensionMismatch, SymmetricTensor
+from .tensors import DimensionMismatch, SymmetricTensor, _tucker
 
 # rho(A) must stay below 1 - STABILITY_MARGIN to certify stability
 STABILITY_MARGIN = 1e-9
@@ -164,7 +164,7 @@ class ParameterMatrix:
 def _double(flat: np.ndarray, a: ParameterMatrix, n: int, stop: float) -> float:
     """Squared-Smith doubling in place on the ``(p^(n-1), p)`` unfolding of T.
 
-    Step k adds ``T x_1 M ... x_n M``, ``M = A^(2^k)``, one GEMM per mode: then
+    Step k adds ``T x_1 M ... x_n M``, ``M = A^(2^k)``, by :func:`tensors._tucker`: then
     ``flat`` sums ``T x_1 A^i ... x_n A^i`` over ``i < 2^(k+1)``.  The omitted tail
     is at most ``q max|T_inf|``, ``q = ||M||_inf^n``; returns q at the first ``q < stop``.
     """
@@ -176,10 +176,7 @@ def _double(flat: np.ndarray, a: ParameterMatrix, n: int, stop: float) -> float:
             q = norm**n
             if q < stop:
                 break
-            term = flat
-            for _ in range(n):
-                term = (m @ term.T).reshape(flat.shape)
-            flat += term
+            flat += _tucker(flat, m, n).reshape(flat.shape)
     # a non-finite T stays non-finite, so one check at the end sees it
     if not np.isfinite(flat).all():
         raise SingularSystem("doubling produced non-finite values")
@@ -276,15 +273,9 @@ def recursive_residual(
 
 
 def _defect(dense: np.ndarray, a: ParameterMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """``T - T x_1 A ... x_n A`` as its diagonal and the unfolded off-diagonal rest.
-
-    Each mode is one GEMM of :func:`tensors.tucker_product`, less its checks.
-    """
+    """``T - T x_1 A ... x_n A`` as its diagonal and the unfolded off-diagonal rest."""
     p = a.p
-    image = dense.reshape(-1, p)
-    for _ in range(dense.ndim):
-        image = (a.entries @ image.T).reshape(-1, p)
-    rest = (dense.reshape(-1, p) - image).reshape(-1)
+    rest = dense.reshape(-1) - _tucker(dense, a.entries, dense.ndim).reshape(-1)
     on_diagonal = _diagonal_positions(p, dense.ndim)
     diag = rest[on_diagonal]
     rest[on_diagonal] = 0.0

@@ -250,13 +250,16 @@ class EquitrekGraph:
         return (min(i, j), max(i, j)) in self.biedges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        out = set()
+        return self._neighbors.get(v, ())
+
+    @cached_property
+    def _neighbors(self) -> dict[int, tuple[int, ...]]:
+        """Sorted neighbors per vertex that has a biedge, built once."""
+        out: dict[int, set[int]] = {}
         for a, b in self.biedges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return tuple(sorted(out))
+            out.setdefault(a, set()).add(b)
+            out.setdefault(b, set()).add(a)
+        return {v: tuple(sorted(u)) for v, u in out.items()}
 
 
 # ---------------------------------------------------------------------------

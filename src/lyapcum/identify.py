@@ -28,7 +28,7 @@ from .engine import (
     solve_cumulant,
 )
 from .graphs import DirectedGraph, equitrek_multisets
-from .tensors import SymmetricTensor, multiset_indices
+from .tensors import SymmetricTensor
 
 DEGENERACY_TOL = 1e-12
 # blocks are declared singular when the smallest singular value sits at the
@@ -403,9 +403,8 @@ def count_equations_vs_parameters(g: DirectedGraph, n_max: int) -> EquationCount
     zero_entries = {}
     equations = 0
     for order in range(2, n_max + 1):
-        reachable = equitrek_multisets(g, order)
         total = comb(order + g.p - 1, order)
-        nonzero = sum(1 for key in multiset_indices(g.p, order) if key in reachable)
+        nonzero = len(equitrek_multisets(g, order))  # every state is a sorted multiset
         zero_entries[order] = total - nonzero
         equations += nonzero
     return EquationCount(

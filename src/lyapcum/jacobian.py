@@ -158,7 +158,11 @@ def two_cycle_components(g: DirectedGraph) -> list[tuple[int, int]]:
 
 
 def augmentation_rows(g: DirectedGraph) -> list[tuple[int, ...]]:
-    """Fourth-order rows repairing two-cycle pairs: both diagonals plus one mixed."""
+    """Fourth-order rows repairing two-cycle pairs: both diagonals plus one mixed.
+
+    The one source of the augmentation decision: a verdict escalates to order 4
+    only when this list is nonempty, and reports its length as the order-4 row count.
+    """
     rows = []
     for i, j in two_cycle_components(g):
         rows.extend([(i, i, i, i), (j, j, j, j), (i, i, i, j)])
@@ -243,8 +247,7 @@ def local_identifiability_verdict(
                 "than available equations at every order"
             ),
         )
-    needs_augment = bool(two_cycle_components(g))
-    extra_rows = augmentation_rows(g) if needs_augment else None
+    extra_rows = augmentation_rows(g)
 
     def run_trial(trial: int) -> TrialRecord:
         radius = 0.45 if trial % 2 == 0 else 0.85
@@ -253,7 +256,7 @@ def local_identifiability_verdict(
         mj = build_modified_jacobian(g, a, model_stack(a, random_omegas(rng, g.p, (2, 3))))
         rank, sing = offdiag_rank(mj)
         augmented = False
-        if rank < n_edges and needs_augment:
+        if rank < n_edges and extra_rows:
             stack = model_stack(a, random_omegas(rng, g.p, (2, 3, 4)))
             mj = build_modified_jacobian(g, a, stack, order4_rows=extra_rows)
             rank, sing = offdiag_rank(mj)
@@ -274,7 +277,7 @@ def local_identifiability_verdict(
 
     used_orders = (2, 3, 4) if any(r.augmented for r in records) else (2, 3)
     row_counts = {
-        n: comb(g.p + n - 1, n) if n < 4 else 3 * len(two_cycle_components(g))
+        n: comb(g.p + n - 1, n) if n < 4 else len(extra_rows)
         for n in used_orders
     }
     deficiency = n_edges - best_rank

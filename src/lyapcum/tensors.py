@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Mapping, MutableMapping
 from functools import lru_cache
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
@@ -55,21 +55,27 @@ def k_mode_product(tensor: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndar
 
 
 def tucker_product(tensor: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Apply the same q x p matrix along every mode of the tensor.
-
-    Each of the n steps is one GEMM, ``matrix @ unfolding.T``, on the
-    ``(p^(n-1), p)`` unfolding of the last axis (Kolda & Bader 2009); it
-    rotates that axis's image to the front, so the n steps restore the order.
-    """
+    """Apply the same q x p matrix along every mode of the tensor (:func:`_tucker`)."""
     out = np.asarray(tensor, dtype=float)
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or out.shape != (matrix.shape[1],) * out.ndim:
         raise DimensionMismatch(f"matrix {matrix.shape} does not fit tensor {out.shape}")
+    return _tucker(out, matrix, out.ndim).reshape((matrix.shape[0],) * out.ndim)
+
+
+def _tucker(flat: np.ndarray, matrix: np.ndarray, n: int) -> np.ndarray:
+    """Unchecked Tucker product: the ``(q, q^(n-1))`` unfolding of the image.
+
+    ``flat`` is an order-n tensor over p variables in any C-order shape, such
+    as its ``(p^(n-1), p)`` unfolding, and ``matrix`` is q x p.  Each of the n
+    steps is one GEMM, ``matrix @ U.T``, on the unfolding U of the last axis
+    (Kolda & Bader 2009); it rotates that axis's image to the front, so the
+    n steps restore the order.
+    """
     q, p = matrix.shape
-    for _ in range(out.ndim):
-        rest = out.shape[:-1]
-        out = (matrix @ out.reshape(prod(rest), p).T).reshape((q,) + rest)
-    return out
+    for k in range(n):
+        flat = matrix @ flat.reshape(q**k * p ** (n - 1 - k), p).T
+    return flat
 
 
 @lru_cache(maxsize=32)

@@ -49,11 +49,11 @@ if TYPE_CHECKING:
 
 
 class PoleAtUnit(Exception):
-    """Self-loop parameter hit the pole |t| >= 1."""
+    """Self-loop parameter hit the pole |t| >= 1.
 
-
-class UnstableEffective(Exception):
-    """The assembled constant-self-loop matrix is not Schur stable."""
+    A DAG whose self-loops all weigh t has every eigenvalue equal to t, so
+    this is also the instability of the constant-self-loop model.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +184,7 @@ def base_trek_cumulant(
     from .tensors import SymmetricTensor, multiset_indices
 
     if abs(t) >= 1:
-        raise UnstableEffective(
-            f"constant self-loop weight t={t} puts every eigenvalue at |t|>=1"
-        )
+        raise PoleAtUnit(f"constant self-loop weight t={t} puts every eigenvalue at |t|>=1")
     entries = effective_matrix(g, t, offdiag).entries.tolist()  # raises CyclicGraph first
     if omega.p != g.p:
         raise ValueError("omega must be a cumulant on the same vertices")

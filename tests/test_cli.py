@@ -143,6 +143,29 @@ class TestIdentify:
         assert doc["equation_count"]["params"] == 2 + 2 * 3
         assert doc["equation_count"]["equations"] == 6
 
+    @pytest.mark.parametrize("case", ["orders-2-3", "zero-edge"])
+    def test_constructive_failure_exits_4(self, tmp_path, case):
+        graph = write_json(tmp_path / "pair.json", {"p": 2, "edges": [[0, 0], [1, 1], [0, 1]]})
+        stack = tmp_path / "stack.json"
+        if case == "orders-2-3":
+            main(["cumulants", "--graph", graph, "--orders", "2,3", "--out", str(stack)])
+            detail = "fourth-order cumulants"
+        else:  # the edge 0 -> 1 weighs 0
+            params = write_json(tmp_path / "p.json", {
+                "A": [[0.5, 0.0], [0.0, 0.4]],
+                "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]},
+            })
+            main(["cumulants", "--graph", graph, "--params", params, "--out", str(stack)])
+            detail = "s01 (r0000 t001 - r0001 t000)"
+        out = tmp_path / "report.json"
+        code = main(["identify", "--graph", graph, "--stack", str(stack), "--out", str(out)])
+        assert code == 4
+        doc = json.loads(out.read_text())
+        assert doc["report"]["method"] == "constructive"
+        assert doc["report"]["verdict"] == "hypothesis-violated"
+        assert detail in doc["report"]["detail"]
+        assert doc["equation_count"]["params"] == 3 + 2 * (2 if case == "orders-2-3" else 3)
+
     def test_malformed_stack_exits_2(self, tmp_path, fig1_graph):
         stack = tmp_path / "stack.json"
         stack.write_text('{"tensors": {"2": {"oops": 1}}}')

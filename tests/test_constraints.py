@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from math import comb
 
@@ -245,6 +246,32 @@ class TestTopTrekPolynomial:
         check = top_trek_polynomial_check(g, stack, 3, 4, 1)
         assert not check.expected_zero
         assert check.ok  # generically nonzero as predicted
+
+
+def test_polynomial_checks_golden_bytes():
+    """The sha256 of every level and top-trek check on the tree fixtures, seeds 0-4.
+
+    Each check contributes its family, indices and expected_zero, and the
+    bytes of its value and scale; the single vertex has no j for its
+    source-balance check, so it reads the all-zero baseline.
+    """
+    digest = hashlib.sha256()
+    single = DirectedGraph(1, [(0, 0)])
+    for g in (single, two_node_chain(), four_node_tree(), five_node_tree()):
+        for seed in range(5):
+            _, _, stack = tree_stack(g, seed=seed)
+            checks = level_polynomial_checks(g, stack) + [
+                top_trek_polynomial_check(g, stack, i, j, top)
+                for i, j in itertools.combinations_with_replacement(range(g.p), 2)
+                for top in range(g.p)
+            ]
+            for check in checks:
+                digest.update(repr((check.family, check.indices, check.expected_zero)).encode())
+                digest.update(np.float64(check.value).tobytes())
+                digest.update(np.float64(check.scale).tobytes())
+    assert digest.hexdigest() == (
+        "8b270e3b7ad0625fa5354b05d801cd23b561777aaed4fa2fae5d5e868a1cc084"
+    )
 
 
 def swap_fixture():

@@ -224,7 +224,11 @@ class TestEquitrekMultisets:
         support = {key for key, value in series.values.items() if value > 0.0}
         assert equitrek_multisets(a.g, order) == support
         if order == 2:
-            assert equitrek_graph(a.g).biedges == support
+            eg = equitrek_graph(a.g)
+            assert eg.biedges == support
+            for v in range(a.p):
+                scan = {b if a_ == v else a_ for a_, b in eg.biedges if v in (a_, b)}
+                assert eg.neighbors(v) == tuple(sorted(scan))
 
 
 class TestIndependence:

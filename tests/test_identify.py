@@ -125,6 +125,13 @@ class TestTwoNode:
         with pytest.raises(DegenerateDenominator, match="s01 t000"):
             identify_polytree(g, stack)
 
+    @pytest.mark.parametrize("method", [identify_dag_all_loops, identify_polytree])
+    def test_stack_of_another_p_rejected(self, method):
+        g = two_node_both_loops() if method is identify_dag_all_loops else two_node_chain()
+        three = sample_stable_matrix(DirectedGraph(3, [(0, 0), (0, 1), (1, 2)]), seed=0)
+        with pytest.raises(HypothesisViolated, match="stack dimension"):
+            method(g, model_stack(three, unit_noise(3)))
+
     def test_both_loops_needs_fourth_order(self):
         g = two_node_both_loops()
         pm = ParameterMatrix(g, np.array([[0.4, 0.0], [0.7, 0.3]]))

@@ -29,7 +29,7 @@ EXPORTS = {
     # tensors
     "DimensionMismatch", "SymmetricTensor", "k_mode_product", "tucker_product",
     # treks
-    "PoleAtUnit", "UnstableEffective", "base_trek_coefficient", "base_trek_cumulant",
+    "PoleAtUnit", "base_trek_coefficient", "base_trek_cumulant",
     "effective_matrix", "placement_polynomial",
     # constraints
     "ModelInconsistency", "ToricMatrix", "integer_kernel", "kernel_binomial_values",

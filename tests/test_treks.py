@@ -12,7 +12,6 @@ from lyapcum import (
     DiagonalCumulant,
     DirectedGraph,
     PoleAtUnit,
-    UnstableEffective,
     base_trek_coefficient,
     base_trek_cumulant,
     effective_matrix,
@@ -209,7 +208,7 @@ class TestBaseTrekCovariance:
 
     def test_unstable_rejected(self):
         g = DirectedGraph(2, [(0, 1)])
-        with pytest.raises(UnstableEffective):
+        with pytest.raises(PoleAtUnit):
             base_trek_cumulant(g, 1.0, {(0, 1): 1.0}, DiagonalCumulant(2, np.ones(2)))
 
 
