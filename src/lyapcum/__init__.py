@@ -19,8 +19,7 @@ _EXPORTS = {
     "identify": """CumulantStack DegenerateDenominator HypothesisViolated
         IdentifiabilityReport SingularBlock auto_identify count_equations_vs_parameters
         identify_dag_all_loops identify_polytree model_stack""",
-    "jacobian": """ModifiedJacobian build_modified_jacobian local_identifiability_verdict
-        offdiag_rank""",
+    "jacobian": "ModifiedJacobian build_modified_jacobian local_identifiability_verdict",
     "tensors": "DimensionMismatch SymmetricTensor k_mode_product tucker_product",
     "treks": """PoleAtUnit base_trek_coefficient base_trek_cumulant
         effective_matrix placement_polynomial""",

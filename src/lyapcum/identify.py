@@ -262,10 +262,11 @@ def _eliminate(
     """Recover A row by row in topological order, then certify the result.
 
     Each source's self-loop comes from the closed form on the pair it forms
-    with its first child in topological order.  A non-source j solves for
-    its pattern row ``a_j`` (its parents, itself only on a self-loop) by
-    least squares over two identities per already-recovered vertex z, which
-    hold because every Omega_n is diagonal and z != j:
+    with its first child in topological order, so a source without its
+    self-loop is refused.  A non-source j solves for its pattern row ``a_j``
+    (its parents, itself only on a self-loop) by least squares over two
+    identities per already-recovered vertex z, which hold because every
+    Omega_n is diagonal and z != j:
 
     - ``S_zj = sum_l (a_z S)_l a_jl``;
     - ``T_zzj = sum_l (T x_1 a_z x_2 a_z)_l a_jl``.
@@ -274,6 +275,9 @@ def _eliminate(
     unit max; ``block_conditions`` holds the condition of that scaled block.
     """
     plan = _plan(g)
+    missing = [v for v in g.sources if not g.has_self_loop(v)]
+    if missing:
+        raise HypothesisViolated(f"sources {missing} lack self-loops")
     p = g.p
     dense = {n: stack.tensor(n).to_dense() for n in stack.orders}
     s, t, r = dense[2], dense[3], dense.get(4)
@@ -315,15 +319,15 @@ def identify_dag_all_loops(
 ) -> IdentifiabilityReport:
     """Recover A and the noise cumulants for a DAG with all self-loops.
 
-    Runs the topological elimination of :func:`_eliminate`.  A vertex
-    without its self-loop is tolerated: its row simply has no a_jj unknown,
-    and the forward residual certifies the result.
+    Runs the topological elimination of :func:`_eliminate`.  A non-source
+    vertex without its self-loop is tolerated: its row simply has no a_jj
+    unknown, and the forward residual certifies the result.
 
     Raises
     ------
     HypothesisViolated
-        If the graph has isolated vertices, or a looped child of a source
-        needs fourth-order input the stack lacks.
+        If the graph has isolated vertices, a source lacks its self-loop,
+        or a looped child of a source needs fourth-order input the stack lacks.
     DegenerateDenominator
         If a source's closed form meets a vanishing denominator.
     CyclicGraph
@@ -363,9 +367,6 @@ def identify_polytree(
         raise HypothesisViolated("graph is not a polytree")
     if g.p < 2 or g.isolated_vertices:
         raise HypothesisViolated("polytree recovery needs p >= 2 without isolation")
-    missing = [v for v in g.sources if not g.has_self_loop(v)]
-    if missing:
-        raise HypothesisViolated(f"sources {missing} lack self-loops")
     return _eliminate(g, stack, "polytree", tol)
 
 

@@ -1,11 +1,12 @@
 """Modified Jacobian of the cumulant parametrization and generic-rank tests.
 
 The Jacobian of the map (A, noise cumulants) -> (S, T, ...) factors into an
-invertible Kronecker block times the "modified" Jacobian assembled here, so
-their ranks agree.  Noise columns are unit vectors on diagonal cumulant
-rows, which reduces the full-rank question to the off-diagonal rows of the
-edge-derivative columns: the model is locally identifiable iff that block
-has rank |E| generically.
+invertible Kronecker block times the "modified" Jacobian, so their ranks
+agree.  Its noise columns are unit vectors on the diagonal cumulant rows,
+so rank(modified) = p * |orders| + rank(block), where the block holds the
+edge-derivative columns at the off-diagonal rows.  Only that block is
+assembled here: the model is locally identifiable iff it has rank |E|
+generically.
 
 Each order's edge columns are read from one contraction
 ``U = T_n x_2 A ... x_n A``: the derivative along alpha -> beta at multiset
@@ -41,26 +42,15 @@ GAP_STRUCTURAL = 1e6
 
 @dataclass
 class ModifiedJacobian:
-    """Cumulant-derivative block matrix with row/column index metadata.
+    """Off-diagonal edge block of the modified Jacobian.
 
-    Rows are canonical index multisets per included order; columns are the
-    edge derivatives followed by one noise block per order.
+    One row per off-diagonal multiset of each included order, listed in
+    ``rows`` as ``(order, multiset)`` in ``multiset_indices`` order; the
+    columns follow ``g.sorted_edges``.
     """
 
     matrix: np.ndarray
     rows: list[tuple[int, tuple[int, ...]]]
-    cols: list[tuple]
-
-    def offdiag_row_indices(self) -> list[int]:
-        return [
-            idx for idx, (_, key) in enumerate(self.rows) if len(set(key)) > 1
-        ]
-
-    def a_col_indices(self) -> list[int]:
-        return [idx for idx, tag in enumerate(self.cols) if tag[0] == "a"]
-
-    def offdiag_a_block(self) -> np.ndarray:
-        return self.matrix[np.ix_(self.offdiag_row_indices(), self.a_col_indices())]
 
 
 def _edge_columns(u: np.ndarray, keys: list, edges: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -83,43 +73,32 @@ def build_modified_jacobian(
     stack: CumulantStack,
     order4_rows: Sequence[tuple[int, ...]] | None = None,
 ) -> ModifiedJacobian:
-    """Assemble the modified Jacobian at A from every order of the stack.
+    """Assemble the off-diagonal edge block at A from every order of the stack.
 
-    Edge columns hold ``sum_k T_n x_1 A ... x_k E_(beta alpha) ... x_n A``
-    at the multiset rows, read from ``T_n x_2 A ... x_n A`` (``_edge_columns``);
-    noise columns are unit vectors on the diagonal rows of their order.
-    The tensors are read, never solved: a model stack of A gives the
-    Jacobian of the parametrization.  Order-4 rows default to all multisets
-    but can be restricted (``order4_rows``) for targeted augmentation.
+    Column alpha -> beta holds ``sum_k T_n x_1 A ... x_k E_(beta alpha) ... x_n A``
+    at the off-diagonal multiset rows, read from ``T_n x_2 A ... x_n A``
+    (``_edge_columns``).  The full modified Jacobian adds one unit noise
+    column per diagonal row, so its rank is ``p * len(stack.orders)`` plus
+    this block's.  The tensors are read, never solved: a model stack of A
+    gives the Jacobian of the parametrization.  Order-4 rows default to all
+    multisets but can be restricted (``order4_rows``) for targeted
+    augmentation; diagonal ones among them are dropped.
     """
     a.require_stable()
-    p = g.p
-    orders = stack.orders
-    edges = g.sorted_edges
-    cols: list[tuple] = [("a", alpha, beta) for alpha, beta in edges]
-    for n in orders:
-        cols.extend(("w", n, i) for i in range(p))
-
     rows: list[tuple[int, tuple[int, ...]]] = []
-    blocks = [np.zeros((0, len(cols)))]
-    for n in orders:
+    blocks = []
+    for n in stack.orders:
         if n == 4 and order4_rows is not None:
             keys = [tuple(sorted(k)) for k in order4_rows]
         else:
-            keys = multiset_indices(p, n)
+            keys = multiset_indices(g.p, n)
+        keys = [k for k in keys if len(set(k)) > 1]
         u = stack.tensor(n).to_dense()
         for axis in range(1, n):
             u = k_mode_product(u, a.entries, axis)
-        block = np.zeros((len(keys), len(cols)))
-        block[:, : len(edges)] = _edge_columns(u, keys, edges)
-        w_base = len(edges) + sum(p for m in orders if m < n)
-        for i in range(p):
-            diag_key = (i,) * n
-            if diag_key in keys:
-                block[keys.index(diag_key), w_base + i] = 1.0
+        blocks.append(_edge_columns(u, keys, g.sorted_edges))
         rows.extend((n, key) for key in keys)
-        blocks.append(block)
-    return ModifiedJacobian(matrix=np.vstack(blocks), rows=rows, cols=cols)
+    return ModifiedJacobian(matrix=np.vstack(blocks), rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +113,6 @@ def numeric_rank(matrix: np.ndarray) -> tuple[int, np.ndarray]:
     sing = np.linalg.svd(matrix, compute_uv=False)
     threshold = sing[0] * max(matrix.shape) * RANK_EPS
     return int(np.sum(sing > threshold)), sing
-
-
-def offdiag_rank(mj: ModifiedJacobian) -> tuple[int, np.ndarray]:
-    """Numeric rank (and singular values) of the off-diagonal edge block."""
-    return numeric_rank(mj.offdiag_a_block())
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +228,12 @@ def local_identifiability_verdict(
         a = sample_stable_matrix(g, seed=seed * 1000 + trial, target_radius=radius)
         rng = np.random.default_rng(seed * 1000 + trial + 7)
         mj = build_modified_jacobian(g, a, model_stack(a, random_omegas(rng, g.p, (2, 3))))
-        rank, sing = offdiag_rank(mj)
+        rank, sing = numeric_rank(mj.matrix)
         augmented = False
         if rank < n_edges and extra_rows:
             stack = model_stack(a, random_omegas(rng, g.p, (2, 3, 4)))
             mj = build_modified_jacobian(g, a, stack, order4_rows=extra_rows)
-            rank, sing = offdiag_rank(mj)
+            rank, sing = numeric_rank(mj.matrix)
             augmented = True
         nonzero = sing[sing > 0]
         gap = float(nonzero[0] / nonzero[-1]) if len(nonzero) else np.inf

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -166,6 +167,16 @@ class TestIdentify:
         assert detail in doc["report"]["detail"]
         assert doc["equation_count"]["params"] == 3 + 2 * (2 if case == "orders-2-3" else 3)
 
+    def test_tol_is_read_and_recorded(self, tmp_path, fig1_graph):
+        stack = tmp_path / "stack.json"
+        assert main(["cumulants", "--graph", fig1_graph, "--out", str(stack)]) == 0
+        out = tmp_path / "report.json"
+        argv = ["identify", "--graph", fig1_graph, "--stack", str(stack), "--tol", "1e-6"]
+        assert main([*argv, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["tol"] == 1e-6
+        assert doc["report"]["verdict"] == "recovered"
+
     def test_malformed_stack_exits_2(self, tmp_path, fig1_graph):
         stack = tmp_path / "stack.json"
         stack.write_text('{"tensors": {"2": {"oops": 1}}}')
@@ -191,6 +202,11 @@ BAD_INPUTS = {
     "negative-xmax": ("ppoly --xmax -2", 2),
     "negative-ymax": ("ppoly --ymax -1", 2),
     "csv-without-order-2": ("cumulants --graph {d}/g2.json --format csv --orders 3,4", 2),
+    "orders-not-integers": ("cumulants --graph {d}/g2.json --orders x", 2),
+    "orders-outside-2-4": ("cumulants --graph {d}/g2.json --orders 2,5", 2),
+    # A off the graph's pattern, and no omega for the default order 4
+    "params-a-off-pattern": ("cumulants --graph {d}/g2.json --params {d}/off-pattern.json", 2),
+    "params-without-omega-4": ("cumulants --graph {d}/g2.json --params {d}/no-omega4.json", 2),
     "nan-tol": ("identify --graph {d}/g2.json --stack {d}/stack.json --tol nan", 2),
     "inf-tol": ("identify --graph {d}/g2.json --stack {d}/stack.json --tol inf", 2),
     "zero-tol": ("identify --graph {d}/g2.json --stack {d}/stack.json --tol 0", 2),
@@ -224,6 +240,14 @@ BAD_INPUTS = {
     "out-under-missing-directory": ("cumulants --graph {d}/g2.json --out {d}/no/out.json", 2),
 }
 
+# the message of the rows whose refusal is raised by the library or by cli's own checks
+BAD_INPUT_MESSAGES = {
+    "orders-not-integers": "input error: bad orders 'x'",
+    "orders-outside-2-4": "input error: orders must be a subset of 2,3,4",
+    "params-a-off-pattern": "input error: entry (0,1) is nonzero but edge 1->0 is absent",
+    "params-without-omega-4": "input error: parameter file lacks omega for orders [4]",
+}
+
 
 @pytest.fixture(scope="module")
 def bad_dir(tmp_path_factory):
@@ -238,6 +262,14 @@ def bad_dir(tmp_path_factory):
     write_json(
         d / "params.json",
         {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
+    )
+    write_json(
+        d / "off-pattern.json",
+        {"A": [[0.5, 0.3], [1.0, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
+    )
+    write_json(
+        d / "no-omega4.json",
+        {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0]}},
     )
     write_json(
         d / "huge.json",
@@ -302,6 +334,7 @@ def test_bad_input_exits_2(bad_dir, tmp_path, capsys, case):
     assert code == expected
     assert "Traceback" not in err
     assert "error" in err.strip().splitlines()[-1]
+    assert BAD_INPUT_MESSAGES.get(case, "") in err
     assert not out.exists()
 
 
@@ -621,3 +654,72 @@ def test_ppoly_table(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "x\\y,0,1,2"
     assert out.splitlines()[3].split(",")[3] == "1;4;1"
+
+
+# graphs of the pinned reports: the looped 6-cycle, a two-cycle component
+# beside a looped edge (augments), the diamond, and an isolated looped vertex
+GOLDEN_GRAPHS = {
+    "cycle6": {"p": 6, "edges": [[i, i] for i in range(6)] + [[i, (i + 1) % 6] for i in range(6)]},
+    "two-cycle-beside-loop": {"p": 4, "edges": [[0, 0], [1, 1], [0, 1], [1, 0], [2, 2], [2, 3]]},
+    "diamond": {"p": 4, "edges": [[0, 0], [0, 1], [0, 2], [1, 3], [2, 3]]},
+    "isolated": {"p": 3, "edges": [[0, 0], [1, 1], [2, 2], [0, 1]]},
+}
+
+
+def test_report_golden_bytes(tmp_path, monkeypatch):
+    """The sha256 of each report, pinned so that a refactor keeps every byte.
+
+    ``config`` records the paths as given, so the files are named relative
+    to the working directory.
+    """
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+
+    def run(name, argv, expected_code):
+        assert main([*argv, "--out", "out"]) == expected_code
+        digests[name] = hashlib.sha256(Path("out").read_bytes()).hexdigest()
+
+    for name, graph in GOLDEN_GRAPHS.items():
+        write_json(Path(f"{name}.json"), graph)
+        for seed in ("0", "1"):
+            for fmt in ("json", "csv"):
+                argv = ["analyze", "--graph", f"{name}.json", "--seed", seed, "--format", fmt]
+                run(f"analyze-{fmt}-{name}-{seed}", argv, 0)
+    assert main(["cumulants", "--graph", "cycle6.json", "--out", "stack.json"]) == 0
+    run("identify-cycle6", ["identify", "--graph", "cycle6.json", "--stack", "stack.json"], 0)
+    assert digests == {
+        "analyze-json-cycle6-0":
+            "02ff4a7571e095e15ebba7512c50fde6d61c1b09f64d02da59821ee3c9671639",
+        "analyze-csv-cycle6-0":
+            "45f31c45d2065ad23ba5f31c0d60ebb1b48126acd2a3f6690c2e3593e11be6b4",
+        "analyze-json-cycle6-1":
+            "a812941c01b06c78a8bd6b628f5cfeeb57ff1f8e3d0f236ca3aa7ffaa8e3fc34",
+        "analyze-csv-cycle6-1":
+            "cec9c52e72af974933be26568c220b20e314d6d5251c6da4d3e25c2437d6d60d",
+        "analyze-json-two-cycle-beside-loop-0":
+            "1b5101a6cb4dd02e85b05b2b9c098528ced1c8c367cd5cf7e66a2cc30bb07937",
+        "analyze-csv-two-cycle-beside-loop-0":
+            "9c22475e9678affdac7951224eb1a831d9e5ec6fac92d96098d446efc4ad59ef",
+        "analyze-json-two-cycle-beside-loop-1":
+            "6c5769dc8e69a8afa9e7232089d29741235b5b12ded3030024e53eaa74f91c51",
+        "analyze-csv-two-cycle-beside-loop-1":
+            "94ab57526c11ce012855ea99b289b936d38ed924bc29d9b07b40e9221c8e050c",
+        "analyze-json-diamond-0":
+            "22ae2977019278faa19bf6d9d3d883166e386a28abc00f35abcbe15639cacaa4",
+        "analyze-csv-diamond-0":
+            "8d50a1d77e32037fb8b51f2654da5b1f5eaf5251d71ee4c9ccef493f8fc1a92f",
+        "analyze-json-diamond-1":
+            "b2f3fd304f91a5cee72e91b7480516df6b994880fd49df9b95814d9017ec6f92",
+        "analyze-csv-diamond-1":
+            "e4ddadf87f461c8ce9747388d23bb0bbc157bdac56ca8207ddb4bd6c2a10ae1a",
+        "analyze-json-isolated-0":
+            "f505169f3e9ae0cf449e2d8bffa755a61b53edfa7613b1af18f2dbf3c0d0889f",
+        "analyze-csv-isolated-0":
+            "8c6d459314a9c48a773a631a9f38af798d8fa8b3b73369f769a81da68f36cece",
+        "analyze-json-isolated-1":
+            "3fc7d0af8d3e292a7cc55ec94066de8796274162adbf250d8251d8f21dbc2978",
+        "analyze-csv-isolated-1":
+            "8c6d459314a9c48a773a631a9f38af798d8fa8b3b73369f769a81da68f36cece",
+        "identify-cycle6":
+            "5dea67f514d1b679062e6d2e84b04929ae61ca36c04e39de4e0ba5c20d2167a7",
+    }

@@ -31,6 +31,7 @@ from lyapcum import constraints
 from lyapcum.constraints import _minor_norm
 from lyapcum.identify import CumulantStack
 from conftest import (
+    diamond,
     end_loop_path,
     five_node_tree,
     fork_three,
@@ -69,6 +70,36 @@ class TestTreeStructure:
         g = DirectedGraph(2, [(0, 0), (1, 1), (0, 1)])
         with pytest.raises(HypothesisViolated):
             level_partition(g)
+
+    # one row per refusal of the directed-tree entry points: (call, error, message)
+    REFUSALS = {
+        "two-sources": (
+            lambda: level_partition(DirectedGraph(3, [(0, 0), (0, 2), (1, 2)])),
+            HypothesisViolated, r"need exactly one source, found \(0, 1\)",
+        ),
+        "second-loop": (
+            lambda: level_partition(DirectedGraph(3, [(0, 0), (2, 2), (0, 1), (1, 2)])),
+            HypothesisViolated, r"need the source self-loop only, found loops at \[0, 2\]",
+        ),
+        "skeleton-not-a-tree": (
+            lambda: level_partition(diamond()), HypothesisViolated, "skeleton must be a tree",
+        ),
+        "toric-order-1": (
+            lambda: toric_matrix(four_node_tree(), 1), ValueError, "order must be at least 2",
+        ),
+        "trees-of-two-sizes": (
+            lambda: tree_equivalence(
+                DirectedGraph(2, [(0, 0), (0, 1)]), DirectedGraph(3, [(0, 0), (0, 1), (1, 2)])
+            ),
+            HypothesisViolated, "trees must share the vertex count",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refusals(self, case):
+        call, error, message = self.REFUSALS[case]
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
 
     def test_shortest_top(self):
         g = five_node_tree()

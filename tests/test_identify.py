@@ -360,6 +360,10 @@ class TestEquationCount:
         count = count_equations_vs_parameters(two_node_both_loops(), 4)
         assert count.bound_satisfied
 
+    def test_order_below_two_refused(self):
+        with pytest.raises(ValueError, match="need n_max >= 2"):
+            count_equations_vs_parameters(two_node_both_loops(), 1)
+
 
 class TestDiamondFamily:
     def test_one_parameter_family_is_invisible(self):
@@ -707,6 +711,16 @@ class TestErrorParity:
                 (f, HypothesisViolated,
                  r"fourth-order cumulants required for a looped child base case")
                 for f in (identify_dag_all_loops, identify_polytree, auto_identify)
+            ],
+        ),
+        # the source's loop comes from a closed form, so both methods refuse it
+        "unlooped-source": (
+            DirectedGraph(3, [(1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]), (2, 3, 4),
+            [
+                (identify_dag_all_loops, HypothesisViolated, r"sources \[0\] lack self-loops"),
+                (identify_polytree, HypothesisViolated, r"graph is not a polytree"),
+                (auto_identify, NoMethodApplies,
+                 r"graph matches neither constructive hypothesis class"),
             ],
         ),
         "diamond": (

@@ -25,7 +25,6 @@ EXPORTS = {
     "identify_dag_all_loops", "identify_polytree", "model_stack",
     # jacobian
     "ModifiedJacobian", "build_modified_jacobian", "local_identifiability_verdict",
-    "offdiag_rank",
     # tensors
     "DimensionMismatch", "SymmetricTensor", "k_mode_product", "tucker_product",
     # treks
@@ -61,8 +60,9 @@ def test_unknown_name():
 
 
 # test-only oracles, now in tests/oracles.py, or wrappers of graph properties
+# (offdiag_rank: build_modified_jacobian returns the block it cut out)
 RETIRED = ["Trek", "enumerate_equitreks", "equitrek_exists", "two_node_st_solutions",
-           "enumerate_base_treks"]
+           "enumerate_base_treks", "offdiag_rank"]
 
 
 @pytest.mark.parametrize("name", RETIRED)

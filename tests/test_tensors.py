@@ -52,6 +52,10 @@ class TestKModeProduct:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionMismatch):
             k_mode_product(rng.standard_normal((2, 2)), rng.standard_normal((3, 3)), 0)
+        with pytest.raises(DimensionMismatch, match="axis 2 invalid for order-2 tensor"):
+            k_mode_product(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)), 2)
+        with pytest.raises(DimensionMismatch, match="second operand must be a matrix"):
+            k_mode_product(rng.standard_normal((2, 2)), rng.standard_normal(2), 0)
         for matrix in (rng.standard_normal((2, 3)), rng.standard_normal(2)):
             with pytest.raises(DimensionMismatch):
                 tucker_product(rng.standard_normal((2, 2)), matrix)
