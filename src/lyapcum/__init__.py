@@ -18,7 +18,7 @@ _EXPORTS = {
         implied_conditional_independence implied_marginal_independence""",
     "identify": """CumulantStack DegenerateDenominator HypothesisViolated
         IdentifiabilityReport SingularBlock auto_identify count_equations_vs_parameters
-        identify_dag_all_loops identify_polytree model_stack""",
+        identify_dag model_stack""",
     "jacobian": "ModifiedJacobian build_modified_jacobian local_identifiability_verdict",
     "tensors": "DimensionMismatch SymmetricTensor k_mode_product tucker_product",
     "treks": """PoleAtUnit base_trek_coefficient base_trek_cumulant

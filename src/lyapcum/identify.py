@@ -1,8 +1,8 @@
 """Constructive parameter recovery from steady-state cumulants.
 
-Implements one topological-order elimination, shared by DAGs with all
-self-loops and polytrees with self-loops at all sources, two-node pairs
-included, and an equation-counting diagnostic for non-identifiable patterns.
+Implements one constructive method, :func:`identify_dag`: a topological-order
+elimination for DAGs whose sources carry self-loops, two-node pairs included,
+and an equation-counting diagnostic for non-identifiable patterns.
 Each source's self-loop is the closed-form a00 of the pair it forms with its
 first child, a rational function of the pair's cumulants; every other row of
 A is a least-squares solve over the second- and third-order identities of
@@ -224,16 +224,16 @@ def _finish_report(
 
 
 # ---------------------------------------------------------------------------
-# DAGs with all self-loops, and polytrees with looped sources
+# DAGs with looped sources
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=32)
 def _plan(g: DirectedGraph) -> tuple[tuple, ...]:
-    """The graph-only half of :func:`_eliminate`: one step per vertex, in topological order.
+    """The graph-only half of :func:`identify_dag`: one step per vertex, in topological order.
 
     A source j gets ``(j, child, looped, None, None)``: its first child, which
-    the callers' refusal of isolated vertices guarantees, and whether that
+    the refusal of isolated vertices guarantees, and whether that
     child is looped.  No other parent q of the child is reachable from j, or
     a child of j on the path to q would come first.  A non-source j gets
     ``(j, None, False, unknowns, rows)``: its pattern row and the read-only
@@ -256,24 +256,47 @@ def _plan(g: DirectedGraph) -> tuple[tuple, ...]:
     return tuple(steps)
 
 
-def _eliminate(
-    g: DirectedGraph, stack: CumulantStack, method: str, tol: float
+def identify_dag(
+    g: DirectedGraph, stack: CumulantStack, tol: float = 1e-8
 ) -> IdentifiabilityReport:
-    """Recover A row by row in topological order, then certify the result.
+    """Recover A and the noise cumulants of a DAG with looped sources.
 
+    A is recovered row by row in topological order and then certified.
     Each source's self-loop comes from the closed form on the pair it forms
-    with its first child in topological order, so a source without its
-    self-loop is refused.  A non-source j solves for its pattern row ``a_j``
-    (its parents, itself only on a self-loop) by least squares over two
-    identities per already-recovered vertex z, which hold because every
-    Omega_n is diagonal and z != j:
+    with its first child in topological order.  A non-source j solves for
+    its pattern row ``a_j`` (its parents, itself only on a self-loop) by
+    least squares over two identities per already-recovered vertex z, which
+    hold because every Omega_n is diagonal and z != j:
 
     - ``S_zj = sum_l (a_z S)_l a_jl``;
     - ``T_zzj = sum_l (T x_1 a_z x_2 a_z)_l a_jl``.
 
     Rows that vanish on j's unknowns are dropped and the rest are scaled to
     unit max; ``block_conditions`` holds the condition of that scaled block.
+    The report's ``method`` names the graph's class: ``dag-all-loops`` when
+    every vertex is looped, ``polytree`` when the skeleton is a tree, and
+    ``dag-looped-sources`` otherwise.
+
+    Raises
+    ------
+    HypothesisViolated
+        If the stack's p differs from the graph's, a vertex is isolated, a
+        source lacks its self-loop, or a looped child of a source needs
+        fourth-order input the stack lacks.
+    CyclicGraph
+        If the graph has a directed cycle.
+    DegenerateDenominator
+        If a source's closed form meets a vanishing denominator.
+    SingularBlock
+        If a block is numerically singular (a non-generic point, or a
+        pattern such as the diamond whose rows of orders 2-3 are deficient).
     """
+    if stack.p != g.p:
+        raise HypothesisViolated("stack dimension does not match the graph")
+    if g.isolated_vertices:
+        raise HypothesisViolated(
+            f"isolated vertices {g.isolated_vertices} are never identifiable"
+        )
     plan = _plan(g)
     missing = [v for v in g.sources if not g.has_self_loop(v)]
     if missing:
@@ -311,63 +334,13 @@ def _eliminate(
             conditions[f"vertex-{j}"] = cond
         coef[j] = entries[j] @ s
         coef[p + j] = entries[j] @ t @ entries[j]
+    if g.has_all_self_loops:
+        method = "dag-all-loops"
+    elif g.is_polytree:
+        method = "polytree"
+    else:
+        method = "dag-looped-sources"
     return _finish_report(method, g, dense, entries, conditions, tol)
-
-
-def identify_dag_all_loops(
-    g: DirectedGraph, stack: CumulantStack, tol: float = 1e-8
-) -> IdentifiabilityReport:
-    """Recover A and the noise cumulants for a DAG with all self-loops.
-
-    Runs the topological elimination of :func:`_eliminate`.  A non-source
-    vertex without its self-loop is tolerated: its row simply has no a_jj
-    unknown, and the forward residual certifies the result.
-
-    Raises
-    ------
-    HypothesisViolated
-        If the graph has isolated vertices, a source lacks its self-loop,
-        or a looped child of a source needs fourth-order input the stack lacks.
-    DegenerateDenominator
-        If a source's closed form meets a vanishing denominator.
-    CyclicGraph
-        If the graph has a directed cycle.
-    SingularBlock
-        If a block is numerically singular (non-generic point or violated
-        self-loop hypotheses, e.g. the diamond pattern).
-    """
-    if stack.p != g.p:
-        raise HypothesisViolated("stack dimension does not match the graph")
-    if g.isolated_vertices:
-        raise HypothesisViolated(
-            f"isolated vertices {g.isolated_vertices} are never identifiable"
-        )
-    return _eliminate(g, stack, "dag-all-loops", tol)
-
-
-def identify_polytree(
-    g: DirectedGraph, stack: CumulantStack, tol: float = 1e-8
-) -> IdentifiabilityReport:
-    """Recover A and the noise cumulants for a polytree with looped sources.
-
-    Runs the topological elimination of :func:`_eliminate`; non-source
-    vertices may lack their self-loops.
-
-    Raises
-    ------
-    HypothesisViolated
-        If the skeleton is not a tree, a vertex is isolated, or a source
-        lacks its self-loop.
-    SingularBlock
-        If a block is numerically singular.
-    """
-    if stack.p != g.p:
-        raise HypothesisViolated("stack dimension does not match the graph")
-    if not g.is_polytree:
-        raise HypothesisViolated("graph is not a polytree")
-    if g.p < 2 or g.isolated_vertices:
-        raise HypothesisViolated("polytree recovery needs p >= 2 without isolation")
-    return _eliminate(g, stack, "polytree", tol)
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +399,19 @@ class NoMethodApplies(Exception):
 
 
 def auto_identify(g: DirectedGraph, stack: CumulantStack, tol: float = 1e-8):
-    """Pick the constructive method from graph predicates and run it.
+    """Run :func:`identify_dag` on the graphs it is known to recover.
 
-    Two-node pairs need no branch of their own: the both-loops pair is a DAG
-    with all self-loops and the source-loop-only pair a polytree.
+    Those are the DAGs without isolated vertices whose sources are looped and
+    that either have every self-loop or a tree skeleton; two-node pairs are
+    among them.  Every other graph raises ``NoMethodApplies``, including DAGs
+    with looped sources outside both classes, which ``identify_dag`` accepts
+    but whose blocks of orders 2-3 may be singular.
     """
-    if g.is_dag and g.has_all_self_loops and not g.isolated_vertices:
-        return identify_dag_all_loops(g, stack, tol=tol)
     if (
-        g.is_polytree
-        and g.p >= 2
+        g.is_dag
+        and (g.has_all_self_loops or g.is_polytree)
+        and not g.isolated_vertices
         and all(g.has_self_loop(v) for v in g.sources)
     ):
-        return identify_polytree(g, stack, tol=tol)
+        return identify_dag(g, stack, tol=tol)
     raise NoMethodApplies("graph matches neither constructive hypothesis class")

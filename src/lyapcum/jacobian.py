@@ -82,8 +82,11 @@ def build_modified_jacobian(
     this block's.  The tensors are read, never solved: a model stack of A
     gives the Jacobian of the parametrization.  Order-4 rows default to all
     multisets but can be restricted (``order4_rows``) for targeted
-    augmentation; diagonal ones among them are dropped.
+    augmentation; diagonal ones among them are dropped.  ``order4_rows``
+    without an order-4 tensor in the stack raises ``ValueError``.
     """
+    if order4_rows is not None and 4 not in stack.orders:
+        raise ValueError("order4_rows needs an order-4 tensor in the stack")
     a.require_stable()
     rows: list[tuple[int, tuple[int, ...]]] = []
     blocks = []

@@ -19,8 +19,7 @@ from lyapcum import (
     base_trek_cumulant,
     count_equations_vs_parameters,
     effective_matrix,
-    identify_dag_all_loops,
-    identify_polytree,
+    identify_dag,
     level_polynomial_checks,
     local_identifiability_verdict,
     model_stack,
@@ -236,7 +235,7 @@ def polytree_family():
     ]
 
 
-def run_round_trips(crit, graphs, identifier, label, seeds_per_graph=20):
+def run_round_trips(crit, graphs, label, seeds_per_graph=20):
     for g_idx, g in enumerate(graphs):
         for seed in range(seeds_per_graph):
             a = sample_stable_matrix(g, seed=seed * 31 + g_idx, target_radius=0.6)
@@ -244,7 +243,7 @@ def run_round_trips(crit, graphs, identifier, label, seeds_per_graph=20):
                 np.random.default_rng(seed * 977 + g_idx), g.p, (2, 3, 4)
             )
             stack = model_stack(a, omegas)
-            report = identifier(g, stack)
+            report = identify_dag(g, stack)
             err_a = float(np.max(np.abs(report.a - a.entries)))
             err_noise = max(
                 float(np.max(np.abs(report.noise[n] - omegas[n].w))) for n in (2, 3, 4)
@@ -258,8 +257,8 @@ def run_round_trips(crit, graphs, identifier, label, seeds_per_graph=20):
 
 def test_criterion_3_identification_round_trips():
     crit = Criterion("identification round trips", budget_s=120.0)
-    run_round_trips(crit, dag_all_loops_family(), identify_dag_all_loops, "dag")
-    run_round_trips(crit, polytree_family(), identify_polytree, "polytree")
+    run_round_trips(crit, dag_all_loops_family(), "dag")
+    run_round_trips(crit, polytree_family(), "polytree")
     crit.finish()
 
 
@@ -276,7 +275,7 @@ def test_criterion_4_negative_controls():
     a2a = sample_stable_matrix(g2a, seed=1, target_radius=0.5)
     stack2a = model_stack(a2a, random_omegas(np.random.default_rng(1), 2))
     try:
-        identify_polytree(g2a, stack2a)
+        identify_dag(g2a, stack2a)
         crit.check(False, "sink-loop chain was not rejected")
     except HypothesisViolated:
         pass
@@ -307,7 +306,7 @@ def test_criterion_4_negative_controls():
     ad = sample_stable_matrix(gd, seed=3, target_radius=0.6)
     stackd = model_stack(ad, random_omegas(np.random.default_rng(3), 4))
     try:
-        identify_dag_all_loops(gd, stackd)
+        identify_dag(gd, stackd)
         crit.check(False, "diamond did not hit a singular block")
     except SingularBlock as err:
         crit.check(err.vertex == 3, f"singular block at vertex {err.vertex}")

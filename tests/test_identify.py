@@ -17,8 +17,7 @@ from lyapcum import (
     SingularBlock,
     auto_identify,
     count_equations_vs_parameters,
-    identify_dag_all_loops,
-    identify_polytree,
+    identify_dag,
     model_stack,
     random_omegas,
     sample_stable_matrix,
@@ -98,7 +97,7 @@ class TestTwoNode:
         g = two_node_both_loops()
         pm = ParameterMatrix(g, np.array([[0.4, 0.0], [0.7, 0.3]]))
         stack = model_stack(pm, unit_noise(2))
-        report = identify_dag_all_loops(g, stack)
+        report = identify_dag(g, stack)
         assert report.verdict == "recovered"
         np.testing.assert_allclose(report.a, pm.entries, atol=1e-9)
         for order in (2, 3, 4):
@@ -108,7 +107,7 @@ class TestTwoNode:
         g = two_node_chain()
         pm = ParameterMatrix(g, np.array([[0.5, 0.0], [1.0, 0.0]]))
         stack = model_stack(pm, unit_noise(2, orders=(2, 3)))
-        report = identify_polytree(g, stack)
+        report = identify_dag(g, stack)
         s, t = stack.s, stack.t
         assert report.verdict == "recovered"
         assert report.a[0, 0] == pytest.approx(
@@ -123,21 +122,22 @@ class TestTwoNode:
         pm = ParameterMatrix(g, np.array([[0.5, 0.0], [0.0, 0.0]]))
         stack = model_stack(pm, unit_noise(2, orders=(2, 3)))
         with pytest.raises(DegenerateDenominator, match="s01 t000"):
-            identify_polytree(g, stack)
+            identify_dag(g, stack)
 
-    @pytest.mark.parametrize("method", [identify_dag_all_loops, identify_polytree])
-    def test_stack_of_another_p_rejected(self, method):
-        g = two_node_both_loops() if method is identify_dag_all_loops else two_node_chain()
+    @pytest.mark.parametrize(
+        "g", [two_node_both_loops(), two_node_chain()], ids=["both-loops", "source-loop-only"]
+    )
+    def test_stack_of_another_p_rejected(self, g):
         three = sample_stable_matrix(DirectedGraph(3, [(0, 0), (0, 1), (1, 2)]), seed=0)
         with pytest.raises(HypothesisViolated, match="stack dimension"):
-            method(g, model_stack(three, unit_noise(3)))
+            identify_dag(g, model_stack(three, unit_noise(3)))
 
     def test_both_loops_needs_fourth_order(self):
         g = two_node_both_loops()
         pm = ParameterMatrix(g, np.array([[0.4, 0.0], [0.7, 0.3]]))
         stack = model_stack(pm, unit_noise(2, orders=(2, 3)))
         with pytest.raises(HypothesisViolated, match="fourth-order"):
-            identify_dag_all_loops(g, stack)
+            identify_dag(g, stack)
 
 
 # rational pair points (a00, a10, a11, w0, w1), a11 = 0 for the source-loop-only pair
@@ -186,12 +186,12 @@ class TestPairOracle:
     def test_elimination_matches_oracle(self, seed):
         # a00 is the same expression, so it is bit-equal; the rest of A comes
         # from the least-squares rows of the elimination
-        for g, orders, method, oracle in (
-            (two_node_both_loops(), (2, 3, 4), identify_dag_all_loops, pair_both_loops),
-            (two_node_chain(), (2, 3), identify_polytree, pair_source_loop_only),
+        for g, orders, oracle in (
+            (two_node_both_loops(), (2, 3, 4), pair_both_loops),
+            (two_node_chain(), (2, 3), pair_source_loop_only),
         ):
             _, _, stack = stack_for(g, seed=seed + 400, orders=orders)
-            report = method(g, stack)
+            report = identify_dag(g, stack)
             a = oracle(*stack_pair(stack)) + (0.0,)  # a11 = 0 without the sink loop
             assert report.verdict == "recovered"
             assert report.a[0, 0] == a[0]
@@ -203,7 +203,7 @@ class TestDagAllLoops:
         g = two_node_both_loops()
         pm = ParameterMatrix(g, np.array([[0.4, 0.0], [0.7, 0.3]]))
         stack = model_stack(pm, unit_noise(2))
-        report = identify_dag_all_loops(g, stack)
+        report = identify_dag(g, stack)
         assert report.verdict == "recovered"
         np.testing.assert_allclose(report.a, pm.entries, atol=1e-9)
 
@@ -225,7 +225,7 @@ class TestDagAllLoops:
             edges += [(min(g.isolated_vertices), (min(g.isolated_vertices) + 1) % p)]
             g = DirectedGraph(p, set(edges))
         pm, omegas, stack = stack_for(g, seed=seed + 100)
-        report = identify_dag_all_loops(g, stack)
+        report = identify_dag(g, stack)
         assert report.verdict == "recovered"
         assert np.max(np.abs(report.a - pm.entries)) <= 1e-6
         for order in (2, 3, 4):
@@ -236,7 +236,7 @@ class TestDagAllLoops:
         g = diamond()
         pm, _, stack = stack_for(g, seed=21)
         with pytest.raises(SingularBlock) as err:
-            identify_dag_all_loops(g, stack)
+            identify_dag(g, stack)
         assert err.value.vertex == 3
         assert err.value.cond > 1e10
 
@@ -245,7 +245,7 @@ class TestDagAllLoops:
         # entry stays zero and the forward residual certifies the rest
         g = DirectedGraph(3, [(0, 0), (1, 1), (0, 1), (1, 2)])
         pm, omegas, stack = stack_for(g, seed=5)
-        report = identify_dag_all_loops(g, stack)
+        report = identify_dag(g, stack)
         assert report.verdict == "recovered"
         assert report.a[2, 2] == 0.0
         assert np.max(np.abs(report.a - pm.entries)) <= 1e-8
@@ -257,7 +257,7 @@ class TestDagAllLoops:
         pm = ParameterMatrix(g, np.array([[0.4, 0.0], [0.7, 0.3]]))
         stack = model_stack(pm, unit_noise(2))
         stack.t.values[(0, 0, 1)] *= 4.0
-        report = identify_dag_all_loops(g, stack)
+        report = identify_dag(g, stack)
         assert report.verdict == "degenerate"
         radius = ParameterMatrix(g, report.a).radius()
         assert radius >= 1.0
@@ -268,16 +268,16 @@ class TestDagAllLoops:
         g = DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1)])
         pm, _, stack = stack_for(g, seed=3)
         with pytest.raises(HypothesisViolated):
-            identify_dag_all_loops(g, stack)
+            identify_dag(g, stack)
 
     def test_permutation_equivariance(self):
         g = DirectedGraph(4, [(i, i) for i in range(4)] + [(0, 1), (0, 2), (1, 3)])
         pm, omegas, stack = stack_for(g, seed=17)
-        report = identify_dag_all_loops(g, stack)
+        report = identify_dag(g, stack)
         perm = [2, 0, 3, 1]
         g2 = g.relabel(perm)
         stack2 = stack.relabel(perm)
-        report2 = identify_dag_all_loops(g2, stack2)
+        report2 = identify_dag(g2, stack2)
         expected = np.zeros((4, 4))
         for j in range(4):
             for i in range(4):
@@ -296,7 +296,7 @@ class TestDagAllLoops:
         for seed in range(5):
             pm = sample_stable_matrix(g, seed=seed, target_radius=0.7)
             omegas = random_omegas(np.random.default_rng(seed + 5000), p)
-            report = identify_dag_all_loops(g, model_stack(pm, omegas))
+            report = identify_dag(g, model_stack(pm, omegas))
             assert report.verdict == "recovered"
             assert np.max(np.abs(report.a - pm.entries)) <= 1e-8
 
@@ -305,34 +305,59 @@ class TestPolytree:
     def test_four_node_tree_round_trip(self):
         g = four_node_tree()
         pm, omegas, stack = stack_for(g, seed=31)
-        report = identify_polytree(g, stack)
+        report = identify_dag(g, stack)
         assert report.verdict == "recovered"
         assert np.max(np.abs(report.a - pm.entries)) <= 1e-6
 
     def test_chain_with_end_loops(self):
         g = chain_with_end_loops()
         pm, omegas, stack = stack_for(g, seed=32)
-        report = identify_polytree(g, stack)
+        report = identify_dag(g, stack)
         assert np.max(np.abs(report.a - pm.entries)) <= 1e-6
 
     def test_collider_without_loop(self):
         # vertex with two parents and no self-loop takes the diagonal branch
         g = DirectedGraph(3, [(0, 0), (1, 1), (0, 2), (1, 2)])
         pm, omegas, stack = stack_for(g, seed=33)
-        report = identify_polytree(g, stack)
+        report = identify_dag(g, stack)
         assert np.max(np.abs(report.a - pm.entries)) <= 1e-6
 
     def test_missing_source_loop_rejected(self):
         g = sink_loop_chain()
         pm, _, stack = stack_for(g, seed=34)
         with pytest.raises(HypothesisViolated):
-            identify_polytree(g, stack)
+            identify_dag(g, stack)
 
     def test_non_polytree_rejected(self):
+        # the diamond is neither looped everywhere nor a tree, so it is not routed
         g = diamond()
         pm, _, stack = stack_for(g, seed=35)
-        with pytest.raises(HypothesisViolated):
-            identify_polytree(g, stack)
+        with pytest.raises(NoMethodApplies):
+            auto_identify(g, stack)
+
+
+class TestLoopedSources:
+    """DAGs with looped sources outside both routed classes: ``identify_dag`` runs them."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_unlooped_middle_vertex_recovered(self, seed):
+        # vertex 1 has no loop and the skeleton is a triangle
+        g = DirectedGraph(3, [(0, 0), (0, 1), (0, 2), (1, 2)])
+        pm, _, stack = stack_for(g, seed=seed)
+        report = identify_dag(g, stack)
+        assert report.method == "dag-looped-sources"
+        assert report.verdict == "recovered"
+        assert np.max(np.abs(report.a - pm.entries)) <= 1e-12
+        with pytest.raises(NoMethodApplies):
+            auto_identify(g, stack)
+
+    def test_looped_sink_block_is_singular(self):
+        # the rows of orders 2-3 leave the block of vertex 2 rank-deficient
+        g = DirectedGraph(3, [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)])
+        _, _, stack = stack_for(g, seed=0)
+        with pytest.raises(SingularBlock) as err:
+            identify_dag(g, stack)
+        assert err.value.vertex == 2
 
 
 class TestEquationCount:
@@ -698,9 +723,8 @@ class TestErrorParity:
         "source-without-edge": (
             DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (1, 2)]), (2, 3, 4),
             [
-                (identify_dag_all_loops, HypothesisViolated,
+                (identify_dag, HypothesisViolated,
                  r"isolated vertices \(0,\) are never identifiable"),
-                (identify_polytree, HypothesisViolated, r"graph is not a polytree"),
                 (auto_identify, NoMethodApplies,
                  r"graph matches neither constructive hypothesis class"),
             ],
@@ -710,15 +734,14 @@ class TestErrorParity:
             [
                 (f, HypothesisViolated,
                  r"fourth-order cumulants required for a looped child base case")
-                for f in (identify_dag_all_loops, identify_polytree, auto_identify)
+                for f in (identify_dag, auto_identify)
             ],
         ),
-        # the source's loop comes from a closed form, so both methods refuse it
+        # the source's loop comes from a closed form, so an unlooped source is refused
         "unlooped-source": (
             DirectedGraph(3, [(1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]), (2, 3, 4),
             [
-                (identify_dag_all_loops, HypothesisViolated, r"sources \[0\] lack self-loops"),
-                (identify_polytree, HypothesisViolated, r"graph is not a polytree"),
+                (identify_dag, HypothesisViolated, r"sources \[0\] lack self-loops"),
                 (auto_identify, NoMethodApplies,
                  r"graph matches neither constructive hypothesis class"),
             ],
@@ -726,9 +749,8 @@ class TestErrorParity:
         "diamond": (
             diamond(), (2, 3, 4),
             [
-                (identify_dag_all_loops, SingularBlock,
+                (identify_dag, SingularBlock,
                  r"singular block at vertex 3 \(condition number \S+\)"),
-                (identify_polytree, HypothesisViolated, r"graph is not a polytree"),
                 (auto_identify, NoMethodApplies,
                  r"graph matches neither constructive hypothesis class"),
             ],
@@ -753,7 +775,7 @@ class TestErrorParity:
         hits = identify._plan.cache_info().hits
         for _ in range(2):
             with pytest.raises(HypothesisViolated, match="fourth-order"):
-                identify_dag_all_loops(g, stack)
+                identify_dag(g, stack)
         assert identify._plan.cache_info().hits >= hits + 1
 
     @pytest.mark.parametrize("p", [2, 3, 4])

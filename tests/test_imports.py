@@ -22,7 +22,7 @@ EXPORTS = {
     # identify
     "CumulantStack", "DegenerateDenominator", "HypothesisViolated", "IdentifiabilityReport",
     "SingularBlock", "auto_identify", "count_equations_vs_parameters",
-    "identify_dag_all_loops", "identify_polytree", "model_stack",
+    "identify_dag", "model_stack",
     # jacobian
     "ModifiedJacobian", "build_modified_jacobian", "local_identifiability_verdict",
     # tensors
@@ -62,7 +62,8 @@ def test_unknown_name():
 # test-only oracles, now in tests/oracles.py, or wrappers of graph properties
 # (offdiag_rank: build_modified_jacobian returns the block it cut out)
 RETIRED = ["Trek", "enumerate_equitreks", "equitrek_exists", "two_node_st_solutions",
-           "enumerate_base_treks", "offdiag_rank"]
+           "enumerate_base_treks", "offdiag_rank", "identify_dag_all_loops",
+           "identify_polytree"]
 
 
 @pytest.mark.parametrize("name", RETIRED)

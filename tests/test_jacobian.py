@@ -219,6 +219,13 @@ class TestBuild:
         assert [n for n, _ in mj.rows] == [2, 3, 3, 4, 4, 4]
         assert np.array_equal(mj.matrix, expected.matrix)
 
+    def test_order4_rows_need_order_4(self):
+        g = two_cycle_with_loops()
+        pm = sample_stable_matrix(g, seed=0, target_radius=0.5)
+        stack = model_stack(pm, unit_noise(2, (2, 3)))
+        with pytest.raises(ValueError, match="order4_rows needs an order-4 tensor"):
+            build_modified_jacobian(g, pm, stack, order4_rows=[(0, 0, 0, 1)])
+
     def test_diagonal_disconnected_block_zero(self):
         g = DirectedGraph(3, [(i, i) for i in range(3)])
         pm = ParameterMatrix(g, np.diag([0.3, 0.4, 0.5]))
@@ -300,6 +307,17 @@ class TestVerdict:
         report = local_identifiability_verdict(g, trials=3, seed=0)
         assert report.verdict == "locally-identifiable"
         assert report.augmented
+
+    def test_two_cycle_with_one_loop_needs_no_augmentation(self):
+        # a two-cycle component is not always deficient at orders 2-3: with
+        # one loop its three edges are full rank, so no trial augments
+        g = DirectedGraph(2, [(0, 0), (0, 1), (1, 0)])
+        assert augmentation_rows(g)
+        report = local_identifiability_verdict(g, trials=5, seed=0)
+        assert report.verdict == "locally-identifiable"
+        assert report.generic_rank == 3
+        assert not report.augmented
+        assert not any(t.augmented for t in report.trials)
 
     def test_diamond_deficiency_exactly_one(self):
         g = diamond()
