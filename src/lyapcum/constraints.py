@@ -149,16 +149,6 @@ class ToricMatrix:
     row_labels: list[tuple]
     col_labels: list[tuple[int, tuple[int, ...]]]
 
-    def to_csv(self) -> str:
-        header = "row," + ",".join(
-            "|".join(map(str, (order,) + key)) for order, key in self.col_labels
-        )
-        lines = [header]
-        for label, row in zip(self.row_labels, self.matrix):
-            name = "-".join(map(str, label))
-            lines.append(name + "," + ",".join(str(int(x)) for x in row))
-        return "\n".join(lines) + "\n"
-
 
 def toric_matrix(g: DirectedGraph, order: int) -> ToricMatrix:
     """Exponent matrix of the monomial cumulant parametrization up to ``order``.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable
 
 
@@ -217,9 +217,33 @@ class DirectedGraph:
         return order
 
     @cached_property
+    def equitrek_support(self) -> tuple[int, ...]:
+        """The maximal reach sets as bitmasks; ``R_L(r)`` ends the length-L walks from r.
+
+        Legs step independently, so the n-leg, length-L equitreks from r end on exactly the
+        n-multisets ``D_n(R_L(r))``: each order's support is the union of ``D_n(R)`` over the
+        maximal R, and ``D_n(R) & D_n(R') = D_n(R & R')``.  Boolean powers are eventually
+        periodic and a row fixes its successor, so each start steps until it meets a seen row.
+        """
+        child_masks = [sum(1 << c for c in cs) for cs in self.children]
+        seen: set[int] = set()
+        for row in (1 << r for r in range(self.p)):
+            while row not in seen:
+                seen.add(row)
+                row = reduce(int.__or__, (m for v, m in enumerate(child_masks) if row >> v & 1), 0)
+        maximal: dict[int, list[int]] = {}  # by size, largest first
+        for row in sorted(seen, key=lambda m: (-m.bit_count(), m)):
+            size = row.bit_count()
+            if size and all(row & ~m for k, ms in maximal.items() if k > size for m in ms):
+                maximal.setdefault(size, []).append(row)
+        return tuple(itertools.chain.from_iterable(maximal.values()))
+
+    @cached_property
     def equitrek_graph(self) -> "EquitrekGraph":
-        """Bidirected equitrek graph: the two-leg case of :func:`equitrek_multisets`."""
-        return EquitrekGraph(p=self.p, biedges=frozenset(equitrek_multisets(self, 2)))
+        """Bidirected equitrek graph: the pairs inside one maximal reach set."""
+        members = ([v for v in range(self.p) if row >> v & 1] for row in self.equitrek_support)
+        pairs = (itertools.combinations_with_replacement(m, 2) for m in members)
+        return EquitrekGraph(p=self.p, biedges=frozenset(itertools.chain.from_iterable(pairs)))
 
     def relabel(self, perm: Iterable[int]) -> "DirectedGraph":
         """New graph with vertex v renamed to perm[v]."""
@@ -263,29 +287,8 @@ class EquitrekGraph:
 
 
 # ---------------------------------------------------------------------------
-# equitrek search
+# equitrek support
 # ---------------------------------------------------------------------------
-
-
-def equitrek_multisets(g: DirectedGraph, order: int) -> set[tuple[int, ...]]:
-    """Sorted leaf multisets of the equitreks with ``order`` legs.
-
-    A multiset is joined by an equitrek iff it is forward-reachable from a
-    diagonal state ``(r,) * order`` under synchronized steps, every leg
-    moving along one edge at a time.
-    """
-    seen = {(r,) * order for r in range(g.p)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for combo in itertools.product(*(g.children[v] for v in state)):
-                succ = tuple(sorted(combo))
-                if succ not in seen:
-                    seen.add(succ)
-                    nxt.append(succ)
-        frontier = nxt
-    return seen
 
 
 def equitrek_graph(g: DirectedGraph) -> EquitrekGraph:

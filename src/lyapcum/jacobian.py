@@ -225,19 +225,23 @@ def local_identifiability_verdict(
             ),
         )
     extra_rows = augmentation_rows(g)
+    # a two-cycle with both loops has 4 edges against 3 off-diagonal rows at orders 2-3
+    always_augmented = any(all(map(g.has_self_loop, c)) for c in two_cycle_components(g))
 
     def run_trial(trial: int) -> TrialRecord:
         radius = 0.45 if trial % 2 == 0 else 0.85
         a = sample_stable_matrix(g, seed=seed * 1000 + trial, target_radius=radius)
         rng = np.random.default_rng(seed * 1000 + trial + 7)
-        mj = build_modified_jacobian(g, a, model_stack(a, random_omegas(rng, g.p, (2, 3))))
-        rank, sing = numeric_rank(mj.matrix)
-        augmented = False
-        if rank < n_edges and extra_rows:
+        omegas = random_omegas(rng, g.p, (2, 3))  # drawn even when unused, so the rng stream holds
+        augmented = always_augmented
+        if not augmented:
+            mj = build_modified_jacobian(g, a, model_stack(a, omegas))
+            rank, sing = numeric_rank(mj.matrix)
+            augmented = rank < n_edges and bool(extra_rows)
+        if augmented:
             stack = model_stack(a, random_omegas(rng, g.p, (2, 3, 4)))
             mj = build_modified_jacobian(g, a, stack, order4_rows=extra_rows)
             rank, sing = numeric_rank(mj.matrix)
-            augmented = True
         nonzero = sing[sing > 0]
         gap = float(nonzero[0] / nonzero[-1]) if len(nonzero) else np.inf
         return TrialRecord(
@@ -253,10 +257,7 @@ def local_identifiability_verdict(
     best_rank = max(r.rank for r in records)
 
     used_orders = (2, 3, 4) if any(r.augmented for r in records) else (2, 3)
-    row_counts = {
-        n: comb(g.p + n - 1, n) if n < 4 else len(extra_rows)
-        for n in used_orders
-    }
+    row_counts = {n: comb(g.p + n - 1, n) if n < 4 else len(extra_rows) for n in used_orders}
     deficiency = n_edges - best_rank
     if deficiency == 0:
         verdict = "locally-identifiable"

@@ -180,11 +180,6 @@ class SymmetricTensor:
         tensor.sym_defect = float(np.ptp(orbit, axis=0).max())
         return tensor
 
-    @classmethod
-    def diagonal(cls, diag: Iterable[float], order: int) -> "SymmetricTensor":
-        diag = list(diag)
-        return cls(order, len(diag), {(i,) * order: w for i, w in enumerate(diag)})
-
     @property
     def values(self) -> MutableMapping[tuple[int, ...], float]:
         """Live view: ``t.values[key] += x`` changes the tensor."""

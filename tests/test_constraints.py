@@ -224,10 +224,10 @@ class TestToricMatrix:
         assert all(x == 0 for x in (tm.matrix.astype(object) @ vec))
 
     def test_csv_labels(self):
-        text = toric_matrix(two_node_chain(), 2).to_csv()
-        lines = text.strip().splitlines()
-        assert lines[0] == "row,2|0|0,2|0|1,2|1|1"
-        assert lines[1] == "v-2-0,1,1,0"
+        tm = toric_matrix(two_node_chain(), 2)
+        assert tm.col_labels == [(2, (0, 0)), (2, (0, 1)), (2, (1, 1))]
+        assert tm.row_labels[0] == ("v", 2, 0)
+        assert tm.matrix[0].tolist() == [1, 1, 0]
 
 
 class TestLevelPolynomials:

@@ -13,8 +13,8 @@ from lyapcum import (
     DisconnectedGraph,
     ParameterMatrix,
     classify_star,
+    count_equations_vs_parameters,
     equitrek_graph,
-    equitrek_multisets,
     implied_conditional_independence,
     implied_marginal_independence,
     sample_stable_matrix,
@@ -22,7 +22,7 @@ from lyapcum import (
     solve_cumulant,
     spectral_radius,
 )
-from oracles import enumerate_equitreks
+from oracles import enumerate_equitreks, equitrek_multisets
 from conftest import (
     bare_two_cycle,
     collider_square,
@@ -211,6 +211,12 @@ def positive_models(draw):
     return ParameterMatrix(g, entries), np.array(w)
 
 
+def support_size(g: DirectedGraph, order: int) -> int:
+    """Multisets of ``order`` joined by an equitrek, from the equation count."""
+    zero = count_equations_vs_parameters(g, order).zero_entries[order]
+    return comb(g.p + order - 1, order) - zero
+
+
 class TestEquitrekMultisets:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(positive_models(), st.integers(2, 3))
@@ -223,12 +229,80 @@ class TestEquitrekMultisets:
         series = series_cumulant(a, DiagonalCumulant(order, w), terms=terms)
         support = {key for key, value in series.values.items() if value > 0.0}
         assert equitrek_multisets(a.g, order) == support
+        assert support_size(a.g, order) == len(support)
         if order == 2:
             eg = equitrek_graph(a.g)
             assert eg.biedges == support
             for v in range(a.p):
                 scan = {b if a_ == v else a_ for a_, b in eg.biedges if v in (a_, b)}
                 assert eg.neighbors(v) == tuple(sorted(scan))
+
+
+class TestEquitrekSupport:
+    @staticmethod
+    def spy_direct_count(monkeypatch) -> list:
+        """Record each call of the subset enumeration only the direct count makes."""
+        from lyapcum import identify
+
+        calls = []
+        combinations = identify.combinations
+        monkeypatch.setattr(
+            identify, "combinations", lambda *args: calls.append(args) or combinations(*args)
+        )
+        return calls
+
+    def test_every_small_graph_matches_the_walk(self, monkeypatch):
+        # all 1 + 16 + 512 edge sets at p <= 3, self-loops included
+        direct = self.spy_direct_count(monkeypatch)
+        counted_directly = 0
+        for p in (1, 2, 3):
+            slots = [(i, j) for i in range(p) for j in range(p)]
+            for mask in range(1 << len(slots)):
+                g = DirectedGraph(p, [e for k, e in enumerate(slots) if mask >> k & 1])
+                for order in (2, 3, 4):
+                    walk = equitrek_multisets(g, order)
+                    direct.clear()
+                    assert support_size(g, order) == len(walk), (g, order)
+                    counted_directly += bool(direct)
+                    if order == 2:
+                        assert g.equitrek_graph.biedges == frozenset(walk), g
+        # both the inclusion-exclusion and the direct count were checked
+        assert 0 < counted_directly < 3 * (1 + 16 + 512)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 7, 16])
+    def test_sources_missing_one_sink_each(self, k, monkeypatch):
+        # unlooped sources 0..k-1, each pointing to every looped sink k..2k-1
+        # but its own: the k reach sets "all sinks but one" meet in 2^k
+        # distinct intersections, so the inclusion-exclusion gives way to the
+        # direct count.  A multiset of sinks is joined iff it misses a sink,
+        # and each source joins itself.
+        direct = self.spy_direct_count(monkeypatch)
+        g = DirectedGraph(
+            2 * k,
+            [(k + j, k + j) for j in range(k)]
+            + [(i, k + j) for i in range(k) for j in range(k) if i != j],
+        )
+        for order in (2, 3, 4):
+            expected = comb(k + order - 1, order) - comb(order - 1, k - 1) + k
+            assert support_size(g, order) == expected
+            if k <= 7:
+                assert len(equitrek_multisets(g, order)) == expected
+        assert direct
+
+    def test_source_above_coprime_cycles(self):
+        # a source pointing into directed cycles of lengths 2, 3, 5, 7 and 11:
+        # its rows after the first take one vertex of each cycle and repeat
+        # only after 2310 steps, so they are 2310 maximal reach sets, and the
+        # source's own row {0} is the last one
+        edges, p = [], 1
+        for length in (2, 3, 5, 7, 11):
+            edges += [(0, p)] + [(p + i, p + (i + 1) % length) for i in range(length)]
+            p += length
+        g = DirectedGraph(p, edges)
+        assert len(g.equitrek_support) == 2310 + 1
+        for order in (2, 3, 4):
+            assert support_size(g, order) == len(equitrek_multisets(g, order))
+        assert g.equitrek_graph.biedges == frozenset(equitrek_multisets(g, 2))
 
 
 class TestIndependence:

@@ -54,7 +54,7 @@ def stack_for(g, seed, radius=0.6, orders=(2, 3, 4)):
 class TestCumulantStack:
     @staticmethod
     def tensors(p=3, orders=(2, 3, 4)):
-        return {n: SymmetricTensor.diagonal(np.arange(1.0, p + 1), n) for n in orders}
+        return {n: SymmetricTensor(n, p, {(i,) * n: i + 1.0 for i in range(p)}) for n in orders}
 
     def test_keyed_by_each_tensor_order(self):
         t = self.tensors()

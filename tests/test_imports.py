@@ -17,7 +17,7 @@ EXPORTS = {
     "series_cumulant", "simulate_and_estimate", "solve_cumulant", "spectral_radius",
     # graphs
     "CyclicGraph", "DirectedGraph", "DisconnectedGraph", "EquitrekGraph",
-    "StarClassification", "classify_star", "equitrek_graph", "equitrek_multisets",
+    "StarClassification", "classify_star", "equitrek_graph",
     "implied_conditional_independence", "implied_marginal_independence",
     # identify
     "CumulantStack", "DegenerateDenominator", "HypothesisViolated", "IdentifiabilityReport",
@@ -63,7 +63,7 @@ def test_unknown_name():
 # (offdiag_rank: build_modified_jacobian returns the block it cut out)
 RETIRED = ["Trek", "enumerate_equitreks", "equitrek_exists", "two_node_st_solutions",
            "enumerate_base_treks", "offdiag_rank", "identify_dag_all_loops",
-           "identify_polytree"]
+           "identify_polytree", "equitrek_multisets"]
 
 
 @pytest.mark.parametrize("name", RETIRED)

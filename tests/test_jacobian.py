@@ -319,6 +319,28 @@ class TestVerdict:
         assert not report.augmented
         assert not any(t.augmented for t in report.trials)
 
+    @pytest.mark.parametrize(
+        "edges, solved",
+        [
+            ([(0, 0), (1, 1), (0, 1), (1, 0), (2, 2), (2, 3)], [2, 3, 4]),
+            ([(0, 0), (0, 1), (1, 0)], [2, 3]),
+        ],
+        ids=["two-cycle-beside-loop", "one-loop-two-cycle"],
+    )
+    def test_orders_solved_per_trial(self, edges, solved, monkeypatch):
+        # a two-cycle with both loops is deficient at orders 2-3 on every
+        # draw, so its trials solve orders 2-4 once, for the augmented build
+        from lyapcum import identify
+
+        orders = []
+        solve = identify.solve_cumulant
+        monkeypatch.setattr(
+            identify, "solve_cumulant", lambda a, w: orders.append(w.order) or solve(a, w)
+        )
+        g = DirectedGraph(max(max(e) for e in edges) + 1, edges)
+        local_identifiability_verdict(g, trials=4, seed=2)
+        assert orders == solved * 4
+
     def test_diamond_deficiency_exactly_one(self):
         g = diamond()
         pm = sample_stable_matrix(g, seed=4, target_radius=0.5)
