@@ -217,30 +217,39 @@ class DirectedGraph:
         return order
 
     @cached_property
-    def equitrek_support(self) -> tuple[int, ...]:
+    def equitrek_support(self) -> tuple[int, ...] | None:
         """The maximal reach sets as bitmasks; ``R_L(r)`` ends the length-L walks from r.
 
         Legs step independently, so the n-leg, length-L equitreks from r end on exactly the
         n-multisets ``D_n(R_L(r))``: each order's support is the union of ``D_n(R)`` over the
         maximal R, and ``D_n(R) & D_n(R') = D_n(R & R')``.  Boolean powers are eventually
         periodic and a row fixes its successor, so each start steps until it meets a seen row.
+
+        The period can reach Landau's function of p, so stepping stops at ``None`` once the
+        rows outnumber p**2, p for each start, and the readers take :func:`equitrek_multisets`
+        instead.  Every DAG and every graph with all self-loops fits: there a start's rows
+        never repeat, and they die out or stop growing within p steps.
         """
         child_masks = [sum(1 << c for c in cs) for cs in self.children]
         seen: set[int] = set()
         for row in (1 << r for r in range(self.p)):
-            while row not in seen:
+            while row and row not in seen:
+                if len(seen) == self.p**2:
+                    return None
                 seen.add(row)
                 row = reduce(int.__or__, (m for v, m in enumerate(child_masks) if row >> v & 1), 0)
         maximal: dict[int, list[int]] = {}  # by size, largest first
         for row in sorted(seen, key=lambda m: (-m.bit_count(), m)):
             size = row.bit_count()
-            if size and all(row & ~m for k, ms in maximal.items() if k > size for m in ms):
+            if all(row & ~m for k, ms in maximal.items() if k > size for m in ms):
                 maximal.setdefault(size, []).append(row)
         return tuple(itertools.chain.from_iterable(maximal.values()))
 
     @cached_property
     def equitrek_graph(self) -> "EquitrekGraph":
         """Bidirected equitrek graph: the pairs inside one maximal reach set."""
+        if self.equitrek_support is None:
+            return EquitrekGraph(p=self.p, biedges=frozenset(equitrek_multisets(self, 2)))
         members = ([v for v in range(self.p) if row >> v & 1] for row in self.equitrek_support)
         pairs = (itertools.combinations_with_replacement(m, 2) for m in members)
         return EquitrekGraph(p=self.p, biedges=frozenset(itertools.chain.from_iterable(pairs)))
@@ -287,8 +296,30 @@ class EquitrekGraph:
 
 
 # ---------------------------------------------------------------------------
-# equitrek support
+# equitrek search
 # ---------------------------------------------------------------------------
+
+
+def equitrek_multisets(g: DirectedGraph, order: int) -> set[tuple[int, ...]]:
+    """Sorted leaf multisets of the equitreks with ``order`` legs.
+
+    A multiset is joined by an equitrek iff it is forward-reachable from a
+    diagonal state ``(r,) * order`` under synchronized steps, every leg
+    moving along one edge at a time.  Bounded by the C(p + order - 1, order)
+    multisets, this walk serves the graphs whose reach sets are too many.
+    """
+    seen = {(r,) * order for r in range(g.p)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for combo in itertools.product(*(g.children[v] for v in state)):
+                succ = tuple(sorted(combo))
+                if succ not in seen:
+                    seen.add(succ)
+                    nxt.append(succ)
+        frontier = nxt
+    return seen
 
 
 def equitrek_graph(g: DirectedGraph) -> EquitrekGraph:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -28,7 +27,7 @@ from .engine import (
     _forward_residual,
     solve_cumulant,
 )
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, equitrek_multisets
 from .tensors import SymmetricTensor
 
 DEGENERACY_TOL = 1e-12
@@ -365,23 +364,25 @@ class EquationCount:
         }
 
 
-def _support_size(sets: tuple[int, ...], p: int, n: int) -> int:
-    """Number of n-multisets over range(p) inside one of ``sets`` (bitmasks).
+def _support_size(g: DirectedGraph, n: int) -> int:
+    """Number of n-multisets joined by an equitrek.
 
-    Inclusion-exclusion over the distinct intersections X, ``sum c_X C(|X| + n - 1, n)``,
-    unless the terms it updates outnumber the subsets a direct count enumerates.
+    Inclusion-exclusion over the distinct nonempty intersections X of the maximal reach
+    sets, ``sum c_X C(|X| + n - 1, n)``.  Once the terms it updates outnumber the
+    C(p + n - 1, n) multisets, or when the reach sets are too many to keep, it counts
+    the states of :func:`equitrek_multisets` instead, whose walk that number bounds.
     """
-    budget = sum(comb(r.bit_count(), j) for r in sets for j in range(1, n + 1))
+    if g.equitrek_support is None:
+        return len(equitrek_multisets(g, n))
+    budget = comb(g.p + n - 1, n)
     terms: dict[int, int] = {}
-    for r in sets:
+    for r in g.equitrek_support:
         budget -= len(terms) + 1
-        if budget < 0:  # count directly: a j-subset supports C(n-1, j-1) multisets
-            members = ([v for v in range(p) if s >> v & 1] for s in sets)
-            subsets = {k for m in members for j in range(1, n + 1) for k in combinations(m, j)}
-            return sum(comb(n - 1, len(k) - 1) for k in subsets)
+        if budget < 0:
+            return len(equitrek_multisets(g, n))
         for x, c in [*terms.items(), (r, -1)]:  # -c at X & R for each term, and +1 at R
             terms[x & r] = terms.get(x & r, 0) - c
-        terms = {x: c for x, c in terms.items() if c}
+        terms = {x: c for x, c in terms.items() if c and x}
     return sum(c * comb(x.bit_count() + n - 1, n) for x, c in terms.items())
 
 
@@ -394,10 +395,20 @@ def count_equations_vs_parameters(g: DirectedGraph, n_max: int) -> EquationCount
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    nonzero = {n: _support_size(g.equitrek_support, g.p, n) for n in range(2, n_max + 1)}
-    params, equations = len(g.edges) + g.p * (n_max - 1), sum(nonzero.values())
-    zero_entries = {n: comb(g.p + n - 1, n) - k for n, k in nonzero.items()}
-    return EquationCount(params, equations, params <= equations, zero_entries)
+    params = len(g.edges) + g.p * (n_max - 1)
+    zero_entries = {}
+    equations = 0
+    for order in range(2, n_max + 1):
+        total = comb(order + g.p - 1, order)
+        nonzero = _support_size(g, order)
+        zero_entries[order] = total - nonzero
+        equations += nonzero
+    return EquationCount(
+        params=params,
+        equations=equations,
+        bound_satisfied=params <= equations,
+        zero_entries=zero_entries,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -137,13 +137,23 @@ def two_cycle_components(g: DirectedGraph) -> list[tuple[int, int]]:
 def augmentation_rows(g: DirectedGraph) -> list[tuple[int, ...]]:
     """Fourth-order rows repairing two-cycle pairs: both diagonals plus one mixed.
 
-    The one source of the augmentation decision: a verdict escalates to order 4
-    only when this list is nonempty, and reports its length as the order-4 row count.
+    With :func:`augments_every_trial`, the one source of the augmentation decision: a
+    verdict escalates to order 4 only when this list is nonempty, and reports its length
+    as the order-4 row count.
     """
     rows = []
     for i, j in two_cycle_components(g):
         rows.extend([(i, i, i, i), (j, j, j, j), (i, i, i, j)])
     return rows
+
+
+def augments_every_trial(g: DirectedGraph) -> bool:
+    """Whether a two-cycle component carries both self-loops.
+
+    Its 4 edges face 3 off-diagonal rows at orders 2-3, so every draw is deficient
+    there, and the verdict goes straight to the rows of :func:`augmentation_rows`.
+    """
+    return any(g.has_self_loop(i) and g.has_self_loop(j) for i, j in two_cycle_components(g))
 
 
 @dataclass
@@ -225,8 +235,7 @@ def local_identifiability_verdict(
             ),
         )
     extra_rows = augmentation_rows(g)
-    # a two-cycle with both loops has 4 edges against 3 off-diagonal rows at orders 2-3
-    always_augmented = any(all(map(g.has_self_loop, c)) for c in two_cycle_components(g))
+    always_augmented = augments_every_trial(g)
 
     def run_trial(trial: int) -> TrialRecord:
         radius = 0.45 if trial % 2 == 0 else 0.85
@@ -257,7 +266,10 @@ def local_identifiability_verdict(
     best_rank = max(r.rank for r in records)
 
     used_orders = (2, 3, 4) if any(r.augmented for r in records) else (2, 3)
-    row_counts = {n: comb(g.p + n - 1, n) if n < 4 else len(extra_rows) for n in used_orders}
+    row_counts = {
+        n: comb(g.p + n - 1, n) if n < 4 else len(extra_rows)
+        for n in used_orders
+    }
     deficiency = n_edges - best_rank
     if deficiency == 0:
         verdict = "locally-identifiable"

@@ -4,8 +4,6 @@
   them from one contraction per order).
 - The two-leg recursions of the placement polynomials and base-trek
   coefficients, which ``treks`` derives from the n-leg placement formula.
-- The equitrek support as the breadth-first walk of sorted leaf tuples under
-  synchronized steps (``graphs`` reads it from the maximal reach sets).
 - Treks as explicit vertex paths: the brute-force equitrek enumeration and
   trek monomials, whose sum ``engine.series_cumulant`` truncates, and the
   base-trek enumeration that ``treks.base_trek_cumulant`` sums over, written
@@ -76,27 +74,6 @@ def jacobian_entry_order3(
             a[i, l] * a[j, m] * t[(l, m, alpha)] for l in range(p) for m in range(p)
         )
     return value
-
-
-def equitrek_multisets(g: DirectedGraph, order: int) -> set[tuple[int, ...]]:
-    """Sorted leaf multisets of the equitreks with ``order`` legs.
-
-    A multiset is joined by an equitrek iff it is forward-reachable from a
-    diagonal state ``(r,) * order`` under synchronized steps, every leg
-    moving along one edge at a time.
-    """
-    seen = {(r,) * order for r in range(g.p)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for combo in itertools.product(*(g.children[v] for v in state)):
-                succ = tuple(sorted(combo))
-                if succ not in seen:
-                    seen.add(succ)
-                    nxt.append(succ)
-        frontier = nxt
-    return seen
 
 
 @dataclass(frozen=True)

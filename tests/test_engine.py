@@ -22,9 +22,9 @@ from lyapcum import (
     spectral_radius,
 )
 from lyapcum.engine import STABILITY_MARGIN
+from lyapcum.graphs import equitrek_multisets
 from lyapcum.tensors import SymmetricTensor, multiset_indices
 from conftest import two_node_chain, unit_noise, unit_parameters
-from oracles import equitrek_multisets
 
 
 def fig1_matrix() -> ParameterMatrix:

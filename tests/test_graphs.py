@@ -22,7 +22,8 @@ from lyapcum import (
     solve_cumulant,
     spectral_radius,
 )
-from oracles import enumerate_equitreks, equitrek_multisets
+from lyapcum.graphs import equitrek_multisets
+from oracles import enumerate_equitreks
 from conftest import (
     bare_two_cycle,
     collider_square,
@@ -240,69 +241,79 @@ class TestEquitrekMultisets:
 
 class TestEquitrekSupport:
     @staticmethod
-    def spy_direct_count(monkeypatch) -> list:
-        """Record each call of the subset enumeration only the direct count makes."""
-        from lyapcum import identify
+    def spy_walk(monkeypatch) -> list:
+        """Record the order of each walk the readers of the support fall back on."""
+        from lyapcum import graphs, identify
 
-        calls = []
-        combinations = identify.combinations
-        monkeypatch.setattr(
-            identify, "combinations", lambda *args: calls.append(args) or combinations(*args)
-        )
-        return calls
+        orders = []
+        walk = graphs.equitrek_multisets
+        for module in (graphs, identify):
+            monkeypatch.setattr(
+                module, "equitrek_multisets", lambda g, n: orders.append(n) or walk(g, n)
+            )
+        return orders
 
     def test_every_small_graph_matches_the_walk(self, monkeypatch):
-        # all 1 + 16 + 512 edge sets at p <= 3, self-loops included
-        direct = self.spy_direct_count(monkeypatch)
-        counted_directly = 0
+        # all 1 + 16 + 512 edge sets at p <= 3, self-loops included, each
+        # read from its reach sets alone
+        walked = self.spy_walk(monkeypatch)
         for p in (1, 2, 3):
             slots = [(i, j) for i in range(p) for j in range(p)]
             for mask in range(1 << len(slots)):
                 g = DirectedGraph(p, [e for k, e in enumerate(slots) if mask >> k & 1])
                 for order in (2, 3, 4):
                     walk = equitrek_multisets(g, order)
-                    direct.clear()
                     assert support_size(g, order) == len(walk), (g, order)
-                    counted_directly += bool(direct)
                     if order == 2:
                         assert g.equitrek_graph.biedges == frozenset(walk), g
-        # both the inclusion-exclusion and the direct count were checked
-        assert 0 < counted_directly < 3 * (1 + 16 + 512)
+        assert walked == []
 
-    @pytest.mark.parametrize("k", [2, 3, 5, 7, 16])
-    def test_sources_missing_one_sink_each(self, k, monkeypatch):
+    @pytest.mark.parametrize(
+        "k, walked", [(2, []), (3, [2]), (7, [2, 3]), (10, [2, 3, 4])]
+    )
+    def test_sources_missing_one_sink_each(self, k, walked, monkeypatch):
         # unlooped sources 0..k-1, each pointing to every looped sink k..2k-1
         # but its own: the k reach sets "all sinks but one" meet in 2^k
-        # distinct intersections, so the inclusion-exclusion gives way to the
-        # direct count.  A multiset of sinks is joined iff it misses a sink,
-        # and each source joins itself.
-        direct = self.spy_direct_count(monkeypatch)
+        # distinct intersections.  Each order's inclusion-exclusion gives way
+        # to the walk once its terms outnumber the C(2k + n - 1, n) multisets.
+        # A multiset of sinks is joined iff it misses a sink, and each source
+        # joins itself.
+        orders = self.spy_walk(monkeypatch)
         g = DirectedGraph(
             2 * k,
             [(k + j, k + j) for j in range(k)]
             + [(i, k + j) for i in range(k) for j in range(k) if i != j],
         )
+        count = count_equations_vs_parameters(g, 4)
         for order in (2, 3, 4):
             expected = comb(k + order - 1, order) - comb(order - 1, k - 1) + k
-            assert support_size(g, order) == expected
-            if k <= 7:
-                assert len(equitrek_multisets(g, order)) == expected
-        assert direct
+            assert comb(2 * k + order - 1, order) - count.zero_entries[order] == expected
+            assert len(equitrek_multisets(g, order)) == expected
+        assert orders == walked
 
-    def test_source_above_coprime_cycles(self):
-        # a source pointing into directed cycles of lengths 2, 3, 5, 7 and 11:
-        # its rows after the first take one vertex of each cycle and repeat
-        # only after 2310 steps, so they are 2310 maximal reach sets, and the
-        # source's own row {0} is the last one
+    @pytest.mark.parametrize(
+        "lengths, rows, walked",
+        [((2, 3, 5, 7), 210 + 1, [2, 3, 4]), ((2, 3, 5, 7, 11), None, [2, 3, 4, 2])],
+    )
+    def test_source_above_coprime_cycles(self, lengths, rows, walked, monkeypatch):
+        # a source pointing into directed cycles of coprime lengths: its rows
+        # after the first take one vertex of each cycle and repeat only after
+        # the product of the lengths.  With the cycles' singletons, 1 + 210 +
+        # 17 rows fit in p**2 = 324, and 210 of them and {0} are maximal;
+        # 2310 rows overflow p**2 = 841, so every reader walks.
+        orders = self.spy_walk(monkeypatch)
         edges, p = [], 1
-        for length in (2, 3, 5, 7, 11):
+        for length in lengths:
             edges += [(0, p)] + [(p + i, p + (i + 1) % length) for i in range(length)]
             p += length
         g = DirectedGraph(p, edges)
-        assert len(g.equitrek_support) == 2310 + 1
+        assert (g.equitrek_support and len(g.equitrek_support)) == rows
+        count = count_equations_vs_parameters(g, 4)
         for order in (2, 3, 4):
-            assert support_size(g, order) == len(equitrek_multisets(g, order))
+            walk = equitrek_multisets(g, order)
+            assert comb(p + order - 1, order) - count.zero_entries[order] == len(walk)
         assert g.equitrek_graph.biedges == frozenset(equitrek_multisets(g, 2))
+        assert orders == walked
 
 
 class TestIndependence:

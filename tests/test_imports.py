@@ -59,7 +59,8 @@ def test_unknown_name():
         exec("from lyapcum import no_such_name", {})
 
 
-# test-only oracles, now in tests/oracles.py, or wrappers of graph properties
+# test-only oracles, now in tests/oracles.py, wrappers of graph properties, or
+# internal to their module (equitrek_multisets: the support's bounded fallback)
 # (offdiag_rank: build_modified_jacobian returns the block it cut out)
 RETIRED = ["Trek", "enumerate_equitreks", "equitrek_exists", "two_node_st_solutions",
            "enumerate_base_treks", "offdiag_rank", "identify_dag_all_loops",
