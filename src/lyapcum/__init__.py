@@ -13,8 +13,8 @@ _EXPORTS = {
     "engine": """DiagonalCumulant NoiseSpec ParameterMatrix SingularSystem UnstableMatrix
         random_omegas recover_noise recursive_residual sample_stable_matrix
         series_cumulant simulate_and_estimate solve_cumulant spectral_radius""",
-    "graphs": """CyclicGraph DirectedGraph DisconnectedGraph EquitrekGraph
-        StarClassification classify_star equitrek_graph
+    "graphs": """CyclicGraph DirectedGraph DisconnectedGraph StarClassification
+        classify_star equitrek_graph
         implied_conditional_independence implied_marginal_independence""",
     "identify": """CumulantStack DegenerateDenominator HypothesisViolated
         IdentifiabilityReport SingularBlock auto_identify count_equations_vs_parameters

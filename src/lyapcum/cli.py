@@ -124,6 +124,7 @@ def _materialize_parameters(
     import numpy as np
 
     from .engine import DiagonalCumulant, ParameterMatrix
+    from .graphs import json_number
 
     if args.params:
         given = [f"--{name}" for name in ("seed", "radius") if getattr(args, name) is not None]
@@ -131,11 +132,15 @@ def _materialize_parameters(
             raise InputError(f"--params replaces the sampled draw; drop {' and '.join(given)}")
         data = _load_json(args.params)
         try:
-            entries = np.asarray(data["A"], dtype=float)
+            entries = np.array(
+                [[json_number(x, "an entry of A") for x in row] for row in data["A"]]
+            )
             omegas = {
-                int(n): DiagonalCumulant(int(n), np.asarray(w, dtype=float))
+                int(n): DiagonalCumulant(int(n), [json_number(x, "an omega entry") for x in w])
                 for n, w in data["omega"].items()
             }
+            if len(omegas) != len(data["omega"]):
+                raise ValueError(f"omega names an order twice: {sorted(data['omega'])}")
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InputError(f"malformed parameter file: {exc}") from exc
         if not all(np.isfinite(x).all() for x in [entries, *(w.w for w in omegas.values())]):
@@ -282,9 +287,10 @@ def cmd_analyze(args) -> int:
         for i, j in itertools.combinations(range(g.p), 2)
         if implied_marginal_independence(g, [i], [j])
     ]
+    # a biedge i-j is a path inside every I+J+K, so only marginal pairs can be separated
     document["conditional_independence"] = [
         {"i": i, "j": j, "given": [k]}
-        for i, j in itertools.combinations(range(g.p), 2)
+        for i, j in document["marginal_independence"]
         for k in range(g.p)
         if k not in (i, j)
         and implied_conditional_independence(g, [i], [j], [k])

@@ -12,6 +12,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from math import comb
 from typing import Iterable
 
 
@@ -28,6 +29,13 @@ def json_int(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be a JSON integer, got {value!r}")
     return value
+
+
+def json_number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number: a string or a bool is a ValueError."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def check_permutation(perm: Iterable[int], p: int) -> list[int]:
@@ -246,13 +254,16 @@ class DirectedGraph:
         return tuple(itertools.chain.from_iterable(maximal.values()))
 
     @cached_property
-    def equitrek_graph(self) -> "EquitrekGraph":
-        """Bidirected equitrek graph: the pairs inside one maximal reach set."""
-        if self.equitrek_support is None:
-            return EquitrekGraph(p=self.p, biedges=frozenset(equitrek_multisets(self, 2)))
-        members = ([v for v in range(self.p) if row >> v & 1] for row in self.equitrek_support)
-        pairs = (itertools.combinations_with_replacement(m, 2) for m in members)
-        return EquitrekGraph(p=self.p, biedges=frozenset(itertools.chain.from_iterable(pairs)))
+    def equitrek_neighbors(self) -> tuple[int, ...]:
+        """The equitrek graph as p bitmasks: bit j of row i is set iff an equitrek joins i and j.
+
+        That is iff i and j lie in one maximal reach set, or past the support's bound, iff
+        the order-2 walk reaches the pair.
+        """
+        sets = self.equitrek_support
+        if sets is None:
+            sets = [1 << i | 1 << j for i, j in equitrek_multisets(self, 2)]
+        return tuple(reduce(int.__or__, (m for m in sets if m >> v & 1), 0) for v in range(self.p))
 
     def relabel(self, perm: Iterable[int]) -> "DirectedGraph":
         """New graph with vertex v renamed to perm[v]."""
@@ -270,29 +281,6 @@ class DirectedGraph:
             raise ValueError("graph JSON must contain 'p' and 'edges'")
         edges = [tuple(json_int(v, "an edge endpoint") for v in e) for e in data["edges"]]
         return cls(json_int(data["p"], "'p'"), edges)
-
-
-@dataclass(frozen=True)
-class EquitrekGraph:
-    """Bidirected graph with an edge {i, j} iff an equitrek joins i and j."""
-
-    p: int
-    biedges: frozenset[tuple[int, int]]  # stored as (min, max)
-
-    def has_biedge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.biedges
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._neighbors.get(v, ())
-
-    @cached_property
-    def _neighbors(self) -> dict[int, tuple[int, ...]]:
-        """Sorted neighbors per vertex that has a biedge, built once."""
-        out: dict[int, set[int]] = {}
-        for a, b in self.biedges:
-            out.setdefault(a, set()).add(b)
-            out.setdefault(b, set()).add(a)
-        return {v: tuple(sorted(u)) for v, u in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -322,22 +310,56 @@ def equitrek_multisets(g: DirectedGraph, order: int) -> set[tuple[int, ...]]:
     return seen
 
 
-def equitrek_graph(g: DirectedGraph) -> EquitrekGraph:
-    """Bidirected equitrek graph of ``g``, memoized on the graph."""
-    return g.equitrek_graph
+def _support_size(g: DirectedGraph, n: int) -> int:
+    """Number of n-multisets joined by an equitrek.
+
+    Inclusion-exclusion over the distinct nonempty intersections X of the maximal reach
+    sets, ``sum c_X C(|X| + n - 1, n)``.  Once the terms it updates outnumber the
+    C(p + n - 1, n) multisets, or when the reach sets are too many to keep, it counts
+    the states of :func:`equitrek_multisets` instead, whose walk that number bounds.
+    """
+    if g.equitrek_support is None:
+        return len(equitrek_multisets(g, n))
+    budget = comb(g.p + n - 1, n)
+    terms: dict[int, int] = {}
+    for r in g.equitrek_support:
+        budget -= len(terms) + 1
+        if budget < 0:
+            return len(equitrek_multisets(g, n))
+        for x, c in [*terms.items(), (r, -1)]:  # -c at X & R for each term, and +1 at R
+            terms[x & r] = terms.get(x & r, 0) - c
+        terms = {x: c for x, c in terms.items() if c and x}
+    return sum(c * comb(x.bit_count() + n - 1, n) for x, c in terms.items())
+
+
+def equitrek_graph(g: DirectedGraph) -> tuple[int, ...]:
+    """Neighbor bitmasks of the bidirected equitrek graph of ``g``, memoized on the graph."""
+    return g.equitrek_neighbors
+
+
+def _separated(g: DirectedGraph, set_i: set[int], set_j: set[int], set_k: set[int]) -> bool:
+    """True iff no equitrek-graph path from I to J stays inside I+J+K."""
+    j = sum(1 << v for v in set_j)
+    frontier, unreached = set_i, set(set_k)
+    while frontier:
+        step = reduce(int.__or__, (g.equitrek_neighbors[v] for v in frontier), 0)
+        if step & j:
+            return False
+        frontier = {v for v in unreached if step >> v & 1}
+        unreached -= frontier
+    return True
 
 
 def implied_marginal_independence(
     g: DirectedGraph, group_i: Iterable[int], group_j: Iterable[int]
 ) -> bool:
-    """True iff no equitrek-graph biedge joins the two vertex groups."""
+    """True iff no equitrek-graph biedge joins the two vertex groups: separation given K = {}."""
     set_i, set_j = set(group_i), set(group_j)
     if not set_i or not set_j:
         raise ValueError("vertex groups must be nonempty")
     if set_i & set_j:
         raise ValueError("vertex groups must be disjoint")
-    eg = g.equitrek_graph
-    return not any(eg.has_biedge(a, b) for a in set_i for b in set_j)
+    return _separated(g, set_i, set_j, set())
 
 
 def implied_conditional_independence(
@@ -357,19 +379,7 @@ def implied_conditional_independence(
         raise ValueError("I and J must be nonempty")
     if set_i & set_j or set_i & set_k or set_j & set_k:
         raise ValueError("I, J, K must be pairwise disjoint")
-    eg = g.equitrek_graph
-    allowed = set_i | set_j | set_k
-    frontier = list(set_i)
-    seen = set(set_i)
-    while frontier:
-        v = frontier.pop()
-        for u in eg.neighbors(v):
-            if u in set_j:
-                return False
-            if u in allowed and u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return True
+    return _separated(g, set_i, set_j, set_k)
 
 
 # ---------------------------------------------------------------------------

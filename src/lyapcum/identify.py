@@ -27,7 +27,7 @@ from .engine import (
     _forward_residual,
     solve_cumulant,
 )
-from .graphs import DirectedGraph, equitrek_multisets
+from .graphs import DirectedGraph, _support_size
 from .tensors import SymmetricTensor
 
 DEGENERACY_TOL = 1e-12
@@ -362,28 +362,6 @@ class EquationCount:
             "bound_satisfied": self.bound_satisfied,
             "zero_entries": {str(k): v for k, v in self.zero_entries.items()},
         }
-
-
-def _support_size(g: DirectedGraph, n: int) -> int:
-    """Number of n-multisets joined by an equitrek.
-
-    Inclusion-exclusion over the distinct nonempty intersections X of the maximal reach
-    sets, ``sum c_X C(|X| + n - 1, n)``.  Once the terms it updates outnumber the
-    C(p + n - 1, n) multisets, or when the reach sets are too many to keep, it counts
-    the states of :func:`equitrek_multisets` instead, whose walk that number bounds.
-    """
-    if g.equitrek_support is None:
-        return len(equitrek_multisets(g, n))
-    budget = comb(g.p + n - 1, n)
-    terms: dict[int, int] = {}
-    for r in g.equitrek_support:
-        budget -= len(terms) + 1
-        if budget < 0:
-            return len(equitrek_multisets(g, n))
-        for x, c in [*terms.items(), (r, -1)]:  # -c at X & R for each term, and +1 at R
-            terms[x & r] = terms.get(x & r, 0) - c
-        terms = {x: c for x, c in terms.items() if c and x}
-    return sum(c * comb(x.bit_count() + n - 1, n) for x, c in terms.items())
 
 
 def count_equations_vs_parameters(g: DirectedGraph, n_max: int) -> EquationCount:

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .graphs import check_permutation, json_int
+from .graphs import check_permutation, json_int, json_number
 
 
 class DimensionMismatch(Exception):
@@ -222,7 +222,7 @@ class SymmetricTensor:
             order, p = json_int(data["order"], "'order'"), json_int(data["p"], "'p'")
             entries = data["entries"]
             values = {
-                tuple(sorted(int(s) for s in key.split(","))): float(v)
+                tuple(sorted(int(s) for s in key.split(","))): json_number(v, "an entry")
                 for key, v in entries.items()
             }
         except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:

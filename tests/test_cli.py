@@ -232,6 +232,12 @@ BAD_INPUTS = {
     # a JSON integer too large for a float
     "params-huge-integer": ("cumulants --graph {d}/g2.json --params {d}/huge-int.json", 2),
     "stack-huge-integer": ("identify --graph {d}/g2.json --stack {d}/huge-int-stack.json", 2),
+    # numbers must be JSON numbers, and an omega order is named once
+    "params-omega-order-twice": ("cumulants --graph {d}/g2.json --params {d}/omega-02.json", 2),
+    "params-a-string": ("cumulants --graph {d}/g2.json --params {d}/a-string.json", 2),
+    "params-a-bool": ("cumulants --graph {d}/g2.json --params {d}/a-bool.json", 2),
+    "stack-entry-string": ("identify --graph {d}/g2.json --stack {d}/string-stack.json", 2),
+    "stack-entry-bool": ("identify --graph {d}/g2.json --stack {d}/bool-stack.json", 2),
     # JSON is UTF-8; these files are Latin-1
     "params-not-utf8": ("cumulants --graph {d}/g2.json --params {d}/latin1-params.json", 2),
     "stack-not-utf8": ("identify --graph {d}/g2.json --stack {d}/latin1-stack.json", 2),
@@ -246,6 +252,11 @@ BAD_INPUT_MESSAGES = {
     "orders-outside-2-4": "input error: orders must be a subset of 2,3,4",
     "params-a-off-pattern": "input error: entry (0,1) is nonzero but edge 1->0 is absent",
     "params-without-omega-4": "input error: parameter file lacks omega for orders [4]",
+    "params-omega-order-twice": "input error: malformed parameter file: omega names an order twice",
+    "params-a-string": "input error: malformed parameter file: an entry of A must be a JSON number, got '0.5'",
+    "params-a-bool": "input error: malformed parameter file: an entry of A must be a JSON number, got True",
+    "stack-entry-string": "input error: malformed stack file: malformed tensor JSON: an entry must be a JSON number, got '1.0'",
+    "stack-entry-bool": "input error: malformed stack file: malformed tensor JSON: an entry must be a JSON number, got True",
 }
 
 
@@ -291,6 +302,10 @@ def bad_dir(tmp_path_factory):
         d / "huge-int.json",
         {"A": [[0.5, 0.0], [10**400, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
     )
+    omega = {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}
+    write_json(d / "omega-02.json", {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": {**omega, "02": [2.0, 2.0]}})
+    write_json(d / "a-string.json", {"A": [["0.5", 0.0], [1.0, 0.0]], "omega": omega})
+    write_json(d / "a-bool.json", {"A": [[True, 0.0], [1.0, 0.0]], "omega": omega})
     write_json(d / "list.json", [1, 2])
     assert main(["cumulants", "--graph", str(d / "g2.json"), "--out", str(d / "stack.json")]) == 0
     good = json.loads((d / "stack.json").read_text())
@@ -312,6 +327,10 @@ def bad_dir(tmp_path_factory):
     huge = copy.deepcopy(good)
     huge["tensors"]["2"]["entries"]["0,1"] = 10**400
     write_json(d / "huge-int-stack.json", huge)
+    for name, value in (("string-stack.json", "1.0"), ("bool-stack.json", True)):
+        bad = copy.deepcopy(good)
+        bad["tensors"]["2"]["entries"]["0,1"] = value
+        write_json(d / name, bad)
     params = json.loads((d / "params.json").read_text())
     for name, doc in (("latin1-params.json", params), ("latin1-stack.json", good)):
         doc = dict(doc, note="caf\u00e9")
@@ -576,6 +595,32 @@ def test_analyze_solves_no_order4(tmp_path, monkeypatch):
     )
     assert main(["analyze", "--graph", graph, "--trials", "2", "--out", str(tmp_path / "an.json")]) == 0
     assert orders and 4 not in orders
+
+
+@pytest.mark.parametrize("lengths", [None, (2, 3, 5, 7, 11)], ids=["looped-path-40", "coprime-cycles-29"])
+def test_analyze_separates_only_marginal_pairs(tmp_path, monkeypatch, lengths):
+    # on the looped path every pair is joined, so no separation query is made;
+    # a source above coprime cycles (p = 29) reads its support from the walk
+    from lyapcum import graphs
+
+    real = graphs.implied_conditional_independence
+    queries = []
+    monkeypatch.setattr(
+        graphs, "implied_conditional_independence", lambda *a: queries.append(a) or real(*a)
+    )
+    if lengths is None:
+        p, edges = 40, [[i, i] for i in range(40)] + [[i, i + 1] for i in range(39)]
+    else:
+        edges, p = [], 1
+        for length in lengths:
+            edges += [[0, p]] + [[p + i, p + (i + 1) % length] for i in range(length)]
+            p += length
+    graph = write_json(tmp_path / "g.json", {"p": p, "edges": edges})
+    out = tmp_path / "an.json"
+    assert main(["analyze", "--graph", graph, "--trials", "1", "--out", str(out)]) == 0
+    marginal = json.loads(out.read_text())["marginal_independence"]
+    assert len(marginal) == (0 if lengths is None else 118)
+    assert len(queries) == len(marginal) * (p - 2)
 
 
 class TestAnalyze:

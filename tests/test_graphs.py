@@ -33,6 +33,24 @@ from conftest import (
 )
 
 
+def has_biedge(g, i, j) -> bool:
+    return bool(equitrek_graph(g)[i] >> j & 1)
+
+
+def biedges(g) -> set[tuple[int, int]]:
+    """The pairs i <= j that the equitrek graph's neighbor masks join."""
+    return {(i, j) for i in range(g.p) for j in range(i, g.p) if has_biedge(g, i, j)}
+
+
+def masks(pairs, p) -> tuple[int, ...]:
+    """Neighbor masks of the bidirected graph on range(p) with the given pairs."""
+    rows = [0] * p
+    for i, j in pairs:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return tuple(rows)
+
+
 def random_graph(rng, p, edge_prob=0.4, all_loops=False):
     edges = set()
     for i in range(p):
@@ -119,15 +137,15 @@ class TestEnumerateEquitreks:
 class TestEquitrekExists:
     def test_collider_square(self):
         g = collider_square()
-        assert not g.equitrek_graph.has_biedge(0, 2)
-        assert g.equitrek_graph.has_biedge(1, 3)
+        assert not has_biedge(g, 0, 2)
+        assert has_biedge(g, 1, 3)
 
     def test_reflexive(self):
         # the empty trek joins a vertex to itself
-        assert bare_two_cycle().equitrek_graph.has_biedge(0, 0)
+        assert has_biedge(bare_two_cycle(), 0, 0)
 
     def test_bare_two_cycle(self):
-        assert not bare_two_cycle().equitrek_graph.has_biedge(0, 1)
+        assert not has_biedge(bare_two_cycle(), 0, 1)
 
     def test_matches_enumeration_small(self, rng):
         # nonemptiness of the literal bounded enumeration at the
@@ -138,7 +156,7 @@ class TestEquitrekExists:
             for i in range(p):
                 for j in range(i, p):
                     enumerated = bool(enumerate_equitreks(g, (i, j), p * p))
-                    assert g.equitrek_graph.has_biedge(i, j) == enumerated
+                    assert has_biedge(g, i, j) == enumerated
 
     def test_matches_boolean_powers(self, rng):
         # independent oracle at p in {4,5}: a shared top at distance l exists
@@ -160,26 +178,25 @@ class TestEquitrekExists:
                     )
             for i in range(p):
                 for j in range(i, p):
-                    assert g.equitrek_graph.has_biedge(i, j) == ((i, j) in joined)
+                    assert has_biedge(g, i, j) == ((i, j) in joined)
 
 
 class TestEquitrekGraph:
     def test_collider_square_biedges(self):
-        eg = equitrek_graph(collider_square())
-        off = {b for b in eg.biedges if b[0] != b[1]}
+        pairs = biedges(collider_square())
+        off = {b for b in pairs if b[0] != b[1]}
         assert off == {(0, 1), (0, 3), (1, 3), (2, 3)}
-        assert all((v, v) in eg.biedges for v in range(4))
+        assert all((v, v) in pairs for v in range(4))
 
     def test_diagonal_pattern_loops_only(self):
         g = DirectedGraph(3, [(0, 0), (1, 1), (2, 2)])
-        assert equitrek_graph(g).biedges == frozenset({(0, 0), (1, 1), (2, 2)})
+        assert equitrek_graph(g) == (0b001, 0b010, 0b100)
 
     def test_all_loops_matches_common_ancestor(self, rng):
         # with every self-loop present, biedges coincide with shared ancestry
         for _ in range(20):
             p = int(rng.integers(2, 5))
             g = random_graph(rng, p, edge_prob=0.35, all_loops=True)
-            eg = equitrek_graph(g)
             ancestors = []
             for v in range(p):
                 anc = {v}
@@ -193,7 +210,15 @@ class TestEquitrekGraph:
                 ancestors.append(anc)
             for i in range(p):
                 for j in range(p):
-                    assert eg.has_biedge(i, j) == bool(ancestors[i] & ancestors[j])
+                    assert has_biedge(g, i, j) == bool(ancestors[i] & ancestors[j])
+
+
+@st.composite
+def small_graphs(draw):
+    """Random digraph on 3 to 6 vertices, self-loops allowed."""
+    p = draw(st.integers(3, 6))
+    slots = [(i, j) for i in range(p) for j in range(p)]
+    return DirectedGraph(p, draw(st.sets(st.sampled_from(slots))))
 
 
 @st.composite
@@ -232,25 +257,20 @@ class TestEquitrekMultisets:
         assert equitrek_multisets(a.g, order) == support
         assert support_size(a.g, order) == len(support)
         if order == 2:
-            eg = equitrek_graph(a.g)
-            assert eg.biedges == support
-            for v in range(a.p):
-                scan = {b if a_ == v else a_ for a_, b in eg.biedges if v in (a_, b)}
-                assert eg.neighbors(v) == tuple(sorted(scan))
+            assert equitrek_graph(a.g) == masks(support, a.p)
 
 
 class TestEquitrekSupport:
     @staticmethod
     def spy_walk(monkeypatch) -> list:
         """Record the order of each walk the readers of the support fall back on."""
-        from lyapcum import graphs, identify
+        from lyapcum import graphs
 
         orders = []
         walk = graphs.equitrek_multisets
-        for module in (graphs, identify):
-            monkeypatch.setattr(
-                module, "equitrek_multisets", lambda g, n: orders.append(n) or walk(g, n)
-            )
+        monkeypatch.setattr(
+            graphs, "equitrek_multisets", lambda g, n: orders.append(n) or walk(g, n)
+        )
         return orders
 
     def test_every_small_graph_matches_the_walk(self, monkeypatch):
@@ -265,7 +285,7 @@ class TestEquitrekSupport:
                     walk = equitrek_multisets(g, order)
                     assert support_size(g, order) == len(walk), (g, order)
                     if order == 2:
-                        assert g.equitrek_graph.biedges == frozenset(walk), g
+                        assert g.equitrek_neighbors == masks(walk, p), g
         assert walked == []
 
     @pytest.mark.parametrize(
@@ -312,7 +332,7 @@ class TestEquitrekSupport:
         for order in (2, 3, 4):
             walk = equitrek_multisets(g, order)
             assert comb(p + order - 1, order) - count.zero_entries[order] == len(walk)
-        assert g.equitrek_graph.biedges == frozenset(equitrek_multisets(g, 2))
+        assert g.equitrek_neighbors == masks(equitrek_multisets(g, 2), p)
         assert orders == walked
 
 
@@ -346,6 +366,15 @@ class TestIndependence:
             assert implied_conditional_independence(
                 g, [i], [j], []
             ) == implied_marginal_independence(g, [i], [j])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(small_graphs())
+    def test_separation_implies_marginal_independence(self, g):
+        # a biedge i-j is a path inside every I+J+K, so analyze asks only the marginal pairs
+        for i, j in itertools.combinations(range(g.p), 2):
+            for k in set(range(g.p)) - {i, j}:
+                if implied_conditional_independence(g, [i], [j], [k]):
+                    assert implied_marginal_independence(g, [i], [j])
 
     def test_rejects_overlap(self):
         with pytest.raises(ValueError):

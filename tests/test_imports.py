@@ -16,8 +16,8 @@ EXPORTS = {
     "random_omegas", "recover_noise", "recursive_residual", "sample_stable_matrix",
     "series_cumulant", "simulate_and_estimate", "solve_cumulant", "spectral_radius",
     # graphs
-    "CyclicGraph", "DirectedGraph", "DisconnectedGraph", "EquitrekGraph",
-    "StarClassification", "classify_star", "equitrek_graph",
+    "CyclicGraph", "DirectedGraph", "DisconnectedGraph", "StarClassification",
+    "classify_star", "equitrek_graph",
     "implied_conditional_independence", "implied_marginal_independence",
     # identify
     "CumulantStack", "DegenerateDenominator", "HypothesisViolated", "IdentifiabilityReport",
@@ -62,9 +62,10 @@ def test_unknown_name():
 # test-only oracles, now in tests/oracles.py, wrappers of graph properties, or
 # internal to their module (equitrek_multisets: the support's bounded fallback)
 # (offdiag_rank: build_modified_jacobian returns the block it cut out)
+# (EquitrekGraph: DirectedGraph.equitrek_neighbors holds the graph as bitmasks)
 RETIRED = ["Trek", "enumerate_equitreks", "equitrek_exists", "two_node_st_solutions",
            "enumerate_base_treks", "offdiag_rank", "identify_dag_all_loops",
-           "identify_polytree", "equitrek_multisets"]
+           "identify_polytree", "equitrek_multisets", "EquitrekGraph"]
 
 
 @pytest.mark.parametrize("name", RETIRED)
