@@ -63,8 +63,9 @@ def _tree_structure(g: DirectedGraph) -> tuple[int, list[int], list[tuple[int, .
     """(source, levels, source paths) for a directed tree, or raise.
 
     Hypotheses: single source, tree skeleton, and the source's self-loop is
-    the only loop.  Such a graph is an arborescence: every non-source vertex
-    has exactly one parent and a unique path from the source.
+    the only loop.  A non-source vertex then has a non-loop parent, so in a
+    DAG it descends from the one source, and a second parent would close a
+    skeleton cycle through the source: the walk reaches each vertex just once.
     """
     if len(g.sources) != 1:
         raise HypothesisViolated(f"need exactly one source, found {g.sources}")
@@ -81,14 +82,9 @@ def _tree_structure(g: DirectedGraph) -> tuple[int, list[int], list[tuple[int, .
     while frontier:
         v = frontier.pop()
         for c in g.children[v]:
-            if c == v:
-                continue
-            if paths[c] is not None:
-                raise HypothesisViolated(f"vertex {c} has two tree parents")
-            paths[c] = paths[v] + (c,)
-            frontier.append(c)
-    if any(path is None for path in paths):
-        raise HypothesisViolated("some vertex is unreachable from the source")
+            if c != v:
+                paths[c] = paths[v] + (c,)
+                frontier.append(c)
     levels = [len(path) - 1 for path in paths]
     return source, levels, paths
 

@@ -279,6 +279,9 @@ class DirectedGraph:
     def from_json_dict(cls, data: dict) -> "DirectedGraph":
         if not isinstance(data, dict) or "p" not in data or "edges" not in data:
             raise ValueError("graph JSON must contain 'p' and 'edges'")
+        for e in data["edges"]:
+            if type(e) is not list or len(e) != 2:
+                raise ValueError(f"edge {e!r} is not a list of two vertex ids")
         edges = [tuple(json_int(v, "an edge endpoint") for v in e) for e in data["edges"]]
         return cls(json_int(data["p"], "'p'"), edges)
 
@@ -337,10 +340,21 @@ def equitrek_graph(g: DirectedGraph) -> tuple[int, ...]:
     return g.equitrek_neighbors
 
 
-def _separated(g: DirectedGraph, set_i: set[int], set_j: set[int], set_k: set[int]) -> bool:
-    """True iff no equitrek-graph path from I to J stays inside I+J+K."""
+def _separated(g: DirectedGraph, group_i, group_j, group_k) -> bool:
+    """True iff no equitrek-graph path from I to J stays inside I+J+K.
+
+    ``ValueError`` for an empty I or J, overlapping groups, or an id outside ``range(p)``.
+    """
+    set_i, set_j, set_k = set(group_i), set(group_j), set(group_k)
+    if not set_i or not set_j:
+        raise ValueError("I and J must be nonempty")
+    if set_i & set_j or set_i & set_k or set_j & set_k:
+        raise ValueError("the vertex groups must be pairwise disjoint")
+    outside = sorted(v for v in set_i | set_j | set_k if not 0 <= v < g.p)
+    if outside:
+        raise ValueError(f"vertex ids {outside} lie outside range({g.p})")
     j = sum(1 << v for v in set_j)
-    frontier, unreached = set_i, set(set_k)
+    frontier, unreached = set_i, set_k
     while frontier:
         step = reduce(int.__or__, (g.equitrek_neighbors[v] for v in frontier), 0)
         if step & j:
@@ -354,12 +368,7 @@ def implied_marginal_independence(
     g: DirectedGraph, group_i: Iterable[int], group_j: Iterable[int]
 ) -> bool:
     """True iff no equitrek-graph biedge joins the two vertex groups: separation given K = {}."""
-    set_i, set_j = set(group_i), set(group_j)
-    if not set_i or not set_j:
-        raise ValueError("vertex groups must be nonempty")
-    if set_i & set_j:
-        raise ValueError("vertex groups must be disjoint")
-    return _separated(g, set_i, set_j, set())
+    return _separated(g, group_i, group_j, ())
 
 
 def implied_conditional_independence(
@@ -374,12 +383,7 @@ def implied_conditional_independence(
     the sufficient criterion for the conditional independence X_I _||_ X_J
     given X_K in the Gaussian second-order model.
     """
-    set_i, set_j, set_k = set(group_i), set(group_j), set(group_k)
-    if not set_i or not set_j:
-        raise ValueError("I and J must be nonempty")
-    if set_i & set_j or set_i & set_k or set_j & set_k:
-        raise ValueError("I, J, K must be pairwise disjoint")
-    return _separated(g, set_i, set_j, set_k)
+    return _separated(g, group_i, group_j, group_k)
 
 
 # ---------------------------------------------------------------------------

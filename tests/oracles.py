@@ -1,7 +1,8 @@
 """Loop oracles the tests check the package against.
 
 - The modified-Jacobian entries as explicit delta sums (``jacobian`` builds
-  them from one contraction per order).
+  them from one contraction per order), and as central differences of the
+  solved cumulant premultiplied by the Lyapunov operator.
 - The two-leg recursions of the placement polynomials and base-trek
   coefficients, which ``treks`` derives from the n-leg placement formula.
 - Treks as explicit vertex paths: the brute-force equitrek enumeration and
@@ -27,9 +28,11 @@ import numpy as np
 from lyapcum import (
     CumulantStack,
     DirectedGraph,
+    ParameterMatrix,
     SymmetricTensor,
     base_trek_coefficient,
     placement_polynomial,
+    solve_cumulant,
 )
 
 
@@ -74,6 +77,23 @@ def jacobian_entry_order3(
             a[i, l] * a[j, m] * t[(l, m, alpha)] for l in range(p) for m in range(p)
         )
     return value
+
+
+def premultiplied_finite_difference(g, pm, omega, order, edge, step=1e-6):
+    """Central difference of the solved cumulant in the edge's entry, times (I - kron(A))."""
+    alpha, beta = edge
+    base = pm.entries
+
+    def solve_at(eps):
+        entries = base.copy()
+        entries[beta, alpha] += eps
+        return solve_cumulant(ParameterMatrix(g, entries), omega).to_dense().reshape(-1)
+
+    derivative = (solve_at(step) - solve_at(-step)) / (2 * step)
+    kron = base
+    for _ in range(order - 1):
+        kron = np.kron(kron, base)
+    return ((np.eye(g.p**order) - kron) @ derivative).reshape((g.p,) * order)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from lyapcum import (
     DiagonalCumulant,
@@ -37,14 +36,23 @@ from lyapcum import (
 from lyapcum.identify import NoMethodApplies, auto_identify
 from lyapcum.jacobian import augmentation_rows, numeric_rank
 from lyapcum.tensors import multiset_indices
-from oracles import check_placement_recursions, jacobian_entry_order2, jacobian_entry_order3
+from oracles import (
+    check_placement_recursions,
+    jacobian_entry_order2,
+    jacobian_entry_order3,
+    premultiplied_finite_difference,
+)
 from conftest import (
     bare_two_cycle,
     diamond,
+    edge_sets,
     end_loop_path,
+    fig1_matrix,
     five_node_tree,
     fork_three,
     four_node_tree,
+    random_graph,
+    seeded_model,
     sink_loop_chain,
     two_cycle_with_loops,
     two_node_chain,
@@ -74,10 +82,6 @@ class Criterion:
         assert not self.failures, self.failures
         if self.budget is not None:
             assert elapsed < self.budget, f"runtime {elapsed:.1f}s over budget"
-
-
-def fig1_pm() -> ParameterMatrix:
-    return ParameterMatrix(two_node_chain(), np.array([[0.5, 0.0], [1.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +119,7 @@ def test_criterion_1_worked_example_exactness():
     crit = Criterion("worked-example exactness", budget_s=5.0)
 
     # (a) two-node chain closed forms at a00=1/2, a10=1, unit noise
-    pm = fig1_pm()
+    pm = fig1_matrix()
     s = solve_cumulant(pm, DiagonalCumulant(2, [1.0, 1.0]))
     t = solve_cumulant(pm, DiagonalCumulant(3, [1.0, 1.0]))
     closed = {
@@ -140,9 +144,7 @@ def test_criterion_1_worked_example_exactness():
     # (c) the cubic binomial vanishes on 100 random two-node-chain points
     g = two_node_chain()
     for seed in range(100):
-        a = sample_stable_matrix(g, seed=seed, target_radius=0.6)
-        omegas = random_omegas(np.random.default_rng(seed + 10_000), 2, (2, 3))
-        stack = model_stack(a, omegas)
+        _, _, stack = seeded_model(g, seed, 10_000, orders=(2, 3))
         lhs = stack.s[(0, 1)] ** 3 * stack.t[(0, 0, 0)] ** 2
         rhs = stack.s[(0, 0)] ** 3 * stack.t[(0, 0, 1)] * stack.t[(0, 1, 1)]
         scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -174,23 +176,13 @@ def test_criterion_1_worked_example_exactness():
 # ---------------------------------------------------------------------------
 
 
-def all_edge_patterns(p: int, limit: int, seed: int):
-    """Every edge subset when feasible, otherwise a seeded sample."""
-    slots = [(i, j) for i in range(p) for j in range(p)]
-    total = 2 ** len(slots)
-    if total <= limit:
-        picks = range(total)
-    else:
-        picks = np.random.default_rng(seed).choice(total, size=limit, replace=False)
-    for mask in picks:
-        yield [slots[k] for k in range(len(slots)) if (int(mask) >> k) & 1]
-
-
 def test_criterion_2_solver_oracle_equivalence():
     crit = Criterion("solver oracle equivalence", budget_s=60.0)
     rng = np.random.default_rng(2)
     for p in (1, 2, 3, 4):
-        for pattern in all_edge_patterns(p, limit=20, seed=p):
+        # every edge set at p <= 2 (at most 16), a seeded sample of 20 above
+        masks = None if p <= 2 else np.random.default_rng(p).choice(2 ** (p * p), 20, replace=False)
+        for pattern in edge_sets(p, masks=masks):
             g = DirectedGraph(p, pattern)
             a = (
                 sample_stable_matrix(g, seed=int(rng.integers(1e6)), target_radius=0.6)
@@ -272,8 +264,7 @@ def test_criterion_4_negative_controls():
 
     # sink-loop chain: hypothesis rejection plus the 2(n-1) vs 2(n-1)+2 count
     g2a = sink_loop_chain()
-    a2a = sample_stable_matrix(g2a, seed=1, target_radius=0.5)
-    stack2a = model_stack(a2a, random_omegas(np.random.default_rng(1), 2))
+    _, _, stack2a = seeded_model(g2a, 1, 0, radius=0.5)
     try:
         identify_dag(g2a, stack2a)
         crit.check(False, "sink-loop chain was not rejected")
@@ -303,8 +294,7 @@ def test_criterion_4_negative_controls():
 
     # diamond: singular block at the collider vertex, deficiency exactly 1
     gd = diamond()
-    ad = sample_stable_matrix(gd, seed=3, target_radius=0.6)
-    stackd = model_stack(ad, random_omegas(np.random.default_rng(3), 4))
+    _, _, stackd = seeded_model(gd, 3, 0)
     try:
         identify_dag(gd, stackd)
         crit.check(False, "diamond did not hit a singular block")
@@ -322,22 +312,6 @@ def test_criterion_4_negative_controls():
 # ---------------------------------------------------------------------------
 
 
-def premultiplied_fd(g, pm, omega, order, edge, step=1e-6):
-    alpha, beta = edge
-    base = pm.entries
-
-    def solve_at(eps):
-        entries = base.copy()
-        entries[beta, alpha] += eps
-        return solve_cumulant(ParameterMatrix(g, entries), omega).to_dense().reshape(-1)
-
-    derivative = (solve_at(step) - solve_at(-step)) / (2 * step)
-    kron = base
-    for _ in range(order - 1):
-        kron = np.kron(kron, base)
-    return ((np.eye(g.p**order) - kron) @ derivative).reshape((g.p,) * order)
-
-
 def unlabeled_tree_shapes():
     return {
         3: [[(0, 1), (1, 2)]],
@@ -350,33 +324,21 @@ def unlabeled_tree_shapes():
     }
 
 
-def random_connected_all_loops(rng, p):
-    while True:
-        edges = {(i, i) for i in range(p)}
-        edges |= {
-            (i, j)
-            for i in range(p)
-            for j in range(p)
-            if i != j and rng.uniform() < 0.4
-        }
-        g = DirectedGraph(p, edges)
-        if g.is_skeleton_connected:
-            return g
-
-
 def test_criterion_5_jacobian_suite():
     crit = Criterion("jacobian suite", budget_s=180.0)
     rng = np.random.default_rng(5)
 
     # entry formulas against premultiplied central differences
     for p in (2, 3, 4):
-        g = random_connected_all_loops(rng, p)
+        g = random_graph(rng, p, 0.4, all_loops=True)
+        while not g.is_skeleton_connected:
+            g = random_graph(rng, p, 0.4, all_loops=True)
         pm = sample_stable_matrix(g, seed=p, target_radius=0.5)
         for order, entry_fn in ((2, jacobian_entry_order2), (3, jacobian_entry_order3)):
             omega = DiagonalCumulant(order, rng.uniform(0.5, 2, p))
             tensor = solve_cumulant(pm, omega)
             for edge in list(g.sorted_edges)[:5]:
-                numeric = premultiplied_fd(g, pm, omega, order, edge)
+                numeric = premultiplied_finite_difference(g, pm, omega, order, edge)
                 for row in multiset_indices(p, order):
                     formula = entry_fn(pm.entries, tensor, row, edge)
                     ok = abs(formula - numeric[row]) <= 1e-5 * max(
@@ -407,11 +369,12 @@ def test_criterion_5_jacobian_suite():
     # direct seeded spot checks on sampled connected all-loop graphs
     for p, n_graphs in ((3, 6), (4, 5), (5, 4)):
         for _ in range(n_graphs):
-            g = random_connected_all_loops(rng, p)
+            g = random_graph(rng, p, 0.4, all_loops=True)
+            while not g.is_skeleton_connected:
+                g = random_graph(rng, p, 0.4, all_loops=True)
             for seed in range(20):
-                pm = sample_stable_matrix(g, seed=seed, target_radius=0.5)
-                omegas = random_omegas(np.random.default_rng(seed + 77), p, (2, 3))
-                mj = build_modified_jacobian(g, pm, model_stack(pm, omegas))
+                pm, _, stack = seeded_model(g, seed, 77, radius=0.5, orders=(2, 3))
+                mj = build_modified_jacobian(g, pm, stack)
                 rank, _ = numeric_rank(mj.matrix)
                 crit.check(
                     rank == len(g.edges), f"sampled p={p} seed={seed}: rank {rank}"
@@ -456,12 +419,7 @@ def test_criterion_6_combinatorial_identities():
     rng = np.random.default_rng(6)
     for trial in range(10):
         p = int(rng.integers(3, 6))
-        edges = [
-            (i, j) for i in range(p) for j in range(i + 1, p) if rng.uniform() < 0.5
-        ]
-        if not edges:
-            edges = [(0, 1)]
-        g = DirectedGraph(p, edges)
+        g = random_graph(rng, p, 0.5, dag=True, nonempty=True)
         weights = {
             e: float(rng.uniform(0.3, 1.0) * rng.choice([-1, 1])) for e in g.edges
         }
@@ -504,10 +462,7 @@ def test_criterion_7_constraint_suite():
     for g in (fork_three(), end_loop_path(), four_node_tree(), five_node_tree()):
         tight = False
         for seed in range(50):
-            a = sample_stable_matrix(g, seed=seed, target_radius=0.6)
-            stack = model_stack(
-                a, random_omegas(np.random.default_rng(seed + 50), g.p)
-            )
+            _, _, stack = seeded_model(g, seed, 50)
             results = rank_constraints_scan(g, stack, max_subset=2)
             tight = tight or any(
                 r.rank == r.bound and r.bound < min(r.shape) for r in results
@@ -517,10 +472,7 @@ def test_criterion_7_constraint_suite():
     # level / top-trek polynomial families, both directions
     for g in (four_node_tree(), five_node_tree()):
         for seed in range(10):
-            a = sample_stable_matrix(g, seed=seed, target_radius=0.6)
-            stack = model_stack(
-                a, random_omegas(np.random.default_rng(seed + 777), g.p)
-            )
+            _, _, stack = seeded_model(g, seed, 777)
             for check in level_polynomial_checks(g, stack):
                 crit.check(
                     check.ok,
@@ -559,7 +511,7 @@ def test_criterion_7_constraint_suite():
 
 def test_criterion_8_monte_carlo_sanity():
     crit = Criterion("monte carlo sanity", budget_s=60.0)
-    pm = fig1_pm()
+    pm = fig1_matrix()
     noise = NoiseSpec("centered_exponential", [1.0, 1.0])
     for order in (2, 3):
         exact = solve_cumulant(pm, noise.cumulant(order))

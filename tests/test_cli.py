@@ -21,6 +21,7 @@ from lyapcum import (
     sample_stable_matrix,
 )
 from lyapcum.cli import _load_stack, build_parser, main
+from conftest import source_above_cycles
 
 
 def write_json(path, data):
@@ -35,15 +36,14 @@ def fig1_graph(tmp_path):
     )
 
 
+# the worked example's A and unit noise at orders 2-4, as a --params file
+UNIT_OMEGA = {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}
+FIG1_PARAMS = {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": UNIT_OMEGA}
+
+
 @pytest.fixture
 def fig1_params(tmp_path):
-    return write_json(
-        tmp_path / "params.json",
-        {
-            "A": [[0.5, 0.0], [1.0, 0.0]],
-            "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]},
-        },
-    )
+    return write_json(tmp_path / "params.json", FIG1_PARAMS)
 
 
 class TestCumulants:
@@ -79,13 +79,7 @@ class TestCumulants:
         assert doc["tensors"]["3"]["entries"]["1,1,1"] == -0.5
 
     def test_unstable_exits_3(self, tmp_path, fig1_graph):
-        params = write_json(
-            tmp_path / "bad.json",
-            {
-                "A": [[1.5, 0.0], [1.0, 0.0]],
-                "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]},
-            },
-        )
+        params = write_json(tmp_path / "bad.json", {**FIG1_PARAMS, "A": [[1.5, 0.0], [1.0, 0.0]]})
         assert main(["cumulants", "--graph", fig1_graph, "--params", params, "--out", str(tmp_path / "x.json")]) == 3
 
     def test_malformed_graph_exits_2(self, tmp_path):
@@ -127,13 +121,7 @@ class TestIdentify:
         graph = write_json(
             tmp_path / "cycle.json", {"p": 2, "edges": [[0, 1], [1, 0]]}
         )
-        params = write_json(
-            tmp_path / "p.json",
-            {
-                "A": [[0.0, 0.6], [0.7, 0.0]],
-                "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]},
-            },
-        )
+        params = write_json(tmp_path / "p.json", {"A": [[0.0, 0.6], [0.7, 0.0]], "omega": UNIT_OMEGA})
         stack = tmp_path / "stack.json"
         main(["cumulants", "--graph", graph, "--params", params, "--out", str(stack)])
         out = tmp_path / "report.json"
@@ -152,10 +140,7 @@ class TestIdentify:
             main(["cumulants", "--graph", graph, "--orders", "2,3", "--out", str(stack)])
             detail = "fourth-order cumulants"
         else:  # the edge 0 -> 1 weighs 0
-            params = write_json(tmp_path / "p.json", {
-                "A": [[0.5, 0.0], [0.0, 0.4]],
-                "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]},
-            })
+            params = write_json(tmp_path / "p.json", {"A": [[0.5, 0.0], [0.0, 0.4]], "omega": UNIT_OMEGA})
             main(["cumulants", "--graph", graph, "--params", params, "--out", str(stack)])
             detail = "s01 (r0000 t001 - r0001 t000)"
         out = tmp_path / "report.json"
@@ -198,6 +183,10 @@ BAD_INPUTS = {
     "stack-keys-swapped": ("identify --graph {d}/g2.json --stack {d}/swapped.json", 2),
     "stack-key-4-holds-order-3": ("identify --graph {d}/g2.json --stack {d}/four-is-three.json", 2),
     "graph-edges-not-a-list": ("cumulants --graph {d}/edges5.json", 2),
+    # an edge is a list of two vertex ids
+    "graph-edge-of-three": ("analyze --graph {d}/edge-of-three.json", 2),
+    "graph-edge-of-one": ("analyze --graph {d}/edge-of-one.json", 2),
+    "graph-edge-not-a-list": ("analyze --graph {d}/edge-int.json", 2),
     "negative-seed": ("cumulants --graph {d}/g2.json --seed -1", 2),
     "negative-xmax": ("ppoly --xmax -2", 2),
     "negative-ymax": ("ppoly --ymax -1", 2),
@@ -248,6 +237,9 @@ BAD_INPUTS = {
 
 # the message of the rows whose refusal is raised by the library or by cli's own checks
 BAD_INPUT_MESSAGES = {
+    "graph-edge-of-three": "input error: edge [0, 1, 1] is not a list of two vertex ids",
+    "graph-edge-of-one": "input error: edge [0] is not a list of two vertex ids",
+    "graph-edge-not-a-list": "input error: edge 5 is not a list of two vertex ids",
     "orders-not-integers": "input error: bad orders 'x'",
     "orders-outside-2-4": "input error: orders must be a subset of 2,3,4",
     "params-a-off-pattern": "input error: entry (0,1) is nonzero but edge 1->0 is absent",
@@ -266,46 +258,24 @@ def bad_dir(tmp_path_factory):
     write_json(d / "g2.json", {"p": 2, "edges": [[0, 0], [0, 1]]})
     write_json(d / "g3.json", {"p": 3, "edges": [[0, 0], [0, 1], [1, 2]]})
     write_json(d / "edges5.json", {"p": 2, "edges": 5})
-    write_json(
-        d / "short-omega.json",
-        {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": {"2": [1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
-    )
-    write_json(
-        d / "params.json",
-        {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
-    )
-    write_json(
-        d / "off-pattern.json",
-        {"A": [[0.5, 0.3], [1.0, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
-    )
-    write_json(
-        d / "no-omega4.json",
-        {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0]}},
-    )
-    write_json(
-        d / "huge.json",
-        {"A": [[0.5, 0.0], [1e200, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
-    )
-    write_json(
-        d / "nan-a.json",
-        {"A": [[float("nan"), 0.0], [1.0, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
-    )
-    write_json(
-        d / "inf-omega.json",
-        {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": {"2": [1.0, float("inf")], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
-    )
-    write_json(
-        d / "omega-list.json",
-        {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]},
-    )
-    write_json(
-        d / "huge-int.json",
-        {"A": [[0.5, 0.0], [10**400, 0.0]], "omega": {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}},
-    )
-    omega = {"2": [1.0, 1.0], "3": [1.0, 1.0], "4": [1.0, 1.0]}
-    write_json(d / "omega-02.json", {"A": [[0.5, 0.0], [1.0, 0.0]], "omega": {**omega, "02": [2.0, 2.0]}})
-    write_json(d / "a-string.json", {"A": [["0.5", 0.0], [1.0, 0.0]], "omega": omega})
-    write_json(d / "a-bool.json", {"A": [[True, 0.0], [1.0, 0.0]], "omega": omega})
+    for name, edge in (("edge-of-three", [0, 1, 1]), ("edge-of-one", [0]), ("edge-int", 5)):
+        write_json(d / f"{name}.json", {"p": 2, "edges": [edge]})
+    write_json(d / "params.json", FIG1_PARAMS)
+    # the worked example's parameters with one field replaced
+    for name, field, value in (
+        ("short-omega.json", "omega", {**UNIT_OMEGA, "2": [1.0]}),
+        ("off-pattern.json", "A", [[0.5, 0.3], [1.0, 0.0]]),
+        ("no-omega4.json", "omega", {"2": [1.0, 1.0], "3": [1.0, 1.0]}),
+        ("huge.json", "A", [[0.5, 0.0], [1e200, 0.0]]),
+        ("nan-a.json", "A", [[float("nan"), 0.0], [1.0, 0.0]]),
+        ("inf-omega.json", "omega", {**UNIT_OMEGA, "2": [1.0, float("inf")]}),
+        ("omega-list.json", "omega", [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]),
+        ("huge-int.json", "A", [[0.5, 0.0], [10**400, 0.0]]),
+        ("omega-02.json", "omega", {**UNIT_OMEGA, "02": [2.0, 2.0]}),
+        ("a-string.json", "A", [["0.5", 0.0], [1.0, 0.0]]),
+        ("a-bool.json", "A", [[True, 0.0], [1.0, 0.0]]),
+    ):
+        write_json(d / name, {**FIG1_PARAMS, field: value})
     write_json(d / "list.json", [1, 2])
     assert main(["cumulants", "--graph", str(d / "g2.json"), "--out", str(d / "stack.json")]) == 0
     good = json.loads((d / "stack.json").read_text())
@@ -609,18 +579,15 @@ def test_analyze_separates_only_marginal_pairs(tmp_path, monkeypatch, lengths):
         graphs, "implied_conditional_independence", lambda *a: queries.append(a) or real(*a)
     )
     if lengths is None:
-        p, edges = 40, [[i, i] for i in range(40)] + [[i, i + 1] for i in range(39)]
+        g = DirectedGraph(40, [(i, i) for i in range(40)] + [(i, i + 1) for i in range(39)])
     else:
-        edges, p = [], 1
-        for length in lengths:
-            edges += [[0, p]] + [[p + i, p + (i + 1) % length] for i in range(length)]
-            p += length
-    graph = write_json(tmp_path / "g.json", {"p": p, "edges": edges})
+        g = source_above_cycles(lengths)
+    graph = write_json(tmp_path / "g.json", g.to_json_dict())
     out = tmp_path / "an.json"
     assert main(["analyze", "--graph", graph, "--trials", "1", "--out", str(out)]) == 0
     marginal = json.loads(out.read_text())["marginal_independence"]
     assert len(marginal) == (0 if lengths is None else 118)
-    assert len(queries) == len(marginal) * (p - 2)
+    assert len(queries) == len(marginal) * (g.p - 2)
 
 
 class TestAnalyze:

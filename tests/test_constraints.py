@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -17,10 +18,7 @@ from lyapcum import (
     kernel_binomial_values,
     level_partition,
     level_polynomial_checks,
-    model_stack,
-    random_omegas,
     rank_constraints_scan,
-    sample_stable_matrix,
     shortest_equitrek_top,
     solve_cumulant,
     top_trek_polynomial_check,
@@ -32,19 +30,18 @@ from lyapcum.constraints import _minor_norm
 from lyapcum.identify import CumulantStack
 from conftest import (
     diamond,
+    edge_sets,
     end_loop_path,
     five_node_tree,
     fork_three,
     four_node_tree,
+    reachable,
+    seeded_model,
     two_node_chain,
-    unit_noise,
 )
 
 
-def tree_stack(g, seed):
-    pm = sample_stable_matrix(g, seed=seed, target_radius=0.6)
-    omegas = random_omegas(np.random.default_rng(seed + 999), g.p)
-    return pm, omegas, model_stack(pm, omegas)
+tree_stack = partial(seeded_model, noise_offset=999)
 
 
 def positive_tree_point(g, rng):
@@ -100,6 +97,29 @@ class TestTreeStructure:
         call, error, message = self.REFUSALS[case]
         with pytest.raises(error, match=f"^{message}$"):
             call()
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_every_admitted_graph_is_an_arborescence(self, p):
+        # over every edge set on p vertices, what passes the three refusals
+        # above has one non-loop parent per non-source vertex and a path from
+        # the source to each vertex: p**(p - 1) rooted labeled trees (Cayley)
+        admitted = 0
+        for edges in edge_sets(p):
+            g = DirectedGraph(p, edges)
+            try:
+                source, _, paths = constraints._tree_structure(g)
+            except HypothesisViolated:
+                continue
+            admitted += 1
+            assert all(len(set(g.parents[v]) - {v}) == 1 for v in range(p) if v != source)
+            assert reachable(g.children, source) == set(range(p))
+            assert all(path[0] == source and path[-1] == v for v, path in enumerate(paths))
+        assert admitted == p ** (p - 1)
+
+    def test_polytree_needs_a_connected_dag(self):
+        # both have p - 1 skeleton edges, yet neither is a polytree
+        assert not DirectedGraph(4, [(0, 1), (0, 2), (1, 2)]).is_polytree  # disconnected DAG
+        assert not DirectedGraph(2, [(0, 1), (1, 0)]).is_polytree  # a directed cycle
 
     def test_shortest_top(self):
         g = five_node_tree()

@@ -21,25 +21,11 @@ from lyapcum import (
     solve_cumulant,
     spectral_radius,
 )
-from lyapcum.engine import STABILITY_MARGIN
+from lyapcum import base_trek_cumulant, placement_polynomial
+from lyapcum.engine import STABILITY_MARGIN, _k_statistics
 from lyapcum.graphs import equitrek_multisets
-from lyapcum.tensors import SymmetricTensor, multiset_indices
-from conftest import two_node_chain, unit_noise, unit_parameters
-
-
-def fig1_matrix() -> ParameterMatrix:
-    return ParameterMatrix(two_node_chain(), np.array([[0.5, 0.0], [1.0, 0.0]]))
-
-
-def random_pattern(rng, p, edge_prob=0.45):
-    edges = {(i, j) for i in range(p) for j in range(p) if rng.uniform() < edge_prob}
-    return DirectedGraph(p, edges) if edges else DirectedGraph(p, [(0, 0)])
-
-
-def banded_dag(p):
-    """All self-loops plus the edges v -> v+1 and v -> v+2."""
-    edges = [(v, v) for v in range(p)] + [(v, v + 1) for v in range(p - 1)]
-    return DirectedGraph(p, edges + [(v, v + 2) for v in range(p - 2)])
+from lyapcum.tensors import DimensionMismatch, SymmetricTensor, multiset_indices
+from conftest import banded_dag, fig1_matrix, random_graph, two_node_chain, unit_noise, unit_parameters
 
 
 @st.composite
@@ -47,7 +33,7 @@ def signed_models(draw, max_p=8):
     """Random digraph (p <= max_p) with signed weights scaled to radius 0.5."""
     p = draw(st.integers(1, max_p))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    g = random_pattern(rng, p, edge_prob=draw(st.floats(0.1, 0.4)))
+    g = random_graph(rng, p, draw(st.floats(0.1, 0.4)), nonempty=True)
     entries = np.zeros((p, p))
     for i, j in g.sorted_edges:
         entries[j, i] = rng.uniform(0.1, 1.0) * rng.choice([-1.0, 1.0])
@@ -244,14 +230,14 @@ class TestSolveCumulant:
         """
         rng = np.random.default_rng(1968)
         models = [
-            (sample_stable_matrix(random_pattern(rng, p), seed=p, target_radius=0.8), p)
+            (sample_stable_matrix(random_graph(rng, p, 0.45, nonempty=True), seed=p, target_radius=0.8), p)
             for p in range(1, 9)
         ]
         path = DirectedGraph(5, [(v, v + 1) for v in range(4)])
         models.append((sample_stable_matrix(path, seed=9), 5))
         models.append((sample_stable_matrix(DirectedGraph(4, [(v, v) for v in range(4)]), seed=10), 4))
         models.append(
-            (sample_stable_matrix(random_pattern(rng, 6, 0.6), seed=11, target_radius=0.97), 6)
+            (sample_stable_matrix(random_graph(rng, 6, 0.6, nonempty=True), seed=11, target_radius=0.97), 6)
         )
         assert models[8][0].radius() == 0.0 and models[10][0].radius() == pytest.approx(0.97)
         values, defects = hashlib.sha256(), hashlib.sha256()
@@ -284,7 +270,7 @@ class TestSolveCumulant:
             solve_cumulant(pm, DiagonalCumulant(order, [1e-300] * 3))
 
     def test_symmetry_defect_small(self, rng):
-        g = random_pattern(rng, 3)
+        g = random_graph(rng, 3, 0.45, nonempty=True)
         pm = sample_stable_matrix(g, seed=5, target_radius=0.6)
         t = solve_cumulant(pm, DiagonalCumulant(3, rng.uniform(0.5, 2, 3)))
         assert t.sym_defect <= 1e-10 * max(t.max_abs(), 1.0)
@@ -330,7 +316,7 @@ class TestSeriesCumulant:
         # series is the independent oracle for the doubling solve
         for p in (2, 3, 4):
             for _ in range(4):
-                g = random_pattern(rng, p)
+                g = random_graph(rng, p, 0.45, nonempty=True)
                 pm = sample_stable_matrix(g, seed=int(rng.integers(1e6)), target_radius=0.6)
                 for order in (2, 3, 4):
                     omega = DiagonalCumulant(order, rng.uniform(0.5, 2, p))
@@ -355,7 +341,7 @@ class TestResidualAndRecovery:
         assert recursive_residual(noise, pm, omega) > 0.1
 
     def test_perturbation_scales_linearly(self, rng):
-        g = random_pattern(rng, 3)
+        g = random_graph(rng, 3, 0.45, nonempty=True)
         pm = sample_stable_matrix(g, seed=3, target_radius=0.4)
         omega = DiagonalCumulant(2, [1.0, 1.0, 1.0])
         t = solve_cumulant(pm, omega)
@@ -367,7 +353,7 @@ class TestResidualAndRecovery:
 
     def test_round_trip(self, rng):
         for order in (2, 3, 4):
-            g = random_pattern(rng, 3)
+            g = random_graph(rng, 3, 0.45, nonempty=True)
             pm = sample_stable_matrix(g, seed=order, target_radius=0.6)
             omega = DiagonalCumulant(order, rng.uniform(0.5, 2, 3))
             recovered, defect = recover_noise(solve_cumulant(pm, omega), pm)
@@ -429,7 +415,7 @@ class TestSampleStableMatrix:
 
 class TestModelSymmetries:
     def test_sign_flip_preserves_covariance_exactly(self, rng):
-        g = random_pattern(rng, 3)
+        g = random_graph(rng, 3, 0.45, nonempty=True)
         pm = sample_stable_matrix(g, seed=9, target_radius=0.6)
         omega = DiagonalCumulant(2, [1.0, 0.7, 1.3])
         plus = solve_cumulant(pm, omega)
@@ -447,7 +433,7 @@ class TestModelSymmetries:
         ) > 1e-3
 
     def test_gaussian_specialization(self, rng):
-        g = random_pattern(rng, 4)
+        g = random_graph(rng, 4, 0.45, nonempty=True)
         pm = sample_stable_matrix(g, seed=11, target_radius=0.6)
         d = rng.uniform(0.5, 2, 4)
         sigma = solve_cumulant(pm, DiagonalCumulant(2, d)).to_dense()
@@ -481,3 +467,82 @@ class TestSimulation:
         np.testing.assert_allclose(spec.cumulant(2).w, [1.0, 4.0])
         np.testing.assert_allclose(spec.cumulant(3).w, [2.0, 16.0])
         np.testing.assert_allclose(spec.cumulant(4).w, [6.0, 96.0])
+
+
+# each refusal of a malformed argument: (call, exception, whole message)
+REFUSALS = {
+    "cumulant-order-1": (
+        lambda: DiagonalCumulant(1, [1.0]), ValueError, "cumulant order must be at least 2"
+    ),
+    "cumulant-matrix": (
+        lambda: DiagonalCumulant(2, np.eye(2)), ValueError, "diagonal entries must form a vector"
+    ),
+    "solve-dimension": (
+        lambda: solve_cumulant(fig1_matrix(), unit_noise(3)[2]),
+        DimensionMismatch, "noise cumulant dimension does not match matrix",
+    ),
+    "series-dimension": (
+        lambda: series_cumulant(fig1_matrix(), unit_noise(3)[2]),
+        DimensionMismatch, "noise cumulant dimension does not match matrix",
+    ),
+    "series-zero-terms": (
+        lambda: series_cumulant(fig1_matrix(), unit_noise(2)[2], terms=0),
+        ValueError, "series needs at least one term",
+    ),
+    "residual-order": (
+        lambda: recursive_residual(SymmetricTensor(2, 2, {}), fig1_matrix(), unit_noise(2)[3]),
+        DimensionMismatch, "orders or dimensions do not match",
+    ),
+    "residual-dimension": (
+        lambda: recursive_residual(SymmetricTensor(2, 3, {}), fig1_matrix(), unit_noise(2)[2]),
+        DimensionMismatch, "orders or dimensions do not match",
+    ),
+    "recover-dimension": (
+        lambda: recover_noise(SymmetricTensor(2, 3, {}), fig1_matrix()),
+        DimensionMismatch, "tensor dimension does not match matrix",
+    ),
+    "simulate-dimension": (
+        lambda: simulate_and_estimate(fig1_matrix(), NoiseSpec("zero", np.ones(3)), 10, 0, 2, 0),
+        DimensionMismatch, "noise dimension does not match matrix",
+    ),
+    "simulate-order-4": (
+        lambda: simulate_and_estimate(fig1_matrix(), NoiseSpec("zero", np.ones(2)), 10, 0, 4, 0),
+        ValueError, "simulation estimates support orders 2 and 3",
+    ),
+    "k-statistics-order-4": (
+        lambda: _k_statistics(np.ones((10, 2)), 4),
+        ValueError, "sample cumulants are implemented for orders 2 and 3",
+    ),
+    "radius-0": (
+        lambda: sample_stable_matrix(two_node_chain(), seed=0, target_radius=0.0),
+        ValueError, r"target radius must lie in \(0, 1\)",
+    ),
+    "radius-1": (
+        lambda: sample_stable_matrix(two_node_chain(), seed=0, target_radius=1.0),
+        ValueError, r"target radius must lie in \(0, 1\)",
+    ),
+    "noise-kind": (
+        lambda: NoiseSpec("uniform", [1.0]), ValueError, "unknown noise kind 'uniform'"
+    ),
+    "fold-non-hypercubic": (
+        lambda: SymmetricTensor.from_dense(np.zeros((2, 3))),
+        DimensionMismatch, "dense tensor must be hypercubic",
+    ),
+    "placement-no-legs": (
+        lambda: placement_polynomial(), ValueError, "need at least one leg distance"
+    ),
+    "placement-negative-leg": (
+        lambda: placement_polynomial(2, -1), ValueError, "leg distances must be nonnegative"
+    ),
+    "base-trek-omega": (
+        lambda: base_trek_cumulant(DirectedGraph(2, [(0, 1)]), 0.5, {(0, 1): 1.0}, unit_noise(3)[2]),
+        ValueError, "omega must be a cumulant on the same vertices",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refuses_malformed_arguments(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

@@ -1,4 +1,5 @@
 import itertools
+import re
 from math import comb
 
 import numpy as np
@@ -28,7 +29,11 @@ from conftest import (
     bare_two_cycle,
     collider_square,
     diamond,
+    edge_sets,
+    random_graph,
+    reachable,
     sink_loop_chain,
+    source_above_cycles,
     two_node_chain,
 )
 
@@ -49,17 +54,6 @@ def masks(pairs, p) -> tuple[int, ...]:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     return tuple(rows)
-
-
-def random_graph(rng, p, edge_prob=0.4, all_loops=False):
-    edges = set()
-    for i in range(p):
-        for j in range(p):
-            if all_loops and i == j:
-                edges.add((i, j))
-            elif rng.uniform() < edge_prob:
-                edges.add((i, j))
-    return DirectedGraph(p, edges)
 
 
 class TestConstruction:
@@ -124,7 +118,7 @@ class TestEnumerateEquitreks:
 
     def test_leaf_swap_symmetry(self, rng):
         for _ in range(10):
-            g = random_graph(rng, 4)
+            g = random_graph(rng, 4, 0.4)
             i, j = rng.integers(0, 4, 2)
             fwd = enumerate_equitreks(g, (i, j), 4)
             rev = enumerate_equitreks(g, (j, i), 4)
@@ -197,17 +191,7 @@ class TestEquitrekGraph:
         for _ in range(20):
             p = int(rng.integers(2, 5))
             g = random_graph(rng, p, edge_prob=0.35, all_loops=True)
-            ancestors = []
-            for v in range(p):
-                anc = {v}
-                changed = True
-                while changed:
-                    changed = False
-                    for a, b in g.edges:
-                        if b in anc and a not in anc:
-                            anc.add(a)
-                            changed = True
-                ancestors.append(anc)
+            ancestors = [reachable(g.parents, v) for v in range(p)]
             for i in range(p):
                 for j in range(p):
                     assert has_biedge(g, i, j) == bool(ancestors[i] & ancestors[j])
@@ -278,9 +262,8 @@ class TestEquitrekSupport:
         # read from its reach sets alone
         walked = self.spy_walk(monkeypatch)
         for p in (1, 2, 3):
-            slots = [(i, j) for i in range(p) for j in range(p)]
-            for mask in range(1 << len(slots)):
-                g = DirectedGraph(p, [e for k, e in enumerate(slots) if mask >> k & 1])
+            for edges in edge_sets(p):
+                g = DirectedGraph(p, edges)
                 for order in (2, 3, 4):
                     walk = equitrek_multisets(g, order)
                     assert support_size(g, order) == len(walk), (g, order)
@@ -322,11 +305,8 @@ class TestEquitrekSupport:
         # 17 rows fit in p**2 = 324, and 210 of them and {0} are maximal;
         # 2310 rows overflow p**2 = 841, so every reader walks.
         orders = self.spy_walk(monkeypatch)
-        edges, p = [], 1
-        for length in lengths:
-            edges += [(0, p)] + [(p + i, p + (i + 1) % length) for i in range(length)]
-            p += length
-        g = DirectedGraph(p, edges)
+        g = source_above_cycles(lengths)
+        p = g.p
         assert (g.equitrek_support and len(g.equitrek_support)) == rows
         count = count_equations_vs_parameters(g, 4)
         for order in (2, 3, 4):
@@ -379,6 +359,32 @@ class TestIndependence:
     def test_rejects_overlap(self):
         with pytest.raises(ValueError):
             implied_marginal_independence(collider_square(), [0], [0])
+
+    # queries on the path 0 -> 1 -> 2 that both functions refuse: (groups, whole message)
+    REFUSALS = {
+        "j-above-p": ([[0], [99]], "vertex ids [99] lie outside range(3)"),
+        "i-negative": ([[-1], [0]], "vertex ids [-1] lie outside range(3)"),
+        "i-above-p": ([[5], [0]], "vertex ids [5] lie outside range(3)"),
+        "j-negative": ([[0], [-1]], "vertex ids [-1] lie outside range(3)"),
+        "both-outside": ([[0, 7], [-2, 1]], "vertex ids [-2, 7] lie outside range(3)"),
+        "k-above-p": ([[0], [2], [7]], "vertex ids [7] lie outside range(3)"),
+        "j-above-p-given-k": ([[0], [9], [1]], "vertex ids [9] lie outside range(3)"),
+        "empty-i": ([[], [0]], "I and J must be nonempty"),
+        "empty-j": ([[0], [], [1]], "I and J must be nonempty"),
+        "overlapping-i-j": ([[0, 1], [1]], "the vertex groups must be pairwise disjoint"),
+        "overlapping-i-k": ([[0], [2], [0, 1]], "the vertex groups must be pairwise disjoint"),
+    }
+
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_refuses_bad_groups(self, case):
+        groups, message = self.REFUSALS[case]
+        g = DirectedGraph(3, [(0, 1), (1, 2)])
+        i, j, k = groups if len(groups) == 3 else (*groups, [])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            implied_conditional_independence(g, i, j, k)
+        if len(groups) == 2:  # marginal independence is separation given K = {}
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                implied_marginal_independence(g, i, j)
 
 
 def brute_force_two_star(g):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -33,11 +34,14 @@ from oracles import (
     two_node_st_solutions,
 )
 from conftest import (
+    banded_dag,
     bare_two_cycle,
     chain_with_end_loops,
     diamond,
-    five_node_tree,
+    edge_sets,
     four_node_tree,
+    reachable,
+    seeded_model,
     sink_loop_chain,
     two_node_both_loops,
     two_node_chain,
@@ -45,10 +49,7 @@ from conftest import (
 )
 
 
-def stack_for(g, seed, radius=0.6, orders=(2, 3, 4)):
-    pm = sample_stable_matrix(g, seed=seed, target_radius=radius)
-    omegas = random_omegas(np.random.default_rng(seed + 5000), g.p, orders)
-    return pm, omegas, model_stack(pm, omegas)
+stack_for = partial(seeded_model, noise_offset=5000)
 
 
 class TestCumulantStack:
@@ -290,13 +291,10 @@ class TestDagAllLoops:
     def test_deep_banded_dags(self, p):
         # each vertex i feeds i+1 and i+2, so depth grows with p; rows from
         # every recovered vertex keep the blocks well conditioned
-        edges = [(i, i) for i in range(p)]
-        edges += [(i, i + 1) for i in range(p - 1)] + [(i, i + 2) for i in range(p - 2)]
-        g = DirectedGraph(p, edges)
+        g = banded_dag(p)
         for seed in range(5):
-            pm = sample_stable_matrix(g, seed=seed, target_radius=0.7)
-            omegas = random_omegas(np.random.default_rng(seed + 5000), p)
-            report = identify_dag(g, model_stack(pm, omegas))
+            pm, _, stack = stack_for(g, seed, radius=0.7)
+            report = identify_dag(g, stack)
             assert report.verdict == "recovered"
             assert np.max(np.abs(report.a - pm.entries)) <= 1e-8
 
@@ -578,8 +576,7 @@ class TestCertificate:
     def test_near_unit_radius_dag_recovered(self):
         edges = [(0, 2), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (3, 5), (4, 5), (5, 6)]
         g = DirectedGraph(7, edges + [(v, v) for v in range(7)])
-        pm = sample_stable_matrix(g, seed=9, target_radius=0.97)
-        stack = model_stack(pm, random_omegas(np.random.default_rng(1009), 7))
+        pm, _, stack = seeded_model(g, 9, 1000, radius=0.97)
         report = auto_identify(g, stack)
         assert report.verdict == "recovered"
         assert max(report.forward_residuals.values()) > 1e-8  # absolute values
@@ -704,17 +701,6 @@ class TestGoldenBytes:
         }
 
 
-def descendants(g, v):
-    """The vertices reachable from v, v included."""
-    seen, stack = {v}, [v]
-    while stack:
-        for c in g.children[stack.pop()]:
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return seen
-
-
 class TestErrorParity:
     """Each refusal keeps its type and message, also when the graph's plan is cached."""
 
@@ -786,12 +772,11 @@ class TestErrorParity:
         the source on the path to q, before the first child.  So the plan
         needs no contamination check.
         """
-        slots = [(i, j) for i in range(p) for j in range(p) if i != j]
-        for mask in range(1 << len(slots)):
-            g = DirectedGraph(p, [e for k, e in enumerate(slots) if mask >> k & 1])
+        for edges in edge_sets(p, loops=False):
+            g = DirectedGraph(p, edges)
             if not g.is_dag or g.isolated_vertices:
                 continue
             for j, child, _, unknowns, _ in identify._plan(g):
                 if unknowns is None:
                     others = set(g.parents[child]) - {j, child}
-                    assert not others & descendants(g, j)
+                    assert not others & reachable(g.children, j)

@@ -19,51 +19,26 @@ from lyapcum import (
 )
 from lyapcum.jacobian import augmentation_rows, numeric_rank, two_cycle_components
 from lyapcum.tensors import multiset_indices
-from oracles import jacobian_entry_order2, jacobian_entry_order3
+from oracles import (
+    jacobian_entry_order2,
+    jacobian_entry_order3,
+    premultiplied_finite_difference,
+)
 from conftest import (
     collider_square,
     diamond,
+    random_graph,
+    seeded_model,
     two_cycle_with_loops,
     two_node_chain,
     unit_noise,
 )
 
 
-def random_all_loops_graph(rng, p, edge_prob=0.4):
-    edges = {(i, i) for i in range(p)}
-    edges |= {
-        (i, j)
-        for i in range(p)
-        for j in range(p)
-        if i != j and rng.uniform() < edge_prob
-    }
-    return DirectedGraph(p, edges)
-
-
-def premultiplied_finite_difference(g, pm, omega, order, edge, step=1e-6):
-    """Central difference of the solved cumulant, times (I - kron(A))."""
-    alpha, beta = edge
-    p = g.p
-    base = pm.entries
-
-    def solve_at(eps):
-        entries = base.copy()
-        entries[beta, alpha] += eps
-        shifted = ParameterMatrix(g, entries)
-        return solve_cumulant(shifted, omega).to_dense().reshape(-1)
-
-    derivative = (solve_at(step) - solve_at(-step)) / (2 * step)
-    kron = base
-    for _ in range(order - 1):
-        kron = np.kron(kron, base)
-    lhs = np.eye(p**order) - kron
-    return (lhs @ derivative).reshape((p,) * order)
-
-
 class TestEntryFormulas:
     def test_order2_matches_finite_difference(self, rng):
         for seed in range(3):
-            g = random_all_loops_graph(rng, 3)
+            g = random_graph(rng, 3, 0.4, all_loops=True)
             pm = sample_stable_matrix(g, seed=seed, target_radius=0.5)
             omega = DiagonalCumulant(2, rng.uniform(0.5, 2, 3))
             s = solve_cumulant(pm, omega)
@@ -76,7 +51,7 @@ class TestEntryFormulas:
                     )
 
     def test_order3_matches_finite_difference(self, rng):
-        g = random_all_loops_graph(rng, 3)
+        g = random_graph(rng, 3, 0.4, all_loops=True)
         pm = sample_stable_matrix(g, seed=5, target_radius=0.5)
         omega = DiagonalCumulant(3, rng.uniform(0.5, 2, 3))
         t = solve_cumulant(pm, omega)
@@ -120,7 +95,7 @@ class TestEntryFormulas:
                 )
 
     def test_zero_when_target_not_in_row(self):
-        g = random_all_loops_graph(np.random.default_rng(0), 3)
+        g = random_graph(np.random.default_rng(0), 3, 0.4, all_loops=True)
         pm = sample_stable_matrix(g, seed=1, target_radius=0.5)
         t = solve_cumulant(pm, DiagonalCumulant(3, [1.0, 1.0, 1.0]))
         assert jacobian_entry_order3(pm.entries, t, (0, 0, 1), (0, 2)) == 0.0
@@ -165,7 +140,7 @@ class TestBuild:
         assert mj.rows == [(2, (0, 1)), (3, (0, 0, 1)), (3, (0, 1, 1))]
 
     def test_matches_entry_formulas(self, rng):
-        g = random_all_loops_graph(rng, 3)
+        g = random_graph(rng, 3, 0.4, all_loops=True)
         pm = sample_stable_matrix(g, seed=7, target_radius=0.5)
         omegas = {
             2: DiagonalCumulant(2, rng.uniform(0.5, 2, 3)),
@@ -189,7 +164,7 @@ class TestBuild:
         if augmented:  # a two-cycle component {0, 1} beside a looped vertex 2
             g = DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)])
         else:
-            g = random_all_loops_graph(rng, 3, edge_prob=0.6)
+            g = random_graph(rng, 3, 0.6, all_loops=True)
         pm = sample_stable_matrix(g, seed=9, target_radius=0.5)
         omegas = random_omegas(rng, 3, (2, 3, 4))
         rows = augmentation_rows(g) if augmented else None
@@ -263,7 +238,7 @@ class TestExampleFixtureRanks:
     def test_connected_all_loops_sample(self, rng):
         for p in (3, 4, 5):
             for _ in range(3):
-                g = random_all_loops_graph(rng, p)
+                g = random_graph(rng, p, 0.4, all_loops=True)
                 if not g.is_skeleton_connected:
                     continue
                 pm = sample_stable_matrix(g, seed=int(rng.integers(1e6)), target_radius=0.5)
@@ -362,8 +337,7 @@ class TestVerdict:
         g = DirectedGraph(
             5, [(0, 0), (0, 1), (0, 2), (1, 4), (1, 3), (2, 3), (3, 4)]
         )
-        pm = sample_stable_matrix(g, seed=2, target_radius=0.6)
-        stack = model_stack(pm, random_omegas(np.random.default_rng(3), 5))
+        _, _, stack = seeded_model(g, 2, 1)
         with pytest.raises(NoMethodApplies):
             auto_identify(g, stack)
         report = local_identifiability_verdict(g, trials=4, seed=0)

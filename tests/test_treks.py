@@ -27,16 +27,7 @@ from oracles import (
     enumerate_equitreks,
     trek_monomial,
 )
-from conftest import sink_loop_chain, two_node_chain, unit_parameters
-
-
-def fig1_pm():
-    return unit_parameters(two_node_chain(), diag=0.5, off=1.0)
-
-
-def random_dag(rng, p, edge_prob=0.5):
-    edges = [(i, j) for i in range(p) for j in range(i + 1, p) if rng.uniform() < edge_prob]
-    return DirectedGraph(p, edges) if edges else DirectedGraph(p, [(0, 1)])
+from conftest import fig1_matrix, random_graph, sink_loop_chain, two_node_chain, unit_parameters
 
 
 def loop_insertion_sum(dists, t):
@@ -62,7 +53,7 @@ def loop_insertion_sum(dists, t):
 
 class TestTrekRuleEntry:
     def test_two_node_closed_form(self):
-        value = series_cumulant(fig1_pm(), DiagonalCumulant(2, [1.0, 1.0]), terms=201)[(0, 1)]
+        value = series_cumulant(fig1_matrix(), DiagonalCumulant(2, [1.0, 1.0]), terms=201)[(0, 1)]
         assert value == pytest.approx(2 / 3, rel=1e-12)
 
     def test_no_equitrek_means_zero(self):
@@ -73,8 +64,7 @@ class TestTrekRuleEntry:
 
     def test_matches_solver(self, rng):
         for seed in range(5):
-            edges = {(i, j) for i in range(3) for j in range(3) if rng.uniform() < 0.5}
-            g = DirectedGraph(3, edges) if edges else DirectedGraph(3, [(0, 0)])
+            g = random_graph(rng, 3, 0.5, nonempty=True)
             pm = sample_stable_matrix(g, seed=seed, target_radius=0.5)
             for order in (2, 3):
                 omega = DiagonalCumulant(order, rng.uniform(0.5, 2, 3))
@@ -86,7 +76,7 @@ class TestTrekRuleEntry:
     def test_matches_literal_enumeration(self):
         # short truncation cross-checked monomial by monomial
         g = two_node_chain()
-        pm = fig1_pm()
+        pm = fig1_matrix()
         omega = DiagonalCumulant(2, [1.0, 1.0])
         length = 6
         literal = sum(
@@ -98,7 +88,7 @@ class TestTrekRuleEntry:
         )
 
     def test_geometric_convergence(self):
-        pm = fig1_pm()
+        pm = fig1_matrix()
         omega = DiagonalCumulant(2, [1.0, 1.0])
         at_100 = series_cumulant(pm, omega, terms=101)[(0, 1)]
         at_200 = series_cumulant(pm, omega, terms=201)[(0, 1)]
@@ -185,7 +175,7 @@ class TestBaseTrekCovariance:
     def test_matches_solver_random_dags(self, rng):
         for seed in range(6):
             p = int(rng.integers(3, 6))
-            g = random_dag(rng, p)
+            g = random_graph(rng, p, 0.5, dag=True, nonempty=True)
             weights = {
                 (i, j): float(rng.uniform(0.3, 1.0) * rng.choice([-1, 1]))
                 for i, j in g.edges
