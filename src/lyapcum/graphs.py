@@ -277,8 +277,8 @@ class DirectedGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DirectedGraph":
-        if not isinstance(data, dict) or "p" not in data or "edges" not in data:
-            raise ValueError("graph JSON must contain 'p' and 'edges'")
+        if not isinstance(data, dict) or "p" not in data or type(data.get("edges")) is not list:
+            raise ValueError("graph JSON must contain 'p' and an 'edges' list")
         for e in data["edges"]:
             if type(e) is not list or len(e) != 2:
                 raise ValueError(f"edge {e!r} is not a list of two vertex ids")

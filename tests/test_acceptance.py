@@ -181,8 +181,8 @@ def test_criterion_2_solver_oracle_equivalence():
     rng = np.random.default_rng(2)
     for p in (1, 2, 3, 4):
         # every edge set at p <= 2 (at most 16), a seeded sample of 20 above
-        masks = None if p <= 2 else np.random.default_rng(p).choice(2 ** (p * p), 20, replace=False)
-        for pattern in edge_sets(p, masks=masks):
+        sample = np.random.default_rng(p).choice(2 ** (p * p), 20, replace=False) if p > 2 else None
+        for pattern in edge_sets(p, masks=sample):
             g = DirectedGraph(p, pattern)
             a = (
                 sample_stable_matrix(g, seed=int(rng.integers(1e6)), target_radius=0.6)

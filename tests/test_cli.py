@@ -237,6 +237,7 @@ BAD_INPUTS = {
 
 # the message of the rows whose refusal is raised by the library or by cli's own checks
 BAD_INPUT_MESSAGES = {
+    "graph-edges-not-a-list": "input error: graph JSON must contain 'p' and an 'edges' list",
     "graph-edge-of-three": "input error: edge [0, 1, 1] is not a list of two vertex ids",
     "graph-edge-of-one": "input error: edge [0] is not a list of two vertex ids",
     "graph-edge-not-a-list": "input error: edge 5 is not a list of two vertex ids",

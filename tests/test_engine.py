@@ -12,6 +12,8 @@ from lyapcum import (
     ParameterMatrix,
     SingularSystem,
     UnstableMatrix,
+    base_trek_cumulant,
+    placement_polynomial,
     recover_noise,
     random_omegas,
     recursive_residual,
@@ -21,11 +23,17 @@ from lyapcum import (
     solve_cumulant,
     spectral_radius,
 )
-from lyapcum import base_trek_cumulant, placement_polynomial
 from lyapcum.engine import STABILITY_MARGIN, _k_statistics
 from lyapcum.graphs import equitrek_multisets
 from lyapcum.tensors import DimensionMismatch, SymmetricTensor, multiset_indices
-from conftest import banded_dag, fig1_matrix, random_graph, two_node_chain, unit_noise, unit_parameters
+from conftest import (
+    banded_dag,
+    fig1_matrix,
+    random_graph,
+    two_node_chain,
+    unit_noise,
+    unit_parameters,
+)
 
 
 @st.composite
