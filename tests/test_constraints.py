@@ -100,9 +100,9 @@ class TestTreeStructure:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_every_admitted_graph_is_an_arborescence(self, p):
-        # over every edge set on p vertices, what passes the three refusals
-        # above has one non-loop parent per non-source vertex and a path from
-        # the source to each vertex: p**(p - 1) rooted labeled trees (Cayley)
+        # over every edge set on p vertices, what passes _tree_structure's
+        # three checks has one non-loop parent per non-source vertex and a path
+        # from the source to each vertex: p**(p - 1) rooted labeled trees (Cayley)
         admitted = 0
         for edges in edge_sets(p):
             g = DirectedGraph(p, edges)
