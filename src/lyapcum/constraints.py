@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
 from typing import Sequence
 
@@ -59,8 +60,9 @@ class ModelInconsistency(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _tree_structure(g: DirectedGraph) -> tuple[int, list[int], list[tuple[int, ...]]]:
-    """(source, levels, source paths) for a directed tree, or raise.
+@lru_cache(maxsize=32)
+def _tree_structure(g: DirectedGraph) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Cached (source, levels, source paths) for a directed tree, or raise.
 
     Hypotheses: single source, tree skeleton, and the source's self-loop is
     the only loop.  A non-source vertex then has a non-loop parent, so in a
@@ -85,16 +87,12 @@ def _tree_structure(g: DirectedGraph) -> tuple[int, list[int], list[tuple[int, .
             if c != v:
                 paths[c] = paths[v] + (c,)
                 frontier.append(c)
-    levels = [len(path) - 1 for path in paths]
-    return source, levels, paths
+    return source, tuple(len(path) - 1 for path in paths), tuple(paths)
 
 
 def level_partition(g: DirectedGraph) -> list[list[int]]:
     """Vertex sets by shortest-path distance from the source."""
-    return _partition(_tree_structure(g)[1])
-
-
-def _partition(levels: list[int]) -> list[list[int]]:
+    levels = _tree_structure(g)[1]
     out: list[list[int]] = [[] for _ in range(max(levels) + 1)]
     for v, level in enumerate(levels):
         out[level].append(v)
@@ -108,12 +106,7 @@ def shortest_equitrek_top(g: DirectedGraph, indices: Sequence[int]) -> int:
     the source (only it can pad short legs); equal levels put the top at the
     deepest common ancestor.
     """
-    return _top(_tree_structure(g), indices)
-
-
-def _top(tree: tuple, indices: Sequence[int]) -> int:
-    """:func:`shortest_equitrek_top` on the ``(source, levels, paths)`` of a tree."""
-    source, levels, paths = tree
+    source, levels, paths = _tree_structure(g)
     idx = list(indices)
     if len({levels[i] for i in idx}) > 1:
         return source
@@ -154,14 +147,9 @@ def toric_matrix(g: DirectedGraph, order: int) -> ToricMatrix:
     v parameter and of every edge (self-loop padding counts on the source
     loop row).
     """
-    return _toric(g, _tree_structure(g), order)
-
-
-def _toric(g: DirectedGraph, tree: tuple, order: int) -> ToricMatrix:
-    """:func:`toric_matrix` on the ``(source, levels, paths)`` of the tree g."""
+    source, levels, paths = _tree_structure(g)
     if order < 2:
         raise ValueError("order must be at least 2")
-    source, levels, paths = tree
     edges = sorted(g.edges)
     row_labels: list[tuple] = []
     for m in range(2, order + 1):
@@ -178,7 +166,7 @@ def _toric(g: DirectedGraph, tree: tuple, order: int) -> ToricMatrix:
 
     matrix = np.zeros((len(row_labels), len(col_labels)), dtype=int)
     for col, (m, key) in enumerate(col_labels):
-        top = _top(tree, key)
+        top = shortest_equitrek_top(g, key)
         matrix[v_row[(m, top)], col] = 1
         # unequal leaf levels force top = source and source-loop padding up
         # to the deepest leaf; equal levels need no padding at all
@@ -339,14 +327,13 @@ def top_trek_polynomial_check(
     pairs leave an uncancelled source-loop power even at the padded top, so
     they are predicted nonzero for every l.
     """
-    tree = _tree_structure(g)
-    source, levels, _ = tree
+    source, levels, _ = _tree_structure(g)
     s, t = stack.s, stack.t
     return PolynomialCheck.of(
         "top-trek", (i, j, top),
         s[(source, top)] * s[(i, j)] * t[(top, top, j)],
         s[(source, i)] * s[(top, top)] * t[(top, j, j)],
-        levels[i] == levels[j] and top == _top(tree, (i, j)),
+        levels[i] == levels[j] and top == shortest_equitrek_top(g, (i, j)),
     )
 
 
@@ -362,34 +349,31 @@ class TreeEquivalence:
     row_equivalence_checked: bool = False
 
 
-def tree_equivalence(
-    g: DirectedGraph, h: DirectedGraph, order: int = 3
-) -> TreeEquivalence:
+def tree_equivalence(g: DirectedGraph, h: DirectedGraph) -> TreeEquivalence:
     """Decide whether two directed trees carve out the same constraint ideal.
 
     True iff the labeled level partitions coincide and every vertex pair has
     the same shortest-equitrek top.  A positive answer is cross-checked by
-    exact row reduction: the two toric exponent matrices must span the same
-    row space.
+    exact row reduction: the two order-3 toric exponent matrices must span
+    the same row space.
     """
     if g.p != h.p:
         raise HypothesisViolated("trees must share the vertex count")
-    tree_g, tree_h = _tree_structure(g), _tree_structure(h)
-    levels_g = [set(level) for level in _partition(tree_g[1])]
-    levels_h = [set(level) for level in _partition(tree_h[1])]
+    levels_g = [set(level) for level in level_partition(g)]
+    levels_h = [set(level) for level in level_partition(h)]
     if levels_g != levels_h:
         return TreeEquivalence(
             equal=False, witness=f"level partitions differ: {levels_g} vs {levels_h}"
         )
     for i, j in itertools.combinations(range(g.p), 2):
-        top_g, top_h = _top(tree_g, (i, j)), _top(tree_h, (i, j))
+        top_g, top_h = shortest_equitrek_top(g, (i, j)), shortest_equitrek_top(h, (i, j))
         if top_g != top_h:
             return TreeEquivalence(
                 equal=False,
                 witness=f"pair ({i},{j}) has tops {top_g} vs {top_h}",
             )
-    rref_g = _rref(_toric(g, tree_g, order).matrix)
-    rref_h = _rref(_toric(h, tree_h, order).matrix)
+    rref_g = _rref(toric_matrix(g, 3).matrix)
+    rref_h = _rref(toric_matrix(h, 3).matrix)
     if rref_g != rref_h:
         raise RuntimeError(
             "tops and levels agree but exponent row spaces differ; "

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from math import comb
+from numbers import Integral
 from typing import Iterable
 
 
@@ -164,27 +165,15 @@ class DirectedGraph:
         return tuple(tuple(sorted(s)) for s in nbrs)
 
     @cached_property
-    def skeleton_components(self) -> tuple[tuple[int, ...], ...]:
-        seen: set[int] = set()
-        comps = []
-        for start in range(self.p):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in self.skeleton_neighbors[v]:
-                    if u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
-
-    @cached_property
     def is_skeleton_connected(self) -> bool:
-        return len(self.skeleton_components) == 1
+        """True if a flood fill over ``skeleton_neighbors`` from vertex 0 reaches every vertex."""
+        reached, stack = {0}, [0]
+        while stack:
+            for u in self.skeleton_neighbors[stack.pop()]:
+                if u not in reached:
+                    reached.add(u)
+                    stack.append(u)
+        return len(reached) == self.p
 
     @cached_property
     def is_polytree(self) -> bool:
@@ -343,16 +332,26 @@ def equitrek_graph(g: DirectedGraph) -> tuple[int, ...]:
 def _separated(g: DirectedGraph, group_i, group_j, group_k) -> bool:
     """True iff no equitrek-graph path from I to J stays inside I+J+K.
 
-    ``ValueError`` for an empty I or J, overlapping groups, or an id outside ``range(p)``.
+    ``ValueError`` for an id that is not an integer in ``range(p)`` (a bool is not one),
+    an empty I or J, or overlapping groups.
     """
-    set_i, set_j, set_k = set(group_i), set(group_j), set(group_k)
+    groups = [list(group_i), list(group_j), list(group_k)]
+    # checked before the groups become sets, where True and 1 collapse; keyed by repr,
+    # so an unhashable id is named too
+    bad = {
+        repr(v): v for group in groups for v in group
+        if isinstance(v, bool) or not isinstance(v, Integral) or not 0 <= v < g.p
+    }
+    if bad:  # integers in numeric order, then the rest by repr
+        bad = sorted(
+            bad.values(), key=lambda v: (0, v) if isinstance(v, Integral) else (1, repr(v))
+        )
+        raise ValueError(f"vertex ids {bad} lie outside range({g.p})")
+    set_i, set_j, set_k = ({int(v) for v in group} for group in groups)
     if not set_i or not set_j:
         raise ValueError("I and J must be nonempty")
     if set_i & set_j or set_i & set_k or set_j & set_k:
         raise ValueError("the vertex groups must be pairwise disjoint")
-    outside = sorted(v for v in set_i | set_j | set_k if not 0 <= v < g.p)
-    if outside:
-        raise ValueError(f"vertex ids {outside} lie outside range({g.p})")
     j = sum(1 << v for v in set_j)
     frontier, unreached = set_i, set_k
     while frontier:

@@ -9,8 +9,9 @@ assembled here: the model is locally identifiable iff it has rank |E|
 generically.
 
 Each order's edge columns are read from one contraction
-``U = T_n x_2 A ... x_n A``: the derivative along alpha -> beta at multiset
-row K is ``mult_beta(K) * U[alpha, K minus one beta]``.
+``U = T_n x_2 A ... x_n A``, run on the solver's GEMM kernel
+:func:`tensors._tucker`: the derivative along alpha -> beta at multiset row K
+is ``mult_beta(K) * U[alpha, K minus one beta]``.
 
 Generic rank is certified by the maximum numeric rank over repeated random
 draws: one full-rank witness suffices because rank is lower semicontinuous
@@ -34,7 +35,7 @@ from .engine import (
 )
 from .graphs import DirectedGraph
 from .identify import CumulantStack, model_stack
-from .tensors import k_mode_product, multiset_indices
+from .tensors import _tucker, multiset_indices
 
 RANK_EPS = 1e-12
 GAP_STRUCTURAL = 1e6
@@ -96,9 +97,8 @@ def build_modified_jacobian(
         else:
             keys = multiset_indices(g.p, n)
         keys = [k for k in keys if len(set(k)) > 1]
-        u = stack.tensor(n).to_dense()
-        for axis in range(1, n):
-            u = k_mode_product(u, a.entries, axis)
+        # n - 1 steps leave axis 1 last; .T puts it first, and U is symmetric in the rest
+        u = _tucker(stack.tensor(n).to_dense(), a.entries, n, n - 1).reshape((g.p,) * n).T
         blocks.append(_edge_columns(u, keys, g.sorted_edges))
         rows.extend((n, key) for key in keys)
     return ModifiedJacobian(matrix=np.vstack(blocks), rows=rows)
@@ -125,45 +125,33 @@ def numeric_rank(matrix: np.ndarray) -> tuple[int, np.ndarray]:
 
 def two_cycle_components(g: DirectedGraph) -> list[tuple[int, int]]:
     """Skeleton components of size two whose vertices form a directed 2-cycle."""
-    pairs = []
-    for comp in g.skeleton_components:
-        if len(comp) == 2:
-            i, j = comp
-            if (i, j) in g.edges and (j, i) in g.edges:
-                pairs.append((i, j))
-    return pairs
+    nbrs = g.skeleton_neighbors
+    return [
+        (i, j) for i, j in g.sorted_edges
+        if i < j and (j, i) in g.edges and nbrs[i] == (j,) and nbrs[j] == (i,)
+    ]
 
 
 def augmentation_rows(g: DirectedGraph) -> list[tuple[int, ...]]:
     """Fourth-order rows repairing two-cycle pairs: both diagonals plus one mixed.
 
-    With :func:`augments_every_trial`, the one source of the augmentation decision: a
-    verdict escalates to order 4 only when this list is nonempty, and reports its length
-    as the order-4 row count.
+    A verdict escalates to order 4 only when this list is nonempty, and reports its
+    length as the order-4 row count.
     """
-    rows = []
-    for i, j in two_cycle_components(g):
-        rows.extend([(i, i, i, i), (j, j, j, j), (i, i, i, j)])
-    return rows
-
-
-def augments_every_trial(g: DirectedGraph) -> bool:
-    """Whether a two-cycle component carries both self-loops.
-
-    Its 4 edges face 3 off-diagonal rows at orders 2-3, so every draw is deficient
-    there, and the verdict goes straight to the rows of :func:`augmentation_rows`.
-    """
-    return any(g.has_self_loop(i) and g.has_self_loop(j) for i, j in two_cycle_components(g))
+    return [row for i, j in two_cycle_components(g) for row in ((i,) * 4, (j,) * 4, (i, i, i, j))]
 
 
 @dataclass
 class TrialRecord:
     rank: int
-    top_singular: float
-    bottom_singular: float
-    gap: float
     augmented: bool
-    singular_values: tuple[float, ...] = ()
+    singular_values: tuple[float, ...] = ()  # descending
+
+    @property
+    def gap(self) -> float:
+        """Largest over smallest nonzero singular value; infinite when none is nonzero."""
+        nonzero = [s for s in self.singular_values if s > 0]
+        return nonzero[0] / nonzero[-1] if nonzero else np.inf
 
 
 @dataclass
@@ -189,14 +177,10 @@ class LocalIdReport:
             "row_counts": {str(k): v for k, v in self.row_counts.items()},
             "reason": self.reason,
             "trials": [
-                {
-                    "rank": t.rank,
-                    "top_singular": t.top_singular,
-                    "bottom_singular": t.bottom_singular,
-                    "gap": t.gap,
-                    "augmented": t.augmented,
-                }
+                {"rank": t.rank, "top_singular": sing[0], "bottom_singular": sing[-1],
+                 "gap": t.gap, "augmented": t.augmented}
                 for t in self.trials
+                for sing in [t.singular_values or (0.0,)]
             ],
         }
 
@@ -235,7 +219,9 @@ def local_identifiability_verdict(
             ),
         )
     extra_rows = augmentation_rows(g)
-    always_augmented = augments_every_trial(g)
+    # a pair with both loops has 4 edges on 3 off-diagonal rows at orders 2-3: every
+    # draw is deficient there, so its trials skip that solve
+    always_augmented = any({i, j} <= g.self_loops for i, j in two_cycle_components(g))
 
     def run_trial(trial: int) -> TrialRecord:
         radius = 0.45 if trial % 2 == 0 else 0.85
@@ -251,21 +237,12 @@ def local_identifiability_verdict(
             stack = model_stack(a, random_omegas(rng, g.p, (2, 3, 4)))
             mj = build_modified_jacobian(g, a, stack, order4_rows=extra_rows)
             rank, sing = numeric_rank(mj.matrix)
-        nonzero = sing[sing > 0]
-        gap = float(nonzero[0] / nonzero[-1]) if len(nonzero) else np.inf
-        return TrialRecord(
-            rank=rank,
-            top_singular=float(sing[0]) if len(sing) else 0.0,
-            bottom_singular=float(sing[-1]) if len(sing) else 0.0,
-            gap=gap,
-            augmented=augmented,
-            singular_values=tuple(float(s) for s in sing),
-        )
+        return TrialRecord(rank=rank, augmented=augmented, singular_values=tuple(sing.tolist()))
 
     records = [run_trial(trial) for trial in range(trials)]
     best_rank = max(r.rank for r in records)
-
-    used_orders = (2, 3, 4) if any(r.augmented for r in records) else (2, 3)
+    augmented = any(r.augmented for r in records)
+    used_orders = (2, 3, 4) if augmented else (2, 3)
     row_counts = {
         n: comb(g.p + n - 1, n) if n < 4 else len(extra_rows)
         for n in used_orders
@@ -276,9 +253,7 @@ def local_identifiability_verdict(
         reason = "a full-rank witness certifies generic full rank"
     else:
         unanimous = all(r.rank == best_rank for r in records)
-        wide_gap = all(
-            r.gap >= GAP_STRUCTURAL or np.isinf(r.gap) for r in records
-        )
+        wide_gap = all(r.gap >= GAP_STRUCTURAL for r in records)
         if unanimous and wide_gap:
             verdict = "rank-deficient"
             reason = f"all trials agree on deficiency {deficiency} with a wide gap"
@@ -291,7 +266,7 @@ def local_identifiability_verdict(
         generic_rank=best_rank,
         deficiency=deficiency,
         orders=used_orders,
-        augmented=any(r.augmented for r in records),
+        augmented=augmented,
         row_counts=row_counts,
         trials=records,
         reason=reason,

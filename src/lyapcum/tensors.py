@@ -63,17 +63,18 @@ def tucker_product(tensor: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return _tucker(out, matrix, out.ndim).reshape((matrix.shape[0],) * out.ndim)
 
 
-def _tucker(flat: np.ndarray, matrix: np.ndarray, n: int) -> np.ndarray:
+def _tucker(flat: np.ndarray, matrix: np.ndarray, n: int, steps: int | None = None) -> np.ndarray:
     """Unchecked Tucker product: the ``(q, q^(n-1))`` unfolding of the image.
 
     ``flat`` is an order-n tensor over p variables in any C-order shape, such
-    as its ``(p^(n-1), p)`` unfolding, and ``matrix`` is q x p.  Each of the n
-    steps is one GEMM, ``matrix @ U.T``, on the unfolding U of the last axis
-    (Kolda & Bader 2009); it rotates that axis's image to the front, so the
-    n steps restore the order.
+    as its ``(p^(n-1), p)`` unfolding, and ``matrix`` is q x p.  Each step is
+    one GEMM, ``matrix @ U.T``, on the unfolding U of the last axis (Kolda &
+    Bader 2009); it rotates that axis's image to the front, so n steps, the
+    default, restore the order.  After ``steps`` = s < n the C-order axes are
+    the images of axes n-s+1..n, then the untouched axes 1..n-s.
     """
     q, p = matrix.shape
-    for k in range(n):
+    for k in range(n if steps is None else steps):
         flat = matrix @ flat.reshape(q**k * p ** (n - 1 - k), p).T
     return flat
 

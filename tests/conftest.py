@@ -59,7 +59,7 @@ def five_node_tree() -> DirectedGraph:
     return DirectedGraph(5, [(0, 0), (0, 1), (0, 2), (2, 3), (2, 4)])
 
 
-def fork_three(loop_at_source_only: bool = True) -> DirectedGraph:
+def fork_three() -> DirectedGraph:
     """0->1, 0->2 with loop at 0 (parents rank-bound fixture)."""
     return DirectedGraph(3, [(0, 0), (0, 1), (0, 2)])
 

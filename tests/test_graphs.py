@@ -368,12 +368,29 @@ class TestIndependence:
         "j-negative": ([[0], [-1]], "vertex ids [-1] lie outside range(3)"),
         "both-outside": ([[0, 7], [-2, 1]], "vertex ids [-2, 7] lie outside range(3)"),
         "k-above-p": ([[0], [2], [7]], "vertex ids [7] lie outside range(3)"),
+        "i-float": ([[0.5], [1]], "vertex ids [0.5] lie outside range(3)"),
+        "i-string": ([["a"], [1]], "vertex ids ['a'] lie outside range(3)"),
+        "i-bool": ([[True], [0]], "vertex ids [True] lie outside range(3)"),
+        "bool-beside-its-int": ([[True], [1]], "vertex ids [True] lie outside range(3)"),
+        "i-list": ([[[0]], [1]], "vertex ids [[0]] lie outside range(3)"),
         "j-above-p-given-k": ([[0], [9], [1]], "vertex ids [9] lie outside range(3)"),
         "empty-i": ([[], [0]], "I and J must be nonempty"),
         "empty-j": ([[0], [], [1]], "I and J must be nonempty"),
         "overlapping-i-j": ([[0, 1], [1]], "the vertex groups must be pairwise disjoint"),
         "overlapping-i-k": ([[0], [2], [0, 1]], "the vertex groups must be pairwise disjoint"),
     }
+
+    def test_numpy_integer_ids_answer_as_ints(self):
+        # a looped path past 64 vertices, so an id past a machine word's bits is asked too
+        g = DirectedGraph(70, [(0, 0)] + [(i, i + 1) for i in range(69)])
+        for i, j, k in [(0, 69, 1), (2, 67, 1), (68, 69, 0), (5, 66, 64)]:
+            ni, nj, nk = np.int64(i), np.int32(j), np.int8(k)
+            assert implied_marginal_independence(g, [ni], [nj]) == (
+                implied_marginal_independence(g, [i], [j])
+            )
+            assert implied_conditional_independence(g, [ni], [nj], [nk]) == (
+                implied_conditional_independence(g, [i], [j], [k])
+            )
 
     @pytest.mark.parametrize("case", list(REFUSALS))
     def test_refuses_bad_groups(self, case):

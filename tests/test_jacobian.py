@@ -27,7 +27,9 @@ from oracles import (
 from conftest import (
     collider_square,
     diamond,
+    edge_sets,
     random_graph,
+    reachable,
     seeded_model,
     two_cycle_with_loops,
     two_node_chain,
@@ -283,6 +285,28 @@ class TestVerdict:
         assert report.verdict == "locally-identifiable"
         assert report.augmented
 
+    @staticmethod
+    def skeleton_components(g):
+        """The skeleton's components as sorted tuples, in order of least vertex."""
+        comps = []
+        for v in range(g.p):
+            if not any(v in comp for comp in comps):
+                comps.append(tuple(sorted(reachable(g.skeleton_neighbors, v))))
+        return comps
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_pairs_and_connectivity_match_components(self, p):
+        # the two-cycle pairs are the size-2 components joined both ways, and the
+        # skeleton is connected iff it has one component
+        for edges in edge_sets(p):
+            g = DirectedGraph(p, edges)
+            comps = self.skeleton_components(g)
+            assert two_cycle_components(g) == [
+                (i, j) for i, j in (c for c in comps if len(c) == 2)
+                if (i, j) in g.edges and (j, i) in g.edges
+            ], g
+            assert g.is_skeleton_connected == (len(comps) == 1), g
+
     def test_two_cycle_with_one_loop_needs_no_augmentation(self):
         # a two-cycle component is not always deficient at orders 2-3: with
         # one loop its three edges are full rank, so no trial augments
@@ -429,13 +453,15 @@ class TestGoldenBytes:
             DirectedGraph(4, [(0, 0), (1, 1), (0, 1), (1, 0), (2, 2), (2, 3)]), 2
         ),
         "diamond": (diamond(), 3),
+        "two-cycle-one-loop": (DirectedGraph(2, [(0, 0), (0, 1), (1, 0)]), 4),
     }
 
     def test_verdict_golden_bytes(self):
         """The sha256 of every trial's singular values, per graph, at a fixed seed.
 
         Recorded before the Jacobian read its tensors from a cumulant stack
-        in place of solving them itself.
+        in place of solving them itself; the two-cycle-one-loop row, before
+        the contraction ran on ``tensors._tucker``.
         """
         digests, verdicts = {}, {}
         for name, (g, seed) in self.GRAPHS.items():
@@ -451,10 +477,12 @@ class TestGoldenBytes:
             "cycle": ("locally-identifiable", False),
             "two-cycle-beside-loop": ("locally-identifiable", True),
             "diamond": ("rank-deficient", False),
+            "two-cycle-one-loop": ("locally-identifiable", False),
         }
         assert digests == {
             "dag": "baaa1b19fa2676cdc9ec7a722bd67b033022f6acda0c77592059c7e707c5ed38",
             "cycle": "5857372e03ff367b5b078b07f8775962cbe91621dbbe4f62be3b90145251b35a",
             "two-cycle-beside-loop": "5f5fec82fbeb1352faf1c84bfd9441a5825a55f813f1279b6ed6fcffe929e44f",
             "diamond": "6f13912abde8785ec4550be5c640cf851a6684d1fafb31a986c44e4a4742df5a",
+            "two-cycle-one-loop": "3d3624028847233d342054a199304f6bbcfa7ba0d505c5459487764db968895c",
         }
