@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import DirectedGraph
-from .identify import CumulantStack, HypothesisViolated
+from .identify import CumulantStack, HypothesisViolated, _check_stack
 from .jacobian import numeric_rank
 from .tensors import multiset_indices
 
@@ -288,6 +288,7 @@ def level_polynomial_checks(
     vanishes iff j is deeper than i.  The source-balance family is
     aggregated over j; the others are per-pair.
     """
+    _check_stack(g, stack)
     source, levels, _ = _tree_structure(g)
     s, t = stack.s, stack.t
     checks: list[PolynomialCheck] = []
@@ -327,6 +328,7 @@ def top_trek_polynomial_check(
     pairs leave an uncancelled source-loop power even at the padded top, so
     they are predicted nonzero for every l.
     """
+    _check_stack(g, stack)
     source, levels, _ = _tree_structure(g)
     s, t = stack.s, stack.t
     return PolynomialCheck.of(
@@ -465,7 +467,10 @@ def rank_constraints_scan(
     ModelInconsistency
         If an observed rank exceeds its bound (the stack cannot come from a
         model point of this graph).
+    HypothesisViolated
+        If the stack's p differs from the graph's.
     """
+    _check_stack(g, stack)
     p = g.p
     stacked = np.vstack([stack.s.to_dense(), stack.t.to_dense().reshape(p * p, p)])
     results = []

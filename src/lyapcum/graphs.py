@@ -39,6 +39,11 @@ def json_number(value, name: str) -> float:
     return float(value)
 
 
+def _is_vertex_id(v) -> bool:
+    """True for an integer, numpy's included, that is not a bool."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
 def check_permutation(perm: Iterable[int], p: int) -> list[int]:
     """``perm`` as a list.
 
@@ -66,15 +71,18 @@ class DirectedGraph:
     """
 
     def __init__(self, p: int, edges: Iterable[tuple[int, int]]):
-        if p <= 0:
-            raise ValueError(f"vertex count must be positive, got {p}")
-        edge_list = [(int(i), int(j)) for i, j in edges]
-        if len(edge_list) != len(set(edge_list)):
-            raise ValueError("duplicate edges are not allowed")
-        for i, j in edge_list:
+        if not _is_vertex_id(p) or p <= 0:
+            raise ValueError(f"vertex count must be a positive integer, got {p!r}")
+        edge_list = []
+        for i, j in edges:
+            if not (_is_vertex_id(i) and _is_vertex_id(j)):
+                raise ValueError(f"edge ({i!r},{j!r}) needs integer vertex ids")
             if not (0 <= i < p and 0 <= j < p):
                 raise ValueError(f"edge ({i},{j}) out of range for p={p}")
-        self.p = p
+            edge_list.append((int(i), int(j)))
+        if len(edge_list) != len(set(edge_list)):
+            raise ValueError("duplicate edges are not allowed")
+        self.p = int(p)
         self.edges = frozenset(edge_list)
 
     # -- basic structure ---------------------------------------------------
@@ -130,12 +138,7 @@ class DirectedGraph:
     @cached_property
     def isolated_vertices(self) -> tuple[int, ...]:
         """Vertices touching no edge except possibly their own loop."""
-        touched = set()
-        for i, j in self.edges:
-            if i != j:
-                touched.add(i)
-                touched.add(j)
-        return tuple(v for v in range(self.p) if v not in touched)
+        return tuple(v for v, nbrs in enumerate(self.skeleton_neighbors) if not nbrs)
 
     @cached_property
     def is_dag(self) -> bool:
@@ -151,12 +154,8 @@ class DirectedGraph:
         return len(self.self_loops) == self.p
 
     @cached_property
-    def skeleton(self) -> frozenset[frozenset[int]]:
-        """Undirected edge set, self-loops dropped."""
-        return frozenset(frozenset((i, j)) for i, j in self.edges if i != j)
-
-    @cached_property
     def skeleton_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """``skeleton_neighbors[v]``: the vertices joined to v by a non-loop edge, sorted."""
         nbrs: list[set[int]] = [set() for _ in range(self.p)]
         for i, j in self.edges:
             if i != j:
@@ -177,10 +176,9 @@ class DirectedGraph:
 
     @cached_property
     def is_polytree(self) -> bool:
-        """True if directed cycles are absent and the skeleton is a tree."""
-        if not self.is_skeleton_connected or not self.is_dag:
-            return False
-        return len(self.skeleton) == self.p - 1
+        """True if directed cycles are absent and the skeleton is a tree (p - 1 edges)."""
+        edges = sum(map(len, self.skeleton_neighbors)) // 2
+        return self.is_skeleton_connected and self.is_dag and edges == self.p - 1
 
     def topological_order(self) -> list[int]:
         """Linear order with every non-loop edge forward, minimal index first.
@@ -190,10 +188,7 @@ class DirectedGraph:
         CyclicGraph
             If a directed cycle of length >= 2 exists.
         """
-        indeg = [0] * self.p
-        for i, j in self.edges:
-            if i != j:
-                indeg[j] += 1
+        indeg = [len(ps) - (v in ps) for v, ps in enumerate(self.parents)]
         ready = [v for v in range(self.p) if indeg[v] == 0]
         heapq.heapify(ready)
         order = []
@@ -235,12 +230,13 @@ class DirectedGraph:
                     return None
                 seen.add(row)
                 row = reduce(int.__or__, (m for v, m in enumerate(child_masks) if row >> v & 1), 0)
-        maximal: dict[int, list[int]] = {}  # by size, largest first
+        # largest first: a row is maximal iff no kept row holds it, and two distinct
+        # rows of one size never hold each other
+        maximal: list[int] = []
         for row in sorted(seen, key=lambda m: (-m.bit_count(), m)):
-            size = row.bit_count()
-            if all(row & ~m for k, ms in maximal.items() if k > size for m in ms):
-                maximal.setdefault(size, []).append(row)
-        return tuple(itertools.chain.from_iterable(maximal.values()))
+            if all(row & ~m for m in maximal):
+                maximal.append(row)
+        return tuple(maximal)
 
     @cached_property
     def equitrek_neighbors(self) -> tuple[int, ...]:
@@ -339,8 +335,7 @@ def _separated(g: DirectedGraph, group_i, group_j, group_k) -> bool:
     # checked before the groups become sets, where True and 1 collapse; keyed by repr,
     # so an unhashable id is named too
     bad = {
-        repr(v): v for group in groups for v in group
-        if isinstance(v, bool) or not isinstance(v, Integral) or not 0 <= v < g.p
+        repr(v): v for group in groups for v in group if not _is_vertex_id(v) or not 0 <= v < g.p
     }
     if bad:  # integers in numeric order, then the rest by repr
         bad = sorted(
@@ -398,16 +393,6 @@ class StarClassification:
     center: int | None = None
 
 
-def _three_vertex_paths(g: DirectedGraph) -> list[tuple[int, int, int]]:
-    """All skeleton paths on 3 distinct vertices, middle vertex second."""
-    paths = []
-    for mid in range(g.p):
-        nbrs = g.skeleton_neighbors[mid]
-        for a, b in itertools.combinations(nbrs, 2):
-            paths.append((a, mid, b))
-    return paths
-
-
 def classify_star(g: DirectedGraph) -> StarClassification:
     """Classify the undirected skeleton of a connected graph.
 
@@ -422,17 +407,14 @@ def classify_star(g: DirectedGraph) -> StarClassification:
     """
     if not g.is_skeleton_connected:
         raise DisconnectedGraph("star classification needs a connected skeleton")
-    hubs = set(range(g.p))
-    for e in g.skeleton:
-        hubs &= e
-    if g.skeleton and hubs:
-        return StarClassification(kind="star", center=min(hubs))
-    if not g.skeleton:  # single vertex
-        return StarClassification(kind="star", center=0)
-    paths = _three_vertex_paths(g)
+    degrees = [len(nbrs) for nbrs in g.skeleton_neighbors]
+    hubs = [v for v, d in enumerate(degrees) if 2 * d == sum(degrees)]  # p = 1 gives [0]
+    if hubs:
+        return StarClassification(kind="star", center=hubs[0])
     common = set(range(g.p))
-    for path in paths:
-        common &= set(path)
+    for mid, nbrs in enumerate(g.skeleton_neighbors):
+        for a, b in itertools.combinations(nbrs, 2):
+            common &= {a, mid, b}
     if common:
         return StarClassification(kind="generalized-two-star", center=min(common))
     return StarClassification(kind="neither")

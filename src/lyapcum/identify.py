@@ -94,6 +94,12 @@ class CumulantStack:
         return CumulantStack(*(t.relabel(perm) for t in self._by_order.values()))
 
 
+def _check_stack(g: DirectedGraph, stack: CumulantStack) -> None:
+    """``HypothesisViolated`` unless the stack's p is the graph's."""
+    if stack.p != g.p:
+        raise HypothesisViolated("stack dimension does not match the graph")
+
+
 def model_stack(a: ParameterMatrix, omegas: dict[int, DiagonalCumulant]) -> CumulantStack:
     """Forward map: solve the Lyapunov equations into a stack."""
     return CumulantStack(*(solve_cumulant(a, w) for w in omegas.values()))
@@ -291,8 +297,7 @@ def identify_dag(
         If a block is numerically singular (a non-generic point, or a
         pattern such as the diamond whose rows of orders 2-3 are deficient).
     """
-    if stack.p != g.p:
-        raise HypothesisViolated("stack dimension does not match the graph")
+    _check_stack(g, stack)
     if g.isolated_vertices:
         raise HypothesisViolated(
             f"isolated vertices {g.isolated_vertices} are never identifiable"

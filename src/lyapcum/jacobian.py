@@ -33,7 +33,7 @@ from .engine import (
     sample_stable_matrix,
     solve_cumulant,  # not called here: perfbench's tracer test reads it (ROADMAP item 1)
 )
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, _is_vertex_id
 from .identify import CumulantStack, model_stack
 from .tensors import _tucker, multiset_indices
 
@@ -84,10 +84,14 @@ def build_modified_jacobian(
     gives the Jacobian of the parametrization.  Order-4 rows default to all
     multisets but can be restricted (``order4_rows``) for targeted
     augmentation; diagonal ones among them are dropped.  ``order4_rows``
-    without an order-4 tensor in the stack raises ``ValueError``.
+    without an order-4 tensor in the stack, or with a row that is not four
+    vertex ids in ``range(p)``, raises ``ValueError``.
     """
     if order4_rows is not None and 4 not in stack.orders:
         raise ValueError("order4_rows needs an order-4 tensor in the stack")
+    for row in order4_rows or ():
+        if len(row) != 4 or not all(_is_vertex_id(v) and 0 <= v < g.p for v in row):
+            raise ValueError(f"order4_rows row {row!r} is not four vertex ids in range({g.p})")
     a.require_stable()
     rows: list[tuple[int, tuple[int, ...]]] = []
     blocks = []

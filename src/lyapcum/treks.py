@@ -116,22 +116,13 @@ def placement_table_csv(x_max: int, y_max: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _offdiag_dag(g: DirectedGraph) -> DirectedGraph:
-    from .graphs import DirectedGraph
-
-    dag = DirectedGraph(g.p, [(i, j) for i, j in g.edges if i != j])
-    dag.topological_order()  # raises CyclicGraph when not a DAG
-    return dag
-
-
 def _top_paths(g: DirectedGraph) -> list[dict[int, list[tuple[int, ...]]]]:
-    """Per top vertex, its simple paths in the self-loop-free DAG, sorted, by endpoint."""
-    dag = _offdiag_dag(g)
+    """Per top vertex, its loop-free paths in ``g``, a DAG apart from loops, sorted, by endpoint."""
     paths, stack = [], [(v,) for v in range(g.p)]
     while stack:
         path = stack.pop()
         paths.append(path)
-        stack.extend(path + (c,) for c in dag.children[path[-1]])
+        stack.extend(path + (c,) for c in g.children[path[-1]] if c != path[-1])
     tops = [{v: [] for v in range(g.p)} for _ in range(g.p)]
     for path in sorted(paths):
         tops[path[0]][path[-1]].append(path)
@@ -154,16 +145,15 @@ def effective_matrix(
     from .engine import ParameterMatrix
     from .graphs import DirectedGraph
 
-    dag = _offdiag_dag(g)
-    full = DirectedGraph(
-        g.p, list(dag.edges) + [(v, v) for v in range(g.p)]
-    )
+    g.topological_order()  # raises CyclicGraph when not a DAG
+    dag_edges = {(i, j) for i, j in g.edges if i != j}
+    full = DirectedGraph(g.p, g.edges | {(v, v) for v in range(g.p)})
     entries = np.eye(g.p) * t
     for (i, j), w in offdiag.items():
-        if (i, j) not in dag.edges:
+        if (i, j) not in dag_edges:
             raise ValueError(f"weight given for missing edge {i}->{j}")
         entries[j, i] = w
-    unweighted = sorted(dag.edges - offdiag.keys())
+    unweighted = sorted(dag_edges - offdiag.keys())
     if unweighted:
         i, j = unweighted[0]
         raise ValueError(f"no weight given for edge {i}->{j}")

@@ -447,6 +447,17 @@ class TestRankConstraints:
         results = rank_constraints_scan(g, stack, max_subset=2)
         assert any(r.rank == r.bound for r in results)
 
+    def test_stack_of_another_p_is_refused(self):
+        # every reader of a stack refuses one of another p, as identify_dag does
+        g2, stack3 = two_node_chain(), tree_stack(fork_three(), seed=1)[2]
+        for call in (
+            lambda: level_polynomial_checks(g2, stack3),
+            lambda: top_trek_polynomial_check(g2, stack3, 0, 1, 0),
+            lambda: rank_constraints_scan(g2, stack3, max_subset=1),
+        ):
+            with pytest.raises(HypothesisViolated, match="^stack dimension does not match the graph$"):
+                call()
+
     def test_corrupted_stack_raises(self):
         g = fork_three()
         _, _, stack = tree_stack(g, seed=11)

@@ -23,7 +23,7 @@ from lyapcum import (
     solve_cumulant,
     spectral_radius,
 )
-from lyapcum.graphs import equitrek_multisets
+from lyapcum.graphs import StarClassification, equitrek_multisets
 from oracles import enumerate_equitreks
 from conftest import (
     bare_two_cycle,
@@ -64,6 +64,31 @@ class TestConstruction:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             DirectedGraph(2, [(0, 1), (0, 1)])
+
+    # (p, edges, whole message) that the constructor refuses
+    REFUSALS = {
+        "float-id": (2, [(0.5, 1)], "edge (0.5,1) needs integer vertex ids"),
+        "float-id-above-one": (2, [(1.9, 0)], "edge (1.9,0) needs integer vertex ids"),
+        "integral-float-id": (2, [(0, 1.0)], "edge (0,1.0) needs integer vertex ids"),
+        "string-id": (2, [("1", 0)], "edge ('1',0) needs integer vertex ids"),
+        "bool-id": (2, [(True, 1)], "edge (True,1) needs integer vertex ids"),
+        "float-p": (2.5, [(0, 1)], "vertex count must be a positive integer, got 2.5"),
+        "bool-p": (True, [], "vertex count must be a positive integer, got True"),
+        "string-p": ("2", [], "vertex count must be a positive integer, got '2'"),
+        "zero-p": (0, [], "vertex count must be a positive integer, got 0"),
+        "negative-id": (2, [(-1, 0)], "edge (-1,0) out of range for p=2"),
+    }
+
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_refusals(self, case):
+        p, edges, message = self.REFUSALS[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DirectedGraph(p, edges)
+
+    def test_numpy_integers_become_ints(self):
+        g = DirectedGraph(np.int64(3), [(np.int32(0), np.int64(1)), (np.int8(2), 2)])
+        assert g == DirectedGraph(3, [(0, 1), (2, 2)])
+        assert type(g.p) is int and all(type(v) is int for e in g.edges for v in e)
 
     def test_json_round_trip(self):
         g = collider_square()
@@ -404,20 +429,22 @@ class TestIndependence:
                 implied_marginal_independence(g, i, j)
 
 
-def brute_force_two_star(g):
-    """Every pair of 3-vertex paths shares a vertex, and one vertex is shared
-    by all paths."""
-    paths = []
-    for mid in range(g.p):
-        for a, b in itertools.combinations(g.skeleton_neighbors[mid], 2):
-            paths.append({a, mid, b})
-    if not paths:
-        return True, None
-    for x, y in itertools.combinations(paths, 2):
-        if not (x & y):
-            return False, None
-    common = set.intersection(*paths)
-    return bool(common), (min(common) if common else None)
+def brute_force_star(g) -> StarClassification:
+    """The classification by its definitions, on the skeleton as a set of vertex pairs:
+    the least hub on every skeleton edge, else the least vertex on every 3-vertex path."""
+    skeleton = {frozenset(e) for e in g.edges if e[0] != e[1]}
+    paths = [
+        {a, mid, b}
+        for a, mid, b in itertools.permutations(range(g.p), 3)
+        if {a, mid} in skeleton and {mid, b} in skeleton
+    ]
+    hubs = set(range(g.p)).intersection(*skeleton)  # every vertex when p = 1
+    common = set(range(g.p)).intersection(*paths)
+    if hubs:
+        return StarClassification(kind="star", center=min(hubs))
+    if common:
+        return StarClassification(kind="generalized-two-star", center=min(common))
+    return StarClassification(kind="neither")
 
 
 class TestClassifyStar:
@@ -448,6 +475,62 @@ class TestClassifyStar:
             if not g.is_skeleton_connected:
                 continue
             found += 1
-            expected, _ = brute_force_two_star(g)
-            res = classify_star(g)
-            assert (res.kind in ("star", "generalized-two-star")) == expected
+            assert classify_star(g) == brute_force_star(g), g
+
+
+class TestAdjacencyViews:
+    """The views read from the adjacency rows against scans of the edge set."""
+
+    @staticmethod
+    def edge_scan_views(g):
+        """(isolated vertices, topological order or None, is_polytree) from ``g.edges``."""
+        skeleton = {frozenset(e) for e in g.edges if e[0] != e[1]}
+        isolated = tuple(v for v in range(g.p) if not any(v in e for e in skeleton))
+        # the least vertex whose non-loop parents are all placed, until none is
+        order, left = [], set(range(g.p))
+        while left:
+            free = [v for v in sorted(left) if not any(j == v != i in left for i, j in g.edges)]
+            if not free:
+                order = None
+                break
+            order.append(free[0])
+            left.remove(free[0])
+        nbrs = [[u for e in skeleton if v in e for u in e - {v}] for v in range(g.p)]
+        connected = reachable(nbrs, 0) == set(range(g.p))
+        polytree = connected and order is not None and len(skeleton) == g.p - 1
+        return isolated, order, polytree
+
+    @staticmethod
+    def size_keyed_support(g):
+        """The maximal reach rows picked from a dict keyed by size, or None past p**2 rows."""
+        rows = set()
+        for row in (1 << r for r in range(g.p)):
+            while row and row not in rows:
+                rows.add(row)
+                step = {c for v in range(g.p) if row >> v & 1 for c in g.children[v]}
+                row = sum(1 << c for c in step)
+        if len(rows) > g.p**2:
+            return None
+        maximal = {}
+        for row in sorted(rows, key=lambda m: (-m.bit_count(), m)):
+            size = row.bit_count()
+            if all(row & ~m for k, ms in maximal.items() if k > size for m in ms):
+                maximal.setdefault(size, []).append(row)
+        return tuple(itertools.chain.from_iterable(maximal.values()))
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_small_graphs_match_the_edge_scans(self, p):
+        # every loop-free edge set at p <= 4, under every set of self-loops at p <= 3;
+        # at p = 4 under none, all, and the k-th set mod 16 for the k-th edge set
+        for k, edges in enumerate(edge_sets(p, loops=False)):
+            bare = DirectedGraph(p, edges)
+            isolated, order, polytree = self.edge_scan_views(bare)
+            star = brute_force_star(bare) if bare.is_skeleton_connected else None
+            for loops in range(1 << p) if p < 4 else (0, (1 << p) - 1, k % (1 << p)):
+                g = DirectedGraph(p, edges + [(v, v) for v in range(p) if loops >> v & 1])
+                assert g.isolated_vertices == isolated, g
+                assert (g.topological_order() if g.is_dag else None) == order, g
+                assert g.is_polytree == polytree, g
+                if star:
+                    assert classify_star(g) == star, g
+                assert g.equitrek_support == self.size_keyed_support(g), g

@@ -40,6 +40,7 @@ from conftest import (
     diamond,
     edge_sets,
     four_node_tree,
+    random_graph,
     reachable,
     seeded_model,
     sink_loop_chain,
@@ -212,19 +213,11 @@ class TestDagAllLoops:
     def test_random_round_trips(self, seed):
         rng = np.random.default_rng(seed)
         p = int(rng.integers(3, 7))
-        edges = [(i, i) for i in range(p)]
-        edges += [
-            (i, j)
-            for i in range(p)
-            for j in range(i + 1, p)
-            if rng.uniform() < 0.5
-        ]
-        if not any(i != j for i, j in edges):
-            edges.append((0, 1))
-        g = DirectedGraph(p, edges)
-        if g.isolated_vertices:
-            edges += [(min(g.isolated_vertices), (min(g.isolated_vertices) + 1) % p)]
-            g = DirectedGraph(p, set(edges))
+        g = random_graph(rng, p, 0.5, dag=True, nonempty=True)
+        g = DirectedGraph(p, g.edges | {(i, i) for i in range(p)})
+        if g.isolated_vertices:  # join the first one to its successor mod p
+            v = min(g.isolated_vertices)
+            g = DirectedGraph(p, g.edges | {(v, (v + 1) % p)})
         pm, omegas, stack = stack_for(g, seed=seed + 100)
         report = identify_dag(g, stack)
         assert report.verdict == "recovered"

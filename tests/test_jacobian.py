@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import sys
 
 import numpy as np
@@ -202,6 +203,27 @@ class TestBuild:
         stack = model_stack(pm, unit_noise(2, (2, 3)))
         with pytest.raises(ValueError, match="order4_rows needs an order-4 tensor"):
             build_modified_jacobian(g, pm, stack, order4_rows=[(0, 0, 0, 1)])
+
+    # order4_rows that are not four vertex ids in range(3), each named by the refusal
+    BAD_ORDER4_ROWS = {
+        "three-ids": [(0, 1, 1)] * 4,
+        "negative-id": [(0, 1, -1, 1)],
+        "id-above-p": [(0, 1, 9, 1)],
+        "five-ids": [(0, 0, 0, 0, 1)],
+        "float-id": [(0, 1, 1.0, 1)],
+        "bool-id": [(0, 1, True, 1)],
+        "bad-after-good": [(0, 0, 0, 1), (0, 1, 2, 3)],
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_ORDER4_ROWS))
+    def test_refuses_malformed_order4_rows(self, case):
+        g = DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)])
+        pm = sample_stable_matrix(g, seed=0, target_radius=0.5)
+        stack = model_stack(pm, unit_noise(3, (2, 3, 4)))
+        rows = self.BAD_ORDER4_ROWS[case]
+        message = f"order4_rows row {rows[-1]!r} is not four vertex ids in range(3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_modified_jacobian(g, pm, stack, order4_rows=rows)
 
     def test_diagonal_disconnected_block_zero(self):
         g = DirectedGraph(3, [(i, i) for i in range(3)])

@@ -357,6 +357,12 @@ class TestBaseTrekCumulant:
         with pytest.raises(ValueError, match="missing edge 0->2"):
             effective_matrix(g, 0.5, weights)
 
+    def test_effective_matrix_rejects_weight_on_a_loop(self):
+        # every loop weighs t, so a weight on a loop of g is refused like a missing edge
+        g = DirectedGraph(2, [(0, 0), (0, 1)])
+        with pytest.raises(ValueError, match="missing edge 0->0"):
+            effective_matrix(g, 0.5, {(0, 0): 0.3, (0, 1): 1.0})
+
 
 class TestBaseTrekEnumeration:
     def test_caps_at_simple_paths(self):
