@@ -407,6 +407,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:  # a graph past the memory at hand is too large an input
+        print(f"input error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_INPUT
     except Exception as exc:
         # raised only from modules a numeric command has loaded: import them here
         from .engine import SingularSystem, UnstableMatrix

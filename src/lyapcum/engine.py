@@ -9,8 +9,10 @@ the order-n discrete Lyapunov equation
 This module solves that equation by squared-Smith doubling (Smith 1968,
 "Matrix equation XA + BX = C"), cross-checks it with the truncated
 mode-product series, recovers the noise cumulants from a solution, and
-simulates the process for empirical estimates.  One in-place doubling kernel
-serves the solve and the forward-residual certificate of a recovered A.
+simulates the process for empirical estimates.  Every Tucker product here,
+the series' terms included, runs on :func:`tensors._tucker`; one in-place
+doubling kernel serves the solve and the forward-residual certificate of a
+recovered A.
 """
 
 from __future__ import annotations
@@ -195,27 +197,6 @@ def solve_cumulant(a: ParameterMatrix, omega: DiagonalCumulant) -> SymmetricTens
     return SymmetricTensor.from_dense(dense)
 
 
-def _diagonal_tucker(w: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """Dense Tucker product of a diagonal tensor diag(w) with matrix b.
-
-    Entry ``(i_1, ..., i_n)`` is ``sum_r w_r b[i_1, r] ... b[i_n, r]``: one
-    matrix product of the column-wise Kronecker powers of b for the first
-    and the last modes.
-    """
-    p = b.shape[0]
-
-    def column_kron_power(k: int) -> np.ndarray:
-        out = np.ones((1, p))
-        for _ in range(k):
-            out = (out[:, None, :] * b[None, :, :]).reshape(-1, p)
-        return out
-
-    half = order // 2
-    return ((column_kron_power(order - half) * w) @ column_kron_power(half).T).reshape(
-        (p,) * order
-    )
-
-
 def default_series_terms(a: ParameterMatrix, omega: DiagonalCumulant) -> int:
     """Shortest default series: first L with rho^(n L) * ||Omega|| < 1e-14, capped."""
     rho = a.radius()
@@ -231,7 +212,7 @@ def default_series_terms(a: ParameterMatrix, omega: DiagonalCumulant) -> int:
 def series_cumulant(
     a: ParameterMatrix, omega: DiagonalCumulant, terms: int | None = None
 ) -> SymmetricTensor:
-    """Partial sum of ``sum_i Omega x_1 A^i ... x_n A^i``.
+    """Partial sum of ``sum_i Omega x_1 A^i ... x_n A^i``, a term per :func:`tensors._tucker`.
 
     The independent oracle for :func:`solve_cumulant`.  With ``terms=None``
     the sum runs past the geometric tail bound of :func:`default_series_terms`
@@ -248,10 +229,11 @@ def series_cumulant(
         raise ValueError("series needs at least one term")
     else:
         least = most = terms
-    acc = np.zeros((p,) * n)
+    core = omega.to_dense()
+    acc = np.zeros_like(core)
     power = np.eye(p)
     for length in range(1, most + 1):
-        term = _diagonal_tucker(omega.w, power, n)
+        term = _tucker(core, power, n).reshape(acc.shape)
         acc += term
         if length >= least and np.max(np.abs(term)) <= SERIES_RTOL * np.max(np.abs(acc)):
             break

@@ -34,7 +34,7 @@ from .engine import (
     solve_cumulant,  # not called here: perfbench's tracer test reads it (ROADMAP item 1)
 )
 from .graphs import DirectedGraph, _is_vertex_id
-from .identify import CumulantStack, model_stack
+from .identify import CumulantStack, HypothesisViolated, _check_stack, model_stack
 from .tensors import _tucker, multiset_indices
 
 RANK_EPS = 1e-12
@@ -85,8 +85,12 @@ def build_modified_jacobian(
     multisets but can be restricted (``order4_rows``) for targeted
     augmentation; diagonal ones among them are dropped.  ``order4_rows``
     without an order-4 tensor in the stack, or with a row that is not four
-    vertex ids in ``range(p)``, raises ``ValueError``.
+    vertex ids in ``range(p)``, raises ``ValueError``; a stack of another p,
+    or an A on another graph, raises ``HypothesisViolated``.
     """
+    _check_stack(g, stack)
+    if a.g != g:
+        raise HypothesisViolated("parameter matrix is on another graph")
     if order4_rows is not None and 4 not in stack.orders:
         raise ValueError("order4_rows needs an order-4 tensor in the stack")
     for row in order4_rows or ():

@@ -527,6 +527,25 @@ def test_too_large_graph_exits_2(tmp_path, case):
     assert len(proc.stderr.splitlines()) == 1 and not proc.stdout
 
 
+@pytest.mark.parametrize(
+    "message", ["Unable to allocate 696. MiB for an array", ""], ids=["numpy-message", "bare"]
+)
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys, message):
+    # an allocation past the memory at hand keeps the exit-code contract
+    from lyapcum import jacobian
+
+    def exhaust(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(jacobian, "local_identifiability_verdict", exhaust)
+    graph = write_json(tmp_path / "g.json", {"p": 2, "edges": [[0, 0], [0, 1], [1, 1]]})
+    out = tmp_path / "an.json"
+    assert main(["analyze", "--graph", graph, "--out", str(out)]) == 2
+    expected = f"input error: out of memory: {message or 'allocation failed'}\n"
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
 def test_size_limit_is_per_order(tmp_path):
     # p = 300 is refused at order 4 but solves at order 2
     graph = write_json(tmp_path / "g300.json", {"p": 300, "edges": []})

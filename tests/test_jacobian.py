@@ -10,6 +10,7 @@ from lyapcum import (
     CumulantStack,
     DiagonalCumulant,
     DirectedGraph,
+    HypothesisViolated,
     ParameterMatrix,
     build_modified_jacobian,
     local_identifiability_verdict,
@@ -26,6 +27,7 @@ from oracles import (
     premultiplied_finite_difference,
 )
 from conftest import (
+    banded_dag,
     collider_square,
     diamond,
     edge_sets,
@@ -224,6 +226,22 @@ class TestBuild:
         message = f"order4_rows row {rows[-1]!r} is not four vertex ids in range(3)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_modified_jacobian(g, pm, stack, order4_rows=rows)
+
+    # (p of g, p of A's graph, p of the stack, refusal): numpy's reshape error before
+    MISMATCHED = {
+        "stack-of-3-on-2": (2, 2, 3, "stack dimension does not match the graph"),
+        "a-of-2-on-3": (3, 2, 3, "parameter matrix is on another graph"),
+        "a-of-3-on-2": (2, 3, 2, "parameter matrix is on another graph"),
+    }
+
+    @pytest.mark.parametrize("case", list(MISMATCHED))
+    def test_refuses_mismatched_stack_or_matrix(self, case):
+        g_p, a_p, stack_p, message = self.MISMATCHED[case]
+        pm = sample_stable_matrix(banded_dag(a_p), seed=0, target_radius=0.5)
+        stack_pm = sample_stable_matrix(banded_dag(stack_p), seed=1, target_radius=0.5)
+        stack = model_stack(stack_pm, unit_noise(stack_p, (2, 3)))
+        with pytest.raises(HypothesisViolated, match=f"^{message}$"):
+            build_modified_jacobian(banded_dag(g_p), pm, stack)
 
     def test_diagonal_disconnected_block_zero(self):
         g = DirectedGraph(3, [(i, i) for i in range(3)])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lyapcum import (
     DiagonalCumulant,
     DirectedGraph,
+    ParameterMatrix,
     PoleAtUnit,
     base_trek_coefficient,
     base_trek_cumulant,
@@ -86,6 +87,21 @@ class TestTrekRuleEntry:
         assert series_cumulant(pm, omega, terms=length + 1)[(0, 1)] == pytest.approx(
             literal, rel=1e-13
         )
+
+    @pytest.mark.parametrize("order, length", [(2, 6), (3, 4), (4, 3)])
+    def test_every_entry_matches_literal_enumeration(self, order, length):
+        # a looped directed 3-cycle with distinct positive weights: every multiset
+        # has equitreks, no sum cancels, and the reversed cycle gives other values
+        g = DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0)])
+        pm = ParameterMatrix(g, [[0.3, 0.0, 0.8], [0.6, 0.4, 0.0], [0.0, 0.7, 0.5]])
+        omega = DiagonalCumulant(order, [0.7, 1.3, 1.9])
+        series = series_cumulant(pm, omega, terms=length + 1)
+        for key in series.keys():
+            literal = sum(
+                omega.w[trek.top] * trek_monomial(pm.entries, trek)
+                for trek in enumerate_equitreks(g, key, length)
+            )
+            assert series[key] == pytest.approx(literal, rel=1e-12)
 
     def test_geometric_convergence(self):
         pm = fig1_matrix()
