@@ -411,13 +411,6 @@ class RankConstraintResult:
         }
 
 
-def parent_set(g: DirectedGraph, u: Sequence[int]) -> set[int]:
-    out: set[int] = set()
-    for v in u:
-        out.update(g.parents[v])
-    return out
-
-
 def _minor_norm(sing: np.ndarray, size: int) -> float:
     """Root sum of squares of all size x size minors, from the singular values.
 
@@ -444,7 +437,7 @@ def _constraint_matrices(
     p = g.p
     rows = np.delete(np.arange(p + p * p), [*u, *(p + i * (p + 1) for i in u)])
     q_matrix = stacked[np.ix_(rows, u)]
-    bound = len(parent_set(g, u))
+    bound = len({v for i in u for v in g.parents[i]})  # |pa(U)|
     return [
         ("parents-S", bound, q_matrix[: p - len(u)]),
         ("parents-stacked-Q", bound, q_matrix),

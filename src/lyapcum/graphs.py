@@ -32,6 +32,13 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_key_int(text: str) -> int:
+    """An id from a JSON key, if ASCII decimal digits: ``int()`` also reads "+1", " 1", "1_0"."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} in a JSON key is not ASCII decimal digits")
+    return int(text)
+
+
 def json_number(value, name: str) -> float:
     """``value`` as a float if it is a JSON number: a string or a bool is a ValueError."""
     if type(value) not in (int, float):

@@ -4,9 +4,9 @@ The Jacobian of the map (A, noise cumulants) -> (S, T, ...) factors into an
 invertible Kronecker block times the "modified" Jacobian, so their ranks
 agree.  Its noise columns are unit vectors on the diagonal cumulant rows,
 so rank(modified) = p * |orders| + rank(block), where the block holds the
-edge-derivative columns at the off-diagonal rows.  Only that block is
-assembled here: the model is locally identifiable iff it has rank |E|
-generically.
+edge-derivative columns at the off-diagonal rows, all of them or those a
+row map keeps per order.  Only that block is assembled here: the model is
+locally identifiable iff it has rank |E| generically.
 
 Each order's edge columns are read from one contraction
 ``U = T_n x_2 A ... x_n A``, run on the solver's GEMM kernel
@@ -21,9 +21,9 @@ across trials plus a wide singular-value gap.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from math import comb
-from typing import Sequence
 
 import numpy as np
 
@@ -45,9 +45,9 @@ GAP_STRUCTURAL = 1e6
 class ModifiedJacobian:
     """Off-diagonal edge block of the modified Jacobian.
 
-    One row per off-diagonal multiset of each included order, listed in
-    ``rows`` as ``(order, multiset)`` in ``multiset_indices`` order; the
-    columns follow ``g.sorted_edges``.
+    One row per kept off-diagonal multiset of each order, listed in ``rows``
+    as ``(order, multiset)``, by default every one in ``multiset_indices``
+    order; the columns follow ``g.sorted_edges``.
     """
 
     matrix: np.ndarray
@@ -72,44 +72,41 @@ def build_modified_jacobian(
     g: DirectedGraph,
     a: ParameterMatrix,
     stack: CumulantStack,
-    order4_rows: Sequence[tuple[int, ...]] | None = None,
+    rows: Mapping[int, Sequence[tuple[int, ...]]] | None = None,
 ) -> ModifiedJacobian:
     """Assemble the off-diagonal edge block at A from every order of the stack.
 
     Column alpha -> beta holds ``sum_k T_n x_1 A ... x_k E_(beta alpha) ... x_n A``
-    at the off-diagonal multiset rows, read from ``T_n x_2 A ... x_n A``
-    (``_edge_columns``).  The full modified Jacobian adds one unit noise
-    column per diagonal row, so its rank is ``p * len(stack.orders)`` plus
-    this block's.  The tensors are read, never solved: a model stack of A
-    gives the Jacobian of the parametrization.  Order-4 rows default to all
-    multisets but can be restricted (``order4_rows``) for targeted
-    augmentation; diagonal ones among them are dropped.  ``order4_rows``
-    without an order-4 tensor in the stack, or with a row that is not four
-    vertex ids in ``range(p)``, raises ``ValueError``; a stack of another p,
-    or an A on another graph, raises ``HypothesisViolated``.
+    at the kept rows, read from ``T_n x_2 A ... x_n A`` (``_edge_columns``).
+    The full modified Jacobian adds one unit noise column per diagonal row,
+    so its rank is ``p * len(stack.orders)`` plus this block's.  The tensors
+    are read, never solved: a model stack of A gives the Jacobian of the
+    parametrization.  ``rows`` maps an order to the multisets, in any index
+    order, whose rows the block keeps; an order it omits keeps them all, and
+    diagonal ones are dropped.  A ``rows`` order not in the stack, or a row
+    that is not n vertex ids in ``range(p)``, raises ``ValueError``; a stack
+    of another p, or an A on another graph, raises ``HypothesisViolated``.
     """
     _check_stack(g, stack)
     if a.g != g:
         raise HypothesisViolated("parameter matrix is on another graph")
-    if order4_rows is not None and 4 not in stack.orders:
-        raise ValueError("order4_rows needs an order-4 tensor in the stack")
-    for row in order4_rows or ():
-        if len(row) != 4 or not all(_is_vertex_id(v) and 0 <= v < g.p for v in row):
-            raise ValueError(f"order4_rows row {row!r} is not four vertex ids in range({g.p})")
+    rows = rows or {}
+    for n, given in rows.items():
+        if n not in stack.orders:
+            raise ValueError(f"rows name order {n!r}; the stack has orders {stack.orders}")
+        for row in given:
+            if len(row) != n or not all(_is_vertex_id(v) and 0 <= v < g.p for v in row):
+                raise ValueError(f"order-{n} row {row!r} is not {n} vertex ids in range({g.p})")
     a.require_stable()
-    rows: list[tuple[int, tuple[int, ...]]] = []
-    blocks = []
+    kept, blocks = [], []
     for n in stack.orders:
-        if n == 4 and order4_rows is not None:
-            keys = [tuple(sorted(k)) for k in order4_rows]
-        else:
-            keys = multiset_indices(g.p, n)
+        keys = [tuple(sorted(k)) for k in rows[n]] if n in rows else multiset_indices(g.p, n)
         keys = [k for k in keys if len(set(k)) > 1]
         # n - 1 steps leave axis 1 last; .T puts it first, and U is symmetric in the rest
         u = _tucker(stack.tensor(n).to_dense(), a.entries, n, n - 1).reshape((g.p,) * n).T
         blocks.append(_edge_columns(u, keys, g.sorted_edges))
-        rows.extend((n, key) for key in keys)
-    return ModifiedJacobian(matrix=np.vstack(blocks), rows=rows)
+        kept.extend((n, key) for key in keys)
+    return ModifiedJacobian(matrix=np.vstack(blocks), rows=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +137,14 @@ def two_cycle_components(g: DirectedGraph) -> list[tuple[int, int]]:
     ]
 
 
-def augmentation_rows(g: DirectedGraph) -> list[tuple[int, ...]]:
-    """Fourth-order rows repairing two-cycle pairs: both diagonals plus one mixed.
+def augmentation_rows(g: DirectedGraph) -> dict[int, list[tuple[int, ...]]]:
+    """Row map repairing two-cycle pairs at order 4: both diagonals plus one mixed.
 
-    A verdict escalates to order 4 only when this list is nonempty, and reports its
-    length as the order-4 row count.
+    ``{4: rows}``, or ``{}`` without a pair; a verdict escalates only to a nonempty
+    map, and reports each order's row count from it.
     """
-    return [row for i, j in two_cycle_components(g) for row in ((i,) * 4, (j,) * 4, (i, i, i, j))]
+    rows = [row for i, j in two_cycle_components(g) for row in ((i,) * 4, (j,) * 4, (i, i, i, j))]
+    return {4: rows} if rows else {}
 
 
 @dataclass
@@ -243,7 +241,7 @@ def local_identifiability_verdict(
             augmented = rank < n_edges and bool(extra_rows)
         if augmented:
             stack = model_stack(a, random_omegas(rng, g.p, (2, 3, 4)))
-            mj = build_modified_jacobian(g, a, stack, order4_rows=extra_rows)
+            mj = build_modified_jacobian(g, a, stack, rows=extra_rows)
             rank, sing = numeric_rank(mj.matrix)
         return TrialRecord(rank=rank, augmented=augmented, singular_values=tuple(sing.tolist()))
 
@@ -251,10 +249,8 @@ def local_identifiability_verdict(
     best_rank = max(r.rank for r in records)
     augmented = any(r.augmented for r in records)
     used_orders = (2, 3, 4) if augmented else (2, 3)
-    row_counts = {
-        n: comb(g.p + n - 1, n) if n < 4 else len(extra_rows)
-        for n in used_orders
-    }
+    row_counts = {n: len(extra_rows[n]) if n in extra_rows else comb(g.p + n - 1, n)
+                  for n in used_orders}
     deficiency = n_edges - best_rank
     if deficiency == 0:
         verdict = "locally-identifiable"

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .graphs import check_permutation, json_int, json_number
+from .graphs import check_permutation, json_int, json_key_int, json_number
 
 
 class DimensionMismatch(Exception):
@@ -223,7 +223,7 @@ class SymmetricTensor:
             order, p = json_int(data["order"], "'order'"), json_int(data["p"], "'p'")
             entries = data["entries"]
             values = {
-                tuple(sorted(int(s) for s in key.split(","))): json_number(v, "an entry")
+                tuple(sorted(map(json_key_int, key.split(",")))): json_number(v, "an entry")
                 for key, v in entries.items()
             }
         except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:

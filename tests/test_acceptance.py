@@ -398,7 +398,7 @@ def test_criterion_5_jacobian_suite():
     omegas234 = random_omegas(np.random.default_rng(11), 2, (2, 3, 4))
     rank4, _ = numeric_rank(
         build_modified_jacobian(
-            gt, pmt, model_stack(pmt, omegas234), order4_rows=augmentation_rows(gt)
+            gt, pmt, model_stack(pmt, omegas234), rows=augmentation_rows(gt)
         ).matrix
     )
     crit.check(rank4 == 4, f"augmented two-cycle rank: {rank4}")

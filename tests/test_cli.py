@@ -193,6 +193,7 @@ BAD_INPUTS = {
     "csv-without-order-2": ("cumulants --graph {d}/g2.json --format csv --orders 3,4", 2),
     "orders-not-integers": ("cumulants --graph {d}/g2.json --orders x", 2),
     "orders-outside-2-4": ("cumulants --graph {d}/g2.json --orders 2,5", 2),
+    "orders-repeated": ("cumulants --graph {d}/g2.json --orders 2,2,3", 2),
     # A off the graph's pattern, and no omega for the default order 4
     "params-a-off-pattern": ("cumulants --graph {d}/g2.json --params {d}/off-pattern.json", 2),
     "params-without-omega-4": ("cumulants --graph {d}/g2.json --params {d}/no-omega4.json", 2),
@@ -227,6 +228,19 @@ BAD_INPUTS = {
     "params-a-bool": ("cumulants --graph {d}/g2.json --params {d}/a-bool.json", 2),
     "stack-entry-string": ("identify --graph {d}/g2.json --stack {d}/string-stack.json", 2),
     "stack-entry-bool": ("identify --graph {d}/g2.json --stack {d}/bool-stack.json", 2),
+    # an id in a JSON key is ASCII decimal digits: int() would read each of these
+    "stack-key-plus": ("identify --graph {d}/g2.json --stack {d}/stack-key-plus.json", 2),
+    "stack-key-space": ("identify --graph {d}/g2.json --stack {d}/stack-key-space.json", 2),
+    "stack-key-arabic": ("identify --graph {d}/g2.json --stack {d}/stack-key-arabic.json", 2),
+    "stack-key-underscore": (
+        "identify --graph {d}/g2.json --stack {d}/stack-key-underscore.json", 2
+    ),
+    "params-omega-plus": ("cumulants --graph {d}/g2.json --params {d}/omega-plus.json", 2),
+    "params-omega-space": ("cumulants --graph {d}/g2.json --params {d}/omega-space.json", 2),
+    "params-omega-arabic": ("cumulants --graph {d}/g2.json --params {d}/omega-arabic.json", 2),
+    "params-omega-underscore": (
+        "cumulants --graph {d}/g2.json --params {d}/omega-underscore.json", 2
+    ),
     # JSON is UTF-8; these files are Latin-1
     "params-not-utf8": ("cumulants --graph {d}/g2.json --params {d}/latin1-params.json", 2),
     "stack-not-utf8": ("identify --graph {d}/g2.json --stack {d}/latin1-stack.json", 2),
@@ -243,6 +257,7 @@ BAD_INPUT_MESSAGES = {
     "graph-edge-not-a-list": "input error: edge 5 is not a list of two vertex ids",
     "orders-not-integers": "input error: bad orders 'x'",
     "orders-outside-2-4": "input error: orders must be a subset of 2,3,4",
+    "orders-repeated": "input error: orders must be a subset of 2,3,4, each named once",
     "params-a-off-pattern": "input error: entry (0,1) is nonzero but edge 1->0 is absent",
     "params-without-omega-4": "input error: parameter file lacks omega for orders [4]",
     "params-omega-order-twice": "input error: malformed parameter file: omega names an order twice",
@@ -250,6 +265,8 @@ BAD_INPUT_MESSAGES = {
     "params-a-bool": "input error: malformed parameter file: an entry of A must be a JSON number, got True",
     "stack-entry-string": "input error: malformed stack file: malformed tensor JSON: an entry must be a JSON number, got '1.0'",
     "stack-entry-bool": "input error: malformed stack file: malformed tensor JSON: an entry must be a JSON number, got True",
+    "stack-key-plus": "input error: malformed stack file: malformed tensor JSON: '+1' in a JSON key is not ASCII decimal digits",
+    "params-omega-underscore": "input error: malformed parameter file: '2_0' in a JSON key is not ASCII decimal digits",
 }
 
 
@@ -273,10 +290,15 @@ def bad_dir(tmp_path_factory):
         ("omega-list.json", "omega", [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]),
         ("huge-int.json", "A", [[0.5, 0.0], [10**400, 0.0]]),
         ("omega-02.json", "omega", {**UNIT_OMEGA, "02": [2.0, 2.0]}),
+        ("omega-underscore.json", "omega", {**UNIT_OMEGA, "2_0": [2.0, 2.0]}),
         ("a-string.json", "A", [["0.5", 0.0], [1.0, 0.0]]),
         ("a-bool.json", "A", [[True, 0.0], [1.0, 0.0]]),
     ):
         write_json(d / name, {**FIG1_PARAMS, field: value})
+    # the order-2 omega under a key that int() reads as 2
+    for name, key in (("plus", "+2"), ("space", " 2"), ("arabic", "\u0662")):
+        omega = {key if k == "2" else k: w for k, w in UNIT_OMEGA.items()}
+        write_json(d / f"omega-{name}.json", {**FIG1_PARAMS, "omega": omega})
     write_json(d / "list.json", [1, 2])
     assert main(["cumulants", "--graph", str(d / "g2.json"), "--out", str(d / "stack.json")]) == 0
     good = json.loads((d / "stack.json").read_text())
@@ -295,6 +317,13 @@ def bad_dir(tmp_path_factory):
     four_is_three = copy.deepcopy(good)
     four_is_three["tensors"]["4"] = good["tensors"]["3"]
     write_json(d / "four-is-three.json", four_is_three)
+    # the order-2 entry 0,1 under a key that int() reads as 0,1
+    for name, key in (("plus", "0,+1"), ("space", "0, 1"), ("arabic", "0,\u0661"),
+                      ("underscore", "0,0_1")):
+        renamed = copy.deepcopy(good)
+        entries = renamed["tensors"]["2"]["entries"]
+        entries[key] = entries.pop("0,1")
+        write_json(d / f"stack-key-{name}.json", renamed)
     huge = copy.deepcopy(good)
     huge["tensors"]["2"]["entries"]["0,1"] = 10**400
     write_json(d / "huge-int-stack.json", huge)

@@ -173,7 +173,7 @@ class TestBuild:
         pm = sample_stable_matrix(g, seed=9, target_radius=0.5)
         omegas = random_omegas(rng, 3, (2, 3, 4))
         rows = augmentation_rows(g) if augmented else None
-        mj = build_modified_jacobian(g, pm, model_stack(pm, omegas), order4_rows=rows)
+        mj = build_modified_jacobian(g, pm, model_stack(pm, omegas), rows=rows)
         order4 = [(r, key) for r, (n, key) in enumerate(mj.rows) if n == 4]
         assert len(order4) == (1 if augmented else 12)
         for c_idx, edge in enumerate(g.sorted_edges):
@@ -203,29 +203,66 @@ class TestBuild:
         g = two_cycle_with_loops()
         pm = sample_stable_matrix(g, seed=0, target_radius=0.5)
         stack = model_stack(pm, unit_noise(2, (2, 3)))
-        with pytest.raises(ValueError, match="order4_rows needs an order-4 tensor"):
-            build_modified_jacobian(g, pm, stack, order4_rows=[(0, 0, 0, 1)])
+        message = "rows name order 4; the stack has orders (2, 3)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_modified_jacobian(g, pm, stack, rows={4: [(0, 0, 0, 1)]})
 
-    # order4_rows that are not four vertex ids in range(3), each named by the refusal
-    BAD_ORDER4_ROWS = {
-        "three-ids": [(0, 1, 1)] * 4,
-        "negative-id": [(0, 1, -1, 1)],
-        "id-above-p": [(0, 1, 9, 1)],
-        "five-ids": [(0, 0, 0, 0, 1)],
-        "float-id": [(0, 1, 1.0, 1)],
-        "bool-id": [(0, 1, True, 1)],
-        "bad-after-good": [(0, 0, 0, 1), (0, 1, 2, 3)],
+    # row maps refused on a stack of orders 2-4 with p = 3: an order that no stack
+    # holds, or a row that is not n vertex ids in range(3), named by the refusal
+    BAD_ROWS = {
+        "three-ids": ({4: [(0, 1, 1)] * 4}, (0, 1, 1)),
+        "negative-id": ({4: [(0, 1, -1, 1)]}, (0, 1, -1, 1)),
+        "id-above-p": ({4: [(0, 1, 9, 1)]}, (0, 1, 9, 1)),
+        "five-ids": ({4: [(0, 0, 0, 0, 1)]}, (0, 0, 0, 0, 1)),
+        "float-id": ({4: [(0, 1, 1.0, 1)]}, (0, 1, 1.0, 1)),
+        "bool-id": ({4: [(0, 1, True, 1)]}, (0, 1, True, 1)),
+        "bad-after-good": ({4: [(0, 0, 0, 1), (0, 1, 2, 3)]}, (0, 1, 2, 3)),
+        "order-1": ({1: [(0,)]}, 1),
+        "order-5": ({5: [(0, 0, 0, 0, 1)]}, 5),
+        "order-5-after-good": ({2: [(0, 1)], 5: [(0, 0, 0, 0, 1)]}, 5),
+        "order-3-four-ids": ({3: [(0, 1, 2, 2)]}, (0, 1, 2, 2)),
+        "order-2-bool-id": ({2: [(0, True)]}, (0, True)),
+        "order-2-float-id": ({2: [(0, 2.0)]}, (0, 2.0)),
     }
 
-    @pytest.mark.parametrize("case", list(BAD_ORDER4_ROWS))
+    @pytest.mark.parametrize("case", list(BAD_ROWS))
     def test_refuses_malformed_order4_rows(self, case):
         g = DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)])
         pm = sample_stable_matrix(g, seed=0, target_radius=0.5)
         stack = model_stack(pm, unit_noise(3, (2, 3, 4)))
-        rows = self.BAD_ORDER4_ROWS[case]
-        message = f"order4_rows row {rows[-1]!r} is not four vertex ids in range(3)"
+        rows, bad = self.BAD_ROWS[case]
+        if isinstance(bad, int):
+            message = f"rows name order {bad}; the stack has orders (2, 3, 4)"
+        else:
+            n = next(n for n, given in rows.items() if bad in given)
+            message = f"order-{n} row {bad!r} is not {n} vertex ids in range(3)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            build_modified_jacobian(g, pm, stack, order4_rows=rows)
+            build_modified_jacobian(g, pm, stack, rows=rows)
+
+    def test_explicit_default_rows_give_the_same_block(self):
+        g = DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2)])
+        pm = sample_stable_matrix(g, seed=4, target_radius=0.5)
+        stack = model_stack(pm, random_omegas(np.random.default_rng(4), 3, (2, 3, 4)))
+        default = build_modified_jacobian(g, pm, stack)
+        explicit = build_modified_jacobian(
+            g, pm, stack, rows={n: multiset_indices(3, n) for n in stack.orders}
+        )
+        assert explicit.matrix.tobytes() == default.matrix.tobytes()
+        assert explicit.rows == default.rows
+
+    def test_unsorted_rows_land_on_their_multiset(self):
+        g = DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2)])
+        pm = sample_stable_matrix(g, seed=4, target_radius=0.5)
+        stack = model_stack(pm, random_omegas(np.random.default_rng(4), 3, (2, 3, 4)))
+        default = build_modified_jacobian(g, pm, stack)
+        # one order narrowed, diagonal rows dropped; the other orders keep all their rows
+        mj = build_modified_jacobian(g, pm, stack, rows={3: [(2, 1, 0), (1, 1, 1), (1, 0, 1)]})
+        assert [row for row in mj.rows if row[0] == 3] == [(3, (0, 1, 2)), (3, (0, 1, 1))]
+        assert [row for row in mj.rows if row[0] != 3] == [
+            row for row in default.rows if row[0] != 3
+        ]
+        for r_idx, row in enumerate(mj.rows):
+            assert np.array_equal(mj.matrix[r_idx], default.matrix[default.rows.index(row)])
 
     # (p of g, p of A's graph, p of the stack, refusal): numpy's reshape error before
     MISMATCHED = {
@@ -270,9 +307,9 @@ class TestExampleFixtureRanks:
         rank, _ = numeric_rank(mj.matrix)
         assert rank == 3 < len(g.edges)
         rows = augmentation_rows(g)
-        assert rows == [(0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 0, 1)]
+        assert rows == {4: [(0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 0, 1)]}
         mj4 = build_modified_jacobian(
-            g, pm, model_stack(pm, random_omegas(rng, 2, (2, 3, 4))), order4_rows=rows
+            g, pm, model_stack(pm, random_omegas(rng, 2, (2, 3, 4))), rows=rows
         )
         rank4, _ = numeric_rank(mj4.matrix)
         assert rank4 == 4
@@ -341,10 +378,15 @@ class TestVerdict:
         for edges in edge_sets(p):
             g = DirectedGraph(p, edges)
             comps = self.skeleton_components(g)
-            assert two_cycle_components(g) == [
+            pairs = two_cycle_components(g)
+            assert pairs == [
                 (i, j) for i, j in (c for c in comps if len(c) == 2)
                 if (i, j) in g.edges and (j, i) in g.edges
             ], g
+            # three order-4 rows per pair, and an empty map without one
+            assert {n: len(rows) for n, rows in augmentation_rows(g).items()} == (
+                {4: 3 * len(pairs)} if pairs else {}
+            ), g
             assert g.is_skeleton_connected == (len(comps) == 1), g
 
     def test_two_cycle_with_one_loop_needs_no_augmentation(self):

@@ -100,6 +100,19 @@ class TestSymmetricTensor:
         with pytest.raises(ValueError, match="multisets once"):
             SymmetricTensor.from_json_dict(data)
 
+    # int() reads the ids of the first five keys, "0,1_0" as (0, 10) and "0,\u0663" as (0, 3)
+    @pytest.mark.parametrize("key", ["0,1_0", "+0,1", "0,+1", "0, 1", "0,\u0663", "0,-1", "0,"])
+    def test_json_keys_are_ascii_decimal_ids(self, key):
+        data = SymmetricTensor(2, 2, {(0, 1): 2.0}).to_json_dict()
+        data["entries"][key] = data["entries"].pop("0,1")
+        with pytest.raises(ValueError, match="in a JSON key is not ASCII decimal digits$"):
+            SymmetricTensor.from_json_dict(data)
+
+    def test_json_reads_unsorted_keys(self):
+        data = SymmetricTensor(2, 2, {(0, 1): 2.0}).to_json_dict()
+        data["entries"]["1,0"] = data["entries"].pop("0,1")
+        assert SymmetricTensor.from_json_dict(data)[0, 1] == 2.0
+
     def test_relabel(self):
         t = SymmetricTensor(2, 2, {(0, 0): 1.0, (0, 1): 2.0, (1, 1): 3.0})
         swapped = t.relabel([1, 0])
