@@ -363,11 +363,8 @@ class NoiseSpec:
             w = np.zeros_like(s)
         elif self.kind == "gaussian":
             w = s**2 if order == 2 else np.zeros_like(s)
-        else:  # centered exponential: all cumulants of Exp(1) equal (n-1)!
-            factorial = 1
-            for m in range(1, order):
-                factorial *= m
-            w = factorial * s**order
+        else:  # centered exponential: the order-n cumulant of Exp(1) is (n-1)!
+            w = math.factorial(order - 1) * s**order
         return DiagonalCumulant(order, w)
 
     def draw(self, rng: np.random.Generator, steps: int) -> np.ndarray:

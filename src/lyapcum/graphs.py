@@ -57,10 +57,11 @@ def check_permutation(perm: Iterable[int], p: int) -> list[int]:
     Raises
     ------
     ValueError
-        Unless ``perm`` is a permutation of ``range(p)``.
+        Unless ``perm`` is a permutation of ``range(p)``; a bool, a float or a
+        string is no vertex id.
     """
     perm = list(perm)
-    if sorted(perm) != list(range(p)):
+    if not all(map(_is_vertex_id, perm)) or sorted(perm) != list(range(p)):
         raise ValueError(f"relabeling {perm} is not a permutation of range({p})")
     return perm
 

@@ -21,7 +21,7 @@ across trials plus a wide singular-value gap.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from math import comb
 
@@ -72,7 +72,7 @@ def build_modified_jacobian(
     g: DirectedGraph,
     a: ParameterMatrix,
     stack: CumulantStack,
-    rows: Mapping[int, Sequence[tuple[int, ...]]] | None = None,
+    rows: Mapping[int, Iterable[Sequence[int]]] | None = None,
 ) -> ModifiedJacobian:
     """Assemble the off-diagonal edge block at A from every order of the stack.
 
@@ -81,26 +81,29 @@ def build_modified_jacobian(
     The full modified Jacobian adds one unit noise column per diagonal row,
     so its rank is ``p * len(stack.orders)`` plus this block's.  The tensors
     are read, never solved: a model stack of A gives the Jacobian of the
-    parametrization.  ``rows`` maps an order to the multisets, in any index
-    order, whose rows the block keeps; an order it omits keeps them all, and
-    diagonal ones are dropped.  A ``rows`` order not in the stack, or a row
-    that is not n vertex ids in ``range(p)``, raises ``ValueError``; a stack
-    of another p, or an A on another graph, raises ``HypothesisViolated``.
+    parametrization.  ``rows`` maps an order to an iterable (read once) of
+    multisets, in any index order, whose rows the block keeps; an order it
+    omits keeps them all, and diagonal ones are dropped.  A key that is no
+    int order of the stack, or a row that is not n vertex ids in ``range(p)``,
+    raises ``ValueError``; a stack or an A that does not fit ``g``, ``HypothesisViolated``.
     """
     _check_stack(g, stack)
     if a.g != g:
         raise HypothesisViolated("parameter matrix is on another graph")
-    rows = rows or {}
-    for n, given in rows.items():
-        if n not in stack.orders:
+    chosen = {}  # each row checked and sorted in the one pass, so an iterator keeps its rows
+    for n, given in (rows or {}).items():
+        if not _is_vertex_id(n) or n not in stack.orders:
             raise ValueError(f"rows name order {n!r}; the stack has orders {stack.orders}")
+        chosen[n] = []
         for row in given:
-            if len(row) != n or not all(_is_vertex_id(v) and 0 <= v < g.p for v in row):
+            ids = tuple(row) if isinstance(row, Iterable) else ()
+            if len(ids) != n or not all(_is_vertex_id(v) and 0 <= v < g.p for v in ids):
                 raise ValueError(f"order-{n} row {row!r} is not {n} vertex ids in range({g.p})")
+            chosen[n].append(tuple(sorted(ids)))
     a.require_stable()
     kept, blocks = [], []
     for n in stack.orders:
-        keys = [tuple(sorted(k)) for k in rows[n]] if n in rows else multiset_indices(g.p, n)
+        keys = chosen[n] if n in chosen else multiset_indices(g.p, n)
         keys = [k for k in keys if len(set(k)) > 1]
         # n - 1 steps leave axis 1 last; .T puts it first, and U is symmetric in the rest
         u = _tucker(stack.tensor(n).to_dense(), a.entries, n, n - 1).reshape((g.p,) * n).T
@@ -164,13 +167,25 @@ class TrialRecord:
 class LocalIdReport:
     verdict: str  # locally-identifiable | rank-deficient | not-identifiable | inconclusive
     n_edges: int
-    generic_rank: int
-    deficiency: int
-    orders: tuple[int, ...]
-    augmented: bool
     row_counts: dict[int, int] = field(default_factory=dict)
     trials: list[TrialRecord] = field(default_factory=list)
     reason: str = ""
+
+    @property
+    def generic_rank(self) -> int:
+        return max((t.rank for t in self.trials), default=0)
+
+    @property
+    def deficiency(self) -> int:
+        return self.n_edges - self.generic_rank
+
+    @property
+    def augmented(self) -> bool:
+        return any(t.augmented for t in self.trials)
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        return (2, 3, 4) if self.augmented else (2, 3)
 
     def to_json_dict(self) -> dict:
         return {
@@ -210,68 +225,43 @@ def local_identifiability_verdict(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    n_edges = len(g.edges)
+    report = LocalIdReport(
+        verdict="inconclusive",
+        n_edges=len(g.edges),
+        reason="trials disagree or sit near the rank threshold",
+    )
     if g.isolated_vertices:
-        return LocalIdReport(
-            verdict="not-identifiable",
-            n_edges=n_edges,
-            generic_rank=0,
-            deficiency=n_edges,
-            orders=(2, 3),
-            augmented=False,
-            reason=(
-                f"isolated vertices {g.isolated_vertices}: one more parameter "
-                "than available equations at every order"
-            ),
+        report.verdict = "not-identifiable"
+        report.reason = (
+            f"isolated vertices {g.isolated_vertices}: one more parameter "
+            "than available equations at every order"
         )
+        return report
     extra_rows = augmentation_rows(g)
     # a pair with both loops has 4 edges on 3 off-diagonal rows at orders 2-3: every
     # draw is deficient there, so its trials skip that solve
     always_augmented = any({i, j} <= g.self_loops for i, j in two_cycle_components(g))
-
-    def run_trial(trial: int) -> TrialRecord:
+    for trial in range(trials):
         radius = 0.45 if trial % 2 == 0 else 0.85
         a = sample_stable_matrix(g, seed=seed * 1000 + trial, target_radius=radius)
         rng = np.random.default_rng(seed * 1000 + trial + 7)
         omegas = random_omegas(rng, g.p, (2, 3))  # drawn even when unused, so the rng stream holds
         augmented = always_augmented
         if not augmented:
-            mj = build_modified_jacobian(g, a, model_stack(a, omegas))
-            rank, sing = numeric_rank(mj.matrix)
-            augmented = rank < n_edges and bool(extra_rows)
+            rank, sing = numeric_rank(build_modified_jacobian(g, a, model_stack(a, omegas)).matrix)
+            augmented = rank < report.n_edges and bool(extra_rows)
         if augmented:
             stack = model_stack(a, random_omegas(rng, g.p, (2, 3, 4)))
-            mj = build_modified_jacobian(g, a, stack, rows=extra_rows)
-            rank, sing = numeric_rank(mj.matrix)
-        return TrialRecord(rank=rank, augmented=augmented, singular_values=tuple(sing.tolist()))
-
-    records = [run_trial(trial) for trial in range(trials)]
-    best_rank = max(r.rank for r in records)
-    augmented = any(r.augmented for r in records)
-    used_orders = (2, 3, 4) if augmented else (2, 3)
-    row_counts = {n: len(extra_rows[n]) if n in extra_rows else comb(g.p + n - 1, n)
-                  for n in used_orders}
-    deficiency = n_edges - best_rank
-    if deficiency == 0:
-        verdict = "locally-identifiable"
-        reason = "a full-rank witness certifies generic full rank"
-    else:
-        unanimous = all(r.rank == best_rank for r in records)
-        wide_gap = all(r.gap >= GAP_STRUCTURAL for r in records)
-        if unanimous and wide_gap:
-            verdict = "rank-deficient"
-            reason = f"all trials agree on deficiency {deficiency} with a wide gap"
-        else:
-            verdict = "inconclusive"
-            reason = "trials disagree or sit near the rank threshold"
-    return LocalIdReport(
-        verdict=verdict,
-        n_edges=n_edges,
-        generic_rank=best_rank,
-        deficiency=deficiency,
-        orders=used_orders,
-        augmented=augmented,
-        row_counts=row_counts,
-        trials=records,
-        reason=reason,
-    )
+            rank, sing = numeric_rank(build_modified_jacobian(g, a, stack, rows=extra_rows).matrix)
+        report.trials.append(TrialRecord(rank, augmented, singular_values=tuple(sing.tolist())))
+    report.row_counts = {
+        n: len(extra_rows[n]) if n in extra_rows else comb(g.p + n - 1, n) for n in report.orders
+    }
+    generic_rank = report.generic_rank  # read once: the property scans every trial
+    if report.deficiency == 0:
+        report.verdict = "locally-identifiable"
+        report.reason = "a full-rank witness certifies generic full rank"
+    elif all(r.rank == generic_rank and r.gap >= GAP_STRUCTURAL for r in report.trials):
+        report.verdict = "rank-deficient"
+        report.reason = f"all trials agree on deficiency {report.deficiency} with a wide gap"
+    return report

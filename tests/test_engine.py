@@ -470,11 +470,20 @@ class TestSimulation:
         for key in est.estimate.keys():
             assert abs(est.estimate[key]) <= 3 * est.stderr[key] + 1e-3
 
+    # the exact cumulants at orders 2, 3 and 4 of each kind at scales 1 and 2
+    NOISE_CUMULANTS = {
+        "gaussian": [[1.0, 4.0], [0.0, 0.0], [0.0, 0.0]],
+        "zero": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        "centered_exponential": [[1.0, 4.0], [2.0, 16.0], [6.0, 96.0]],
+    }
+
     def test_noise_spec_cumulants(self):
-        spec = NoiseSpec("centered_exponential", [1.0, 2.0])
-        np.testing.assert_allclose(spec.cumulant(2).w, [1.0, 4.0])
-        np.testing.assert_allclose(spec.cumulant(3).w, [2.0, 16.0])
-        np.testing.assert_allclose(spec.cumulant(4).w, [6.0, 96.0])
+        for kind, expected in self.NOISE_CUMULANTS.items():
+            spec = NoiseSpec(kind, [1.0, 2.0])
+            for order, w in zip((2, 3, 4), expected):
+                np.testing.assert_array_equal(
+                    spec.cumulant(order).w, w, err_msg=f"{kind} noise, order {order}"
+                )
 
 
 # each refusal of a malformed argument: (call, exception, whole message)

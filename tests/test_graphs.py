@@ -97,8 +97,9 @@ class TestConstruction:
     def test_relabel_rejects_non_permutations(self):
         g = DirectedGraph(3, [(0, 1), (1, 2)])
         assert g.relabel([2, 0, 1]) == DirectedGraph(3, [(2, 0), (0, 1)])
+        assert g.relabel(np.array([2, 0, 1])) == g.relabel([2, 0, 1])
         # [0, 0, 1] would merge vertices 0 and 1 into a graph with a loop
-        for perm in ([0, 0, 1], [1, 0], [0, 1, 3]):
+        for perm in ([0, 0, 1], [1, 0], [0, 1, 3], [2.0, 0, 1], [2, False, True], ["a", 0, 1]):
             with pytest.raises(ValueError, match="not a permutation"):
                 g.relabel(perm)
 

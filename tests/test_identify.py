@@ -277,8 +277,9 @@ class TestDagAllLoops:
             for i in range(4):
                 expected[perm[j], perm[i]] = report.a[j, i]
         np.testing.assert_allclose(report2.a, expected, atol=1e-8)
-        with pytest.raises(ValueError, match="not a permutation"):
-            stack.relabel([2, 0, 2, 1])
+        for bad in ([2, 0, 2, 1], [2.0, 0, 3, 1], [2, False, 3, True], [2, "0", 3, 1]):
+            with pytest.raises(ValueError, match="not a permutation"):
+                stack.relabel(bad)
 
     @pytest.mark.parametrize("p", [10, 16, 32])
     def test_deep_banded_dags(self, p):

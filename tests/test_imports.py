@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,16 @@ def test_star_import():
     namespace = {}
     exec("from lyapcum import *", namespace)
     assert EXPORTS <= set(namespace)
+
+
+def test_readme_quick_start():
+    # the first python block of the README, run as written, gives its commented results
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    namespace = {}
+    exec(re.search(r"```python\n(.*?)```", readme, re.S).group(1), namespace)
+    assert namespace["s"][(0, 1)] == pytest.approx(2 / 3)
+    report = namespace["report"]
+    assert (report.method, report.verdict) == ("polytree", "recovered")
 
 
 def test_unknown_name():

@@ -207,8 +207,9 @@ class TestBuild:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_modified_jacobian(g, pm, stack, rows={4: [(0, 0, 0, 1)]})
 
-    # row maps refused on a stack of orders 2-4 with p = 3: an order that no stack
-    # holds, or a row that is not n vertex ids in range(3), named by the refusal
+    # row maps refused on a stack of orders 2-4 with p = 3: an order key that is not
+    # an integer order of the stack, or a row that is not n vertex ids in range(3),
+    # named by the refusal
     BAD_ROWS = {
         "three-ids": ({4: [(0, 1, 1)] * 4}, (0, 1, 1)),
         "negative-id": ({4: [(0, 1, -1, 1)]}, (0, 1, -1, 1)),
@@ -223,6 +224,9 @@ class TestBuild:
         "order-3-four-ids": ({3: [(0, 1, 2, 2)]}, (0, 1, 2, 2)),
         "order-2-bool-id": ({2: [(0, True)]}, (0, True)),
         "order-2-float-id": ({2: [(0, 2.0)]}, (0, 2.0)),
+        "non-sequence-row": ({4: [5]}, 5),
+        "bare-row": ({4: (0, 0, 0, 1)}, 0),
+        "float-order": ({4.0: [(0, 0, 0, 1)]}, 4.0),
     }
 
     @pytest.mark.parametrize("case", list(BAD_ROWS))
@@ -231,7 +235,7 @@ class TestBuild:
         pm = sample_stable_matrix(g, seed=0, target_radius=0.5)
         stack = model_stack(pm, unit_noise(3, (2, 3, 4)))
         rows, bad = self.BAD_ROWS[case]
-        if isinstance(bad, int):
+        if bad in rows:
             message = f"rows name order {bad}; the stack has orders (2, 3, 4)"
         else:
             n = next(n for n, given in rows.items() if bad in given)
@@ -249,6 +253,16 @@ class TestBuild:
         )
         assert explicit.matrix.tobytes() == default.matrix.tobytes()
         assert explicit.rows == default.rows
+
+    def test_rows_from_a_generator_match_the_list(self):
+        g = two_cycle_with_loops()
+        pm = sample_stable_matrix(g, seed=0, target_radius=0.5)
+        stack = model_stack(pm, random_omegas(np.random.default_rng(0), g.p, (2, 3, 4)))
+        listed = [(0, 0, 0, 1), (1, 0, 1, 1), (1, 1, 1, 1)]
+        from_list = build_modified_jacobian(g, pm, stack, rows={4: listed})
+        from_generator = build_modified_jacobian(g, pm, stack, rows={4: (r for r in listed)})
+        assert from_generator.matrix.tobytes() == from_list.matrix.tobytes()
+        assert from_generator.rows == from_list.rows
 
     def test_unsorted_rows_land_on_their_multiset(self):
         g = DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2)])
@@ -350,10 +364,12 @@ class TestVerdict:
             local_identifiability_verdict(collider_square(), trials=0)
 
     def test_single_loop_vertex_structural(self):
-        report = local_identifiability_verdict(
-            DirectedGraph(1, [(0, 0)]), trials=2, seed=0
-        )
+        g = DirectedGraph(1, [(0, 0)])
+        report = local_identifiability_verdict(g, trials=2, seed=0)
         assert report.verdict == "not-identifiable"
+        # no trial runs, so the summary read from the trials is the empty one
+        assert (report.trials, report.generic_rank, report.deficiency) == ([], 0, len(g.edges))
+        assert (report.orders, report.augmented) == ((2, 3), False)
 
     def test_two_cycle_needs_augmentation(self):
         g = two_cycle_with_loops()

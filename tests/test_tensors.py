@@ -123,7 +123,7 @@ class TestSymmetricTensor:
     def test_relabel_rejects_non_permutations(self):
         # [0, 0] would collide the keys (0, 0), (0, 1) and (1, 1)
         t = SymmetricTensor(2, 2, {(0, 0): 1.0, (0, 1): 2.0, (1, 1): 3.0})
-        for perm in ([0, 0], [1], [0, 1, 2], [1, 2]):
+        for perm in ([0, 0], [1], [0, 1, 2], [1, 2], [1.0, 0.0], [True, False], ["a", 0]):
             with pytest.raises(ValueError, match="not a permutation"):
                 t.relabel(perm)
 
