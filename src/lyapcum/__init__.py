@@ -8,6 +8,8 @@ The public names below are imported from their home module on first access
 import importlib
 
 __version__ = "0.1.0"
+# rho(A) must stay below 1 - STABILITY_MARGIN to certify stability (here, numpy-free, for the CLI)
+STABILITY_MARGIN = 1e-9
 
 _EXPORTS = {
     "engine": """DiagonalCumulant NoiseSpec ParameterMatrix SingularSystem UnstableMatrix

@@ -27,7 +27,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import STABILITY_MARGIN, __version__
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -171,7 +171,6 @@ def cmd_cumulants(args) -> int:
     pm, omegas = _materialize_parameters(g, args, orders)
     if args.format == "csv" and 2 not in omegas:
         raise InputError("--format csv writes the order-2 tensor; add 2 to --orders")
-    pm.require_stable()
     if args.format == "csv":
         _write(args.out, solve_cumulant(pm, omegas[2]).to_csv())
         return EXIT_OK
@@ -325,9 +324,9 @@ def cmd_ppoly(args) -> int:
 
 
 def _radius(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"radius must lie in (0, 1), got {text}")
+    value, top = float(text), 1.0 - STABILITY_MARGIN  # the sampled A has exactly this radius
+    if not 0.0 < value < top:
+        raise argparse.ArgumentTypeError(f"radius must lie in (0, {top}), got {text}")
     return value
 
 

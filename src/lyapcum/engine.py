@@ -23,11 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import STABILITY_MARGIN
 from .graphs import DirectedGraph
 from .tensors import DimensionMismatch, SymmetricTensor, _tucker
-
-# rho(A) must stay below 1 - STABILITY_MARGIN to certify stability
-STABILITY_MARGIN = 1e-9
 
 # doubling steps before giving up; rho < 1 - STABILITY_MARGIN needs about 35
 MAX_DOUBLINGS = 64

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
+from math import comb, frexp
 
 import numpy as np
 
@@ -307,7 +307,10 @@ def identify_dag(
     if missing:
         raise HypothesisViolated(f"sources {missing} lack self-loops")
     p = g.p
-    dense = {n: stack.tensor(n).to_dense() for n in stack.orders}
+    # each order in power-of-two units: an exact scaling that the elimination's
+    # ratios within one order and unit-max rows cancel, so the verdict is scale-free
+    shift = {n: frexp(stack.tensor(n).max_abs())[1] for n in stack.orders}
+    dense = {n: np.ldexp(stack.tensor(n).to_dense(), -e) for n, e in shift.items()}
     s, t, r = dense[2], dense[3], dense.get(4)
     entries = np.zeros((p, p))
     coef = np.zeros((2 * p, p))  # rows z and p + z: a_z S and T x_1 a_z x_2 a_z
@@ -345,7 +348,12 @@ def identify_dag(
         method = "polytree"
     else:
         method = "dag-looped-sources"
-    return _finish_report(method, g, dense, entries, conditions, tol)
+    report = _finish_report(method, g, dense, entries, conditions, tol)
+    with np.errstate(over="ignore"):  # back to the stack's units; past the float range reads inf
+        for n, e in shift.items():
+            np.ldexp(report.noise[n], e, out=report.noise[n])
+            report.forward_residuals[n] = float(np.ldexp(report.forward_residuals[n], e))
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -96,10 +96,13 @@ def build_modified_jacobian(
             raise ValueError(f"rows name order {n!r}; the stack has orders {stack.orders}")
         chosen[n] = []
         for row in given:
-            ids = tuple(row) if isinstance(row, Iterable) else ()
+            try:
+                ids = tuple(row)
+            except TypeError:  # a bare id or a 0-d array
+                ids = ()
             if len(ids) != n or not all(_is_vertex_id(v) and 0 <= v < g.p for v in ids):
                 raise ValueError(f"order-{n} row {row!r} is not {n} vertex ids in range({g.p})")
-            chosen[n].append(tuple(sorted(ids)))
+            chosen[n].append(tuple(sorted(map(int, ids))))
     a.require_stable()
     kept, blocks = [], []
     for n in stack.orders:

@@ -104,18 +104,36 @@ class TestCumulants:
 
 class TestIdentify:
     def test_tree_round_trip(self, tmp_path):
-        graph = write_json(
-            tmp_path / "tree.json",
-            {"p": 4, "edges": [[0, 0], [0, 1], [1, 2], [1, 3]]},
-        )
+        # a looped-source tree at seed 5, and the looped-source star at the default seed
+        for edges, seed in (
+            ([[0, 0], [0, 1], [1, 2], [1, 3]], ["--seed", "5"]),
+            ([[0, 0], [0, 1], [0, 2], [0, 3]], []),
+        ):
+            graph = write_json(tmp_path / "tree.json", {"p": 4, "edges": edges})
+            stack = tmp_path / "stack.json"
+            assert main(["cumulants", "--graph", graph, *seed, "--out", str(stack)]) == 0
+            out = tmp_path / "report.json"
+            code = main(["identify", "--graph", graph, "--stack", str(stack), "--out", str(out)])
+            assert code == 0
+            report = json.loads(out.read_text())["report"]
+            assert (report["method"], report["verdict"]) == ("polytree", "recovered")
+            assert max(report["forward_residuals"].values()) <= 1e-8
+
+    def test_scaled_stack_is_recovered(self, tmp_path):
+        # every T_n times 1e60 is the model point of the same A with Omega_n times 1e60
+        graph = write_json(tmp_path / "g.json", {"p": 2, "edges": [[0, 0], [0, 1], [1, 1]]})
         stack = tmp_path / "stack.json"
-        main(["cumulants", "--graph", graph, "--seed", "5", "--out", str(stack)])
+        assert main(["cumulants", "--graph", graph, "--out", str(stack)]) == 0
+        doc = json.loads(stack.read_text())
+        for tensor in doc["tensors"].values():
+            tensor["entries"] = {k: v * 1e60 for k, v in tensor["entries"].items()}
+        write_json(stack, doc)
         out = tmp_path / "report.json"
         code = main(["identify", "--graph", graph, "--stack", str(stack), "--out", str(out)])
         assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["report"]["verdict"] == "recovered"
-        assert max(doc["report"]["forward_residuals"].values()) <= 1e-8
+        report = json.loads(out.read_text())["report"]
+        assert report["verdict"] == "recovered"
+        assert np.allclose(report["a"], doc["a"], rtol=1e-9, atol=0.0)
 
     def test_bare_two_cycle_exits_4_with_diagnostic(self, tmp_path):
         graph = write_json(
@@ -172,6 +190,8 @@ class TestIdentify:
 # must exit with that code and one message line, no traceback
 BAD_INPUTS = {
     "radius-above-one": ("cumulants --graph {d}/g2.json --radius 1.5", 2),
+    # the sampled A has exactly this radius, which the stability certificate refuses
+    "radius-within-margin": ("cumulants --graph {d}/g2.json --radius 0.9999999995", 2),
     "zero-trials": ("analyze --graph {d}/g2.json --trials 0", 2),
     "short-omega": ("cumulants --graph {d}/g2.json --params {d}/short-omega.json", 2),
     "stack-missing-entry": ("identify --graph {d}/g2.json --stack {d}/missing.json", 2),
@@ -251,6 +271,7 @@ BAD_INPUTS = {
 
 # the message of the rows whose refusal is raised by the library or by cli's own checks
 BAD_INPUT_MESSAGES = {
+    "radius-within-margin": "radius must lie in (0, 0.999999999), got 0.9999999995",
     "graph-edges-not-a-list": "input error: graph JSON must contain 'p' and an 'edges' list",
     "graph-edge-of-three": "input error: edge [0, 1, 1] is not a list of two vertex ids",
     "graph-edge-of-one": "input error: edge [0] is not a list of two vertex ids",
@@ -708,6 +729,36 @@ class TestAnalyze:
         assert doc["local_identifiability"]["verdict"] == "locally-identifiable"
         assert doc["local_identifiability"]["augmented"] is True
         assert doc["local_identifiability"]["orders"] == [2, 3, 4]
+
+    # fields the report computes from the verdict's trials and the adjacency rows:
+    # the order-4 augmentation's row map, the diamond's deficiency, the two-star's centre
+    @pytest.mark.parametrize(
+        "edges, trials, section, expected",
+        [
+            (
+                [[0, 0], [1, 1], [0, 1], [1, 0], [2, 2], [2, 3]], 2, "local_identifiability",
+                {"verdict": "locally-identifiable", "augmented": True, "orders": [2, 3, 4],
+                 "row_counts": {"2": 10, "3": 20, "4": 3}},
+            ),
+            (
+                [[0, 0], [0, 1], [0, 2], [1, 3], [2, 3]], 2, "local_identifiability",
+                {"verdict": "rank-deficient", "generic_rank": 4, "deficiency": 1,
+                 "orders": [2, 3], "augmented": False, "row_counts": {"2": 10, "3": 20}},
+            ),
+            (
+                [[0, 0], [0, 1], [0, 2], [0, 3], [3, 4], [4, 4]], 1, "star",
+                {"kind": "generalized-two-star", "center": 0},
+            ),
+        ],
+        ids=["two-cycle-beside-loop", "diamond", "generalized-two-star"],
+    )
+    def test_report_summary(self, tmp_path, edges, trials, section, expected):
+        p = 1 + max(map(max, edges))
+        graph = write_json(tmp_path / "g.json", {"p": p, "edges": edges})
+        out = tmp_path / "an.json"
+        assert main(["analyze", "--graph", graph, "--trials", str(trials), "--out", str(out)]) == 0
+        got = json.loads(out.read_text())[section]
+        assert {key: got[key] for key in expected} == expected
 
 
 def test_ppoly_table(capsys):

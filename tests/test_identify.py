@@ -577,13 +577,20 @@ class TestCertificate:
         assert np.max(np.abs(report.a - pm.entries)) <= 1e-9
 
     def test_verdict_is_scale_invariant(self):
-        # scaling every omega_n by c^n scales every T_n by c^n and leaves A
-        g = four_node_tree()
-        pm = sample_stable_matrix(g, seed=7, target_radius=0.6)
-        omegas = random_omegas(np.random.default_rng(7), 4)
-        for c in (1e-3, 1.0, 1e3):
-            scaled = {n: DiagonalCumulant(n, c**n * w.w) for n, w in omegas.items()}
-            assert auto_identify(g, model_stack(pm, scaled)).verdict == "recovered"
+        # scaling every omega_n by c^n scales every T_n by c^n and leaves A; c^4
+        # reaches 1e+-100, where the both-loops closed form's degree-8 guard
+        # overflows or underflows unless each order is read in its own units
+        looped_dag = DirectedGraph(4, [(i, i) for i in range(4)] + [(0, 1), (0, 2), (1, 3), (2, 3)])
+        for g in (four_node_tree(), two_node_both_loops(), looped_dag):
+            pm = sample_stable_matrix(g, seed=7, target_radius=0.6)
+            omegas = random_omegas(np.random.default_rng(7), g.p)
+            for c in (1e-25, 1e-3, 1.0, 1e3, 1e25):
+                scaled = {n: DiagonalCumulant(n, c**n * w.w) for n, w in omegas.items()}
+                report = auto_identify(g, model_stack(pm, scaled))
+                assert report.verdict == "recovered", (g.edges, c)
+                assert np.max(np.abs(report.a - pm.entries)) <= 1e-9
+                for n, w in scaled.items():
+                    assert report.noise[n] == pytest.approx(w.w, rel=1e-9)
 
 
 class TestExperimentalEnumerator:

@@ -136,6 +136,10 @@ class TestEntryFormulas:
                 assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
+# iterable by its type, but iterating a 0-d array raises TypeError
+ZERO_D_ROW = np.array(5)
+
+
 class TestBuild:
     def test_column_count(self):
         g = two_cycle_with_loops()
@@ -227,6 +231,7 @@ class TestBuild:
         "non-sequence-row": ({4: [5]}, 5),
         "bare-row": ({4: (0, 0, 0, 1)}, 0),
         "float-order": ({4.0: [(0, 0, 0, 1)]}, 4.0),
+        "zero-d-row": ({4: [ZERO_D_ROW]}, ZERO_D_ROW),
     }
 
     @pytest.mark.parametrize("case", list(BAD_ROWS))
@@ -235,7 +240,7 @@ class TestBuild:
         pm = sample_stable_matrix(g, seed=0, target_radius=0.5)
         stack = model_stack(pm, unit_noise(3, (2, 3, 4)))
         rows, bad = self.BAD_ROWS[case]
-        if bad in rows:
+        if not isinstance(bad, np.ndarray) and bad in rows:  # an array is a row, not a key
             message = f"rows name order {bad}; the stack has orders (2, 3, 4)"
         else:
             n = next(n for n, given in rows.items() if bad in given)
@@ -263,6 +268,16 @@ class TestBuild:
         from_generator = build_modified_jacobian(g, pm, stack, rows={4: (r for r in listed)})
         assert from_generator.matrix.tobytes() == from_list.matrix.tobytes()
         assert from_generator.rows == from_list.rows
+
+    def test_given_rows_hold_python_ints(self):
+        g = two_cycle_with_loops()
+        pm = sample_stable_matrix(g, seed=0, target_radius=0.5)
+        stack = model_stack(pm, random_omegas(np.random.default_rng(0), g.p, (2, 3, 4)))
+        rows = {2: [(np.int64(1), 0)], 4: [np.array([0, 0, 0, 1]), np.array([1, 1, 1, 0])]}
+        mj = build_modified_jacobian(g, pm, stack, rows=rows)
+        given = [row for row in mj.rows if row[0] != 3]  # order 3 keeps all its rows
+        assert given == [(2, (0, 1)), (4, (0, 0, 0, 1)), (4, (0, 1, 1, 1))]
+        assert all(type(v) is int for _, key in mj.rows for v in key)
 
     def test_unsorted_rows_land_on_their_multiset(self):
         g = DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2)])
