@@ -28,7 +28,11 @@ bound below |pa(U)| is not built here.
 
 All toric arithmetic is exact (Python integers and Fractions) so that
 kernel vectors and row-equivalence checks are identities rather than
-float comparisons.
+float comparisons.  Both sides of a polynomial check, and both parts of a
+kernel binomial, have one degree in each order (for the binomial, as the
+v^(m) rows of the toric matrix sum to order m's column indicator), so they
+are formed on :meth:`CumulantStack.in_units`, where no product leaves the
+float range and no ratio depends on the stack's scale.
 """
 
 from __future__ import annotations
@@ -37,18 +41,20 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, frexp, inf, ldexp, lcm, prod, sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, _is_vertex_id
 from .identify import CumulantStack, HypothesisViolated, _check_stack
 from .jacobian import numeric_rank
 from .tensors import multiset_indices
 
 VANISH_RTOL = 1e-9
 NONZERO_FLOOR = 1e-6
+# the binary exponent _minor_norm carries for a zero sum: below any sum's
+_ZERO_EXP = -(1 << 30)
 
 
 class ModelInconsistency(Exception):
@@ -99,15 +105,24 @@ def level_partition(g: DirectedGraph) -> list[list[int]]:
     return out
 
 
+def _vertex_ids(g: DirectedGraph, ids: Sequence[int]) -> list[int]:
+    """``ids`` as a list; ``ValueError`` unless it is nonempty and each is a vertex id."""
+    ids = list(ids)
+    if not ids or not all(_is_vertex_id(v) and 0 <= v < g.p for v in ids):
+        raise ValueError(f"vertex ids {ids} must be one or more integers in range({g.p})")
+    return ids
+
+
 def shortest_equitrek_top(g: DirectedGraph, indices: Sequence[int]) -> int:
     """Top vertex of the unique shortest equitrek between the given vertices.
 
     With self-loops only at the source, unequal leaf levels force the top to
     the source (only it can pad short legs); equal levels put the top at the
-    deepest common ancestor.
+    deepest common ancestor.  No index, or an index that is not an integer
+    in ``range(p)``, a bool included, raises ``ValueError``.
     """
+    idx = _vertex_ids(g, indices)
     source, levels, paths = _tree_structure(g)
-    idx = list(indices)
     if len({levels[i] for i in idx}) > 1:
         return source
     prefix = paths[idx[0]]
@@ -156,9 +171,6 @@ def toric_matrix(g: DirectedGraph, order: int) -> ToricMatrix:
         row_labels.extend(("v", m, i) for i in range(g.p))
     row_labels.extend(("a", i, j) for i, j in edges)
     edge_row = {edge: len(row_labels) - len(edges) + k for k, edge in enumerate(edges)}
-    v_row = {
-        (m, i): (m - 2) * g.p + i for m in range(2, order + 1) for i in range(g.p)
-    }
 
     col_labels: list[tuple[int, tuple[int, ...]]] = []
     for m in range(2, order + 1):
@@ -167,7 +179,7 @@ def toric_matrix(g: DirectedGraph, order: int) -> ToricMatrix:
     matrix = np.zeros((len(row_labels), len(col_labels)), dtype=int)
     for col, (m, key) in enumerate(col_labels):
         top = shortest_equitrek_top(g, key)
-        matrix[v_row[(m, top)], col] = 1
+        matrix[(m - 2) * g.p + top, col] = 1  # the row of v^(m)_top
         # unequal leaf levels force top = source and source-loop padding up
         # to the deepest leaf; equal levels need no padding at all
         key_levels = [levels[i] for i in key]
@@ -217,9 +229,7 @@ def integer_kernel(matrix: np.ndarray) -> list[np.ndarray]:
         vec[f] = Fraction(1)
         for row, c in zip(reduced, pivots):
             vec[c] = -row[f]
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
+        denom = lcm(*(x.denominator for x in vec))
         basis.append(np.array([int(x * denom) for x in vec], dtype=object))
     return basis
 
@@ -231,28 +241,27 @@ def kernel_binomial_values(
 
     A kernel vector k splits into positive and negative parts; the binomial
     is ``prod c_i^(k_i+) - prod c_i^(k_i-)`` over the column cumulants, and
-    it vanishes on every model point of the tree.
+    it vanishes on every model point of the tree.  ``value`` and ``scale`` are
+    in the stack's power-of-two units (module docstring).
     """
-    entries = []
-    for order, key in tm.col_labels:
-        entries.append(stack.tensor(order)[key])
+    units = stack.in_units()[0]
+    entries = [units.tensor(order)[key] for order, key in tm.col_labels]
     results = []
     for vec in integer_kernel(tm.matrix):
-        pos = 1.0
-        neg = 1.0
-        for exponent, value in zip(vec, entries):
-            if exponent > 0:
-                pos *= value ** int(exponent)
-            elif exponent < 0:
-                neg *= value ** int(-exponent)
-        scale = max(abs(pos), abs(neg), 1e-300)
-        results.append((vec, pos - neg, scale))
+        pos = prod(value ** int(k) for k, value in zip(vec, entries) if k > 0)
+        neg = prod(value ** int(-k) for k, value in zip(vec, entries) if k < 0)
+        results.append((vec, pos - neg, _scale(pos, neg)))
     return results
 
 
 # ---------------------------------------------------------------------------
 # level and top-trek polynomial checks
 # ---------------------------------------------------------------------------
+
+
+def _scale(lhs: float, rhs: float) -> float:
+    """The scale ``lhs - rhs`` is judged at: ``max(|lhs|, |rhs|, 1e-300)``."""
+    return max(abs(lhs), abs(rhs), 1e-300)
 
 
 @dataclass
@@ -262,18 +271,21 @@ class PolynomialCheck:
     value: float
     scale: float
     expected_zero: bool
+    ok: bool
 
     @classmethod
     def of(cls, family: str, indices: tuple[int, ...], lhs: float, rhs: float,
-           expected_zero: bool) -> "PolynomialCheck":
-        """The check of ``lhs - rhs`` at the scale ``max(|lhs|, |rhs|, 1e-300)``."""
-        return cls(family, indices, lhs - rhs, max(abs(lhs), abs(rhs), 1e-300), expected_zero)
-
-    @property
-    def ok(self) -> bool:
-        if self.expected_zero:
-            return abs(self.value) <= VANISH_RTOL * self.scale
-        return abs(self.value) >= NONZERO_FLOOR * self.scale
+           shift: int, expected_zero: bool) -> "PolynomialCheck":
+        """The check of ``lhs - rhs`` at :func:`_scale`, both sides in units of ``2**shift``;
+        ``ok`` is decided there, as ``value`` and ``scale`` may leave the float range."""
+        value, scale = lhs - rhs, _scale(lhs, rhs)
+        if expected_zero:
+            ok = abs(value) <= VANISH_RTOL * scale
+        else:
+            ok = abs(value) >= NONZERO_FLOOR * scale
+        with np.errstate(over="ignore"):  # exact ldexp to the stack's units; a floor stays one
+            reported = np.ldexp((value, scale), shift if scale > 1e-300 else 0).tolist()
+        return cls(family, indices, *reported, expected_zero, ok)
 
 
 def level_polynomial_checks(
@@ -290,7 +302,9 @@ def level_polynomial_checks(
     """
     _check_stack(g, stack)
     source, levels, _ = _tree_structure(g)
-    s, t = stack.s, stack.t
+    units, shift = stack.in_units()
+    s, t = units.s, units.t
+    e_balance, e_pair = 3 * shift[2] + 2 * shift[3], shift[2] + shift[3]
     checks: list[PolynomialCheck] = []
     for i in range(g.p):
         # the all-zero baseline, then every j: max keeps the first largest ratio
@@ -299,21 +313,18 @@ def level_polynomial_checks(
             for j in range(g.p)
             if j != i
         ]
-        checks.append(max(
-            (PolynomialCheck.of("source-balance", (i,), lhs, rhs, i == source)
-             for lhs, rhs in balances),
-            key=lambda check: abs(check.value) / check.scale,
-        ))
+        lhs, rhs = max(balances, key=lambda sides: abs(sides[0] - sides[1]) / _scale(*sides))
+        checks.append(PolynomialCheck.of("source-balance", (i,), lhs, rhs, e_balance, i == source))
     for i, j in itertools.combinations(range(g.p), 2):
         checks.append(PolynomialCheck.of(
             "same-level", (i, j), s[(source, i)] * t[(source, source, j)],
-            s[(source, j)] * t[(source, source, i)], levels[i] == levels[j],
+            s[(source, j)] * t[(source, source, i)], e_pair, levels[i] == levels[j],
         ))
     for i, j in itertools.permutations(range(g.p), 2):
         if levels[i] != levels[j]:
             checks.append(PolynomialCheck.of(
                 "level-order", (i, j), s[(i, j)] * t[(source, source, j)],
-                s[(source, j)] * t[(source, i, j)], levels[j] > levels[i],
+                s[(source, j)] * t[(source, i, j)], e_pair, levels[j] > levels[i],
             ))
     return checks
 
@@ -326,15 +337,19 @@ def top_trek_polynomial_check(
     Vanishes exactly when l tops the shortest (i, j)-equitrek and that trek
     needs no source padding, i.e. i and j sit on one level.  Cross-level
     pairs leave an uncancelled source-loop power even at the padded top, so
-    they are predicted nonzero for every l.
+    they are predicted nonzero for every l.  An id that is not an integer in
+    ``range(p)``, a bool included, raises ``ValueError``.
     """
     _check_stack(g, stack)
+    _vertex_ids(g, (i, j, top))
     source, levels, _ = _tree_structure(g)
-    s, t = stack.s, stack.t
+    units, shift = stack.in_units()
+    s, t = units.s, units.t
     return PolynomialCheck.of(
         "top-trek", (i, j, top),
         s[(source, top)] * s[(i, j)] * t[(top, top, j)],
         s[(source, i)] * s[(top, top)] * t[(top, j, j)],
+        2 * shift[2] + shift[3],
         levels[i] == levels[j] and top == shortest_equitrek_top(g, (i, j)),
     )
 
@@ -416,13 +431,25 @@ def _minor_norm(sing: np.ndarray, size: int) -> float:
 
     By Cauchy-Binet that sum is ``e_size(sigma_1^2, ..., sigma_r^2)``; its
     root bounds every single minor, and it is 0 when no minor of that size
-    exists.
+    exists.  Each partial sum e_j is carried as ``frac * 2**exp``, frac in
+    [1/2, 1), so none leaves the float range however far the sigmas spread;
+    where the plain float sums stay normal the fractions carry their bits.
+    A norm past the float range reads inf.
     """
-    e = np.zeros(size + 1)
-    e[0] = 1.0
-    for s2 in np.square(sing):
-        e[1:] = e[1:] + s2 * e[:-1]
-    return float(np.sqrt(e[size]))
+    frac, exp = [0.5] + [0.0] * size, [1] + [_ZERO_EXP] * size  # e_0 = 1, the rest 0
+    for f, k in map(frexp, sing.tolist()):
+        for j in range(size, 0, -1):  # e_j += sigma^2 e_(j-1), e_(j-1) not yet updated
+            add, add_exp = f * f * frac[j - 1], 2 * k + exp[j - 1]
+            if add == 0.0:
+                continue
+            top = max(exp[j], add_exp)  # both terms aligned to the larger exponent
+            frac[j], shift = frexp(ldexp(frac[j], exp[j] - top) + ldexp(add, add_exp - top))
+            exp[j] = top + shift
+    half, odd = divmod(exp[size], 2)
+    try:
+        return ldexp(sqrt(ldexp(frac[size], odd)), half)
+    except OverflowError:
+        return inf
 
 
 def _constraint_matrices(

@@ -15,6 +15,7 @@ changes which work is repeated, not the arithmetic.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, frexp
@@ -93,6 +94,18 @@ class CumulantStack:
     def relabel(self, perm) -> "CumulantStack":
         return CumulantStack(*(t.relabel(perm) for t in self._by_order.values()))
 
+    def in_units(self) -> tuple["CumulantStack", dict[int, int]]:
+        """The stack with each order over ``2**e_n``, ``e_n`` the binary exponent of
+        ``max|T_n|``, and the ``e_n``; ``ValueError`` on a non-finite entry."""
+        top = {n: tensor.max_abs() for n, tensor in self._by_order.items()}
+        if not np.isfinite(list(top.values())).all():
+            raise ValueError("stack has a non-finite entry")
+        shift = {n: frexp(m)[1] for n, m in top.items()}
+        units = CumulantStack(*map(copy, self._by_order.values()))  # new vectors below
+        for n, tensor in units._by_order.items():
+            tensor._vec = np.ldexp(tensor._vec, -shift[n])
+        return units, shift
+
 
 def _check_stack(g: DirectedGraph, stack: CumulantStack) -> None:
     """``HypothesisViolated`` unless the stack's p is the graph's."""
@@ -146,7 +159,7 @@ def _both_loops_edge(s00, s01, t000, t001, r0000, r0001) -> float:
 
     The guards are the denominators of the pair's whole rational solution
     (a10 and a11 divide by ``r0001^2 core^3``), so a pair that fails them is
-    refused even though a00 alone would not divide by zero.
+    refused even though a00 alone would not divide by zero; an exact 0 fails them.
     """
     core = s00 * t001 - s01 * t000
     core_scale = abs(s00 * t001) + abs(s01 * t000)
@@ -154,8 +167,6 @@ def _both_loops_edge(s00, s01, t000, t001, r0000, r0001) -> float:
     mix_scale = abs(r0000 * t001) + abs(r0001 * t000)
     _guard("s01 (r0000 t001 - r0001 t000)", s01 * mix, abs(s01) * mix_scale)
     _guard("r0001^2 (s00 t001 - s01 t000)^3", r0001**2 * core**3, r0001**2 * core_scale**3)
-    if abs(s01 * mix) == 0.0 or abs(r0001) == 0.0:
-        raise DegenerateDenominator("structurally zero denominator")
     return -r0001 * core / (s01 * mix)
 
 
@@ -207,20 +218,16 @@ def _finish_report(
     ``tol * max|T_n|`` of that order's stack tensor.
     """
     recovered = ParameterMatrix(g, entries)
-    noise = {}
-    residuals = {}
+    noise, residuals, certified = {}, {}, True
     for order, tensor in dense.items():
         noise[order], residuals[order] = _forward_residual(tensor, recovered)
+        certified &= residuals[order] <= tol * np.abs(tensor).max()
     detail = "" if recovered.stable else (
         f"recovered matrix is unstable (radius {recovered.radius():.4g})"
     )
-    certified = all(
-        residuals[order] <= tol * np.abs(tensor).max() for order, tensor in dense.items()
-    )
-    verdict = "recovered" if certified else "degenerate"
     return IdentifiabilityReport(
         method=method,
-        verdict=verdict,
+        verdict="recovered" if certified else "degenerate",
         a=entries,
         noise=noise,
         forward_residuals=residuals,
@@ -277,6 +284,7 @@ def identify_dag(
     - ``S_zj = sum_l (a_z S)_l a_jl``;
     - ``T_zzj = sum_l (T x_1 a_z x_2 a_z)_l a_jl``.
 
+    It reads :meth:`CumulantStack.in_units`, so no verdict depends on the stack's scale.
     Rows that vanish on j's unknowns are dropped and the rest are scaled to
     unit max; ``block_conditions`` holds the condition of that scaled block.
     The report's ``method`` names the graph's class: ``dag-all-loops`` when
@@ -291,6 +299,8 @@ def identify_dag(
         fourth-order input the stack lacks.
     CyclicGraph
         If the graph has a directed cycle.
+    ValueError
+        If a stack entry is not finite.
     DegenerateDenominator
         If a source's closed form meets a vanishing denominator.
     SingularBlock
@@ -307,10 +317,8 @@ def identify_dag(
     if missing:
         raise HypothesisViolated(f"sources {missing} lack self-loops")
     p = g.p
-    # each order in power-of-two units: an exact scaling that the elimination's
-    # ratios within one order and unit-max rows cancel, so the verdict is scale-free
-    shift = {n: frexp(stack.tensor(n).max_abs())[1] for n in stack.orders}
-    dense = {n: np.ldexp(stack.tensor(n).to_dense(), -e) for n, e in shift.items()}
+    units, shift = stack.in_units()
+    dense = {n: units.tensor(n).to_dense() for n in units.orders}
     s, t, r = dense[2], dense[3], dense.get(4)
     entries = np.zeros((p, p))
     coef = np.zeros((2 * p, p))  # rows z and p + z: a_z S and T x_1 a_z x_2 a_z

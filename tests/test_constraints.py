@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import warnings
 from functools import partial
 from math import comb
 
@@ -28,6 +29,7 @@ from lyapcum import (
 from lyapcum import constraints
 from lyapcum.constraints import _minor_norm
 from lyapcum.identify import CumulantStack
+from lyapcum.tensors import SymmetricTensor
 from conftest import (
     diamond,
     edge_sets,
@@ -90,6 +92,42 @@ class TestTreeStructure:
             ),
             HypothesisViolated, "trees must share the vertex count",
         ),
+        # a vertex id is an integer in range(p), never a bool: -1 no longer reads
+        # vertex p - 1, nor True vertex 1
+        "top-negative-id": (
+            lambda: shortest_equitrek_top(five_node_tree(), (-1, 4)),
+            ValueError, r"vertex ids \[-1, 4\] must be one or more integers in range\(5\)",
+        ),
+        "top-id-past-p": (
+            lambda: shortest_equitrek_top(five_node_tree(), (3, 5)),
+            ValueError, r"vertex ids \[3, 5\] must be one or more integers in range\(5\)",
+        ),
+        "top-float-id": (
+            lambda: shortest_equitrek_top(five_node_tree(), (3.0, 4)),
+            ValueError, r"vertex ids \[3.0, 4\] must be one or more integers in range\(5\)",
+        ),
+        "top-no-ids": (
+            lambda: shortest_equitrek_top(five_node_tree(), []),
+            ValueError, r"vertex ids \[\] must be one or more integers in range\(5\)",
+        ),
+        "top-trek-bool-id": (
+            lambda: top_trek_polynomial_check(
+                five_node_tree(), tree_stack(five_node_tree(), seed=1)[2], True, 4, 2
+            ),
+            ValueError, r"vertex ids \[True, 4, 2\] must be one or more integers in range\(5\)",
+        ),
+        "top-trek-negative-id": (
+            lambda: top_trek_polynomial_check(
+                five_node_tree(), tree_stack(five_node_tree(), seed=1)[2], -1, 4, 2
+            ),
+            ValueError, r"vertex ids \[-1, 4, 2\] must be one or more integers in range\(5\)",
+        ),
+        "top-trek-top-past-p": (
+            lambda: top_trek_polynomial_check(
+                five_node_tree(), tree_stack(five_node_tree(), seed=1)[2], 3, 4, 5
+            ),
+            ValueError, r"vertex ids \[3, 4, 5\] must be one or more integers in range\(5\)",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(REFUSALS))
@@ -127,6 +165,7 @@ class TestTreeStructure:
         assert shortest_equitrek_top(g, (1, 2)) == 0
         assert shortest_equitrek_top(g, (1, 3)) == 0  # levels differ
         assert shortest_equitrek_top(g, (3, 3)) == 3
+        assert shortest_equitrek_top(g, np.array([3, 4])) == 2  # numpy ids are ids
 
     def test_each_call_walks_each_tree_once(self):
         # a walk is a miss of the _tree_structure cache; every other read hits it
@@ -322,6 +361,82 @@ def test_polynomial_checks_golden_bytes():
     )
 
 
+def test_kernel_ratios_golden_bytes():
+    """The sha256 of every kernel vector and ratio |value| / scale, tree fixtures, seeds 0-4.
+
+    Recorded before the binomials moved to the stack's power-of-two units,
+    which report value and scale in those units and keep each ratio's bits.
+    """
+    digest = hashlib.sha256()
+    single = DirectedGraph(1, [(0, 0)])
+    for g in (single, two_node_chain(), four_node_tree(), five_node_tree()):
+        for seed in range(5):
+            _, _, stack = tree_stack(g, seed=seed)
+            for order in (3, 4):
+                for vec, value, scale in kernel_binomial_values(toric_matrix(g, order), stack):
+                    digest.update(repr(vec.tolist()).encode())
+                    digest.update(np.float64(abs(value) / scale).tobytes())
+    assert digest.hexdigest() == (
+        "e1fa13214134d1a73a69f4496aa6feabd5b2cf3a2be4c5f82d489d7eb2ec454b"
+    )
+
+
+def scaled_stack(stack, factors):
+    """The stack with every entry of order n multiplied by ``factors[n]``."""
+    return CumulantStack(*(
+        SymmetricTensor(n, stack.p, {k: factors[n] * v for k, v in stack.tensor(n).values.items()})
+        for n in stack.orders
+    ))
+
+
+def every_check(g, stack):
+    """The level checks, then the top-trek check of every pair and candidate top."""
+    return level_polynomial_checks(g, stack) + [
+        top_trek_polynomial_check(g, stack, i, j, top)
+        for i, j in itertools.combinations_with_replacement(range(g.p), 2)
+        for top in range(g.p)
+    ]
+
+
+class TestUnits:
+    """Every reader of a stack reads each order in its power-of-two units.
+
+    Each check and kernel binomial is homogeneous in each order, so an exact
+    model point with its orders scaled gets the same verdicts.
+    """
+
+    @pytest.mark.parametrize("c", [1e-150, 1e-80, 1e-40, 1.0, 1e40, 1e80, 1e150])
+    def test_looped_source_tree_at_any_scale(self, c):
+        # the kernel overflowed from 1e40, the level checks failed at 1e+-80,
+        # the top-trek checks at 1e+-150, and the minor norm warned at 1e80
+        g = four_node_tree()
+        base = seeded_model(g, seed=0, noise_offset=1)[2]
+        stack = scaled_stack(base, {n: c for n in base.orders})
+        for order in (3, 4):
+            for _, value, scale in kernel_binomial_values(toric_matrix(g, order), stack):
+                assert 1e-300 < scale < np.inf and abs(value) <= 1e-9 * scale
+        assert all(check.ok for check in every_check(g, stack))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan = rank_constraints_scan(g, stack, max_subset=2)
+        assert [r.rank for r in scan] == [r.rank for r in rank_constraints_scan(g, base, 2)]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_verdicts_ignore_each_order_scale(self, data):
+        # a random looped-source tree: vertex v > 0 hangs below a vertex before it
+        p = data.draw(st.integers(2, 6))
+        parents = [data.draw(st.integers(0, v - 1)) for v in range(1, p)]
+        g = DirectedGraph(p, [(0, 0)] + [(u, v) for v, u in enumerate(parents, start=1)])
+        base = tree_stack(g, seed=data.draw(st.integers(0, 10_000)))[2]
+        exponents = {n: data.draw(st.floats(-100, 100)) for n in base.orders}
+        stack = scaled_stack(base, {n: 10.0**u for n, u in exponents.items()})
+        assert [c.ok for c in every_check(g, stack)] == [c.ok for c in every_check(g, base)]
+        for order in (3, 4):
+            for _, value, scale in kernel_binomial_values(toric_matrix(g, order), stack):
+                assert abs(value) <= 1e-9 * scale
+
+
 def swap_fixture():
     """G with two same-level swappable vertices and H = swap result."""
     g = DirectedGraph(4, [(0, 0), (0, 1), (0, 2), (2, 3)])
@@ -385,6 +500,20 @@ class TestRankConstraints:
             ))
             sing = np.linalg.svd(m, compute_uv=False)
             assert _minor_norm(sing, size) == pytest.approx(brute, rel=1e-12)
+
+    @pytest.mark.parametrize("sing, size, norm", [
+        ([1e100, 1e-100], 2, 1.0),  # the square of each is in range, and their product
+        ([1e200, 1e-200], 2, 1.0),  # 1e200 squared is not
+        ([1e200, 1e200], 2, np.inf),  # the norm itself is past the float range
+        ([1e-200, 1e-200], 2, 0.0),  # and here below it
+        ([3.0, 0.0, 2.0], 2, 6.0),
+        ([], 0, 1.0),
+        ([], 1, 0.0),
+    ])
+    def test_minor_norm_at_any_spread(self, sing, size, norm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _minor_norm(np.array(sing), size) == pytest.approx(norm, rel=1e-15)
 
     def test_large_star_values_every_matrix(self):
         # the p=8 star with a looped source has 66 x 3 Q matrices with 6435
