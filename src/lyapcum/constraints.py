@@ -242,8 +242,16 @@ def kernel_binomial_values(
     A kernel vector k splits into positive and negative parts; the binomial
     is ``prod c_i^(k_i+) - prod c_i^(k_i-)`` over the column cumulants, and
     it vanishes on every model point of the tree.  ``value`` and ``scale`` are
-    in the stack's power-of-two units (module docstring).
+    in the stack's power-of-two units (module docstring).  A stack of another p
+    than the matrix's, or without an order it reads, raises ``HypothesisViolated``.
     """
+    p = sum(label[:2] == ("v", 2) for label in tm.row_labels)
+    orders = sorted({m for m, _ in tm.col_labels})
+    if stack.p != p or not set(orders) <= set(stack.orders):
+        raise HypothesisViolated(
+            f"the toric matrix reads p={p} at orders {orders}; "
+            f"the stack has p={stack.p} and orders {list(stack.orders)}"
+        )
     units = stack.in_units()[0]
     entries = [units.tensor(order)[key] for order, key in tm.col_labels]
     results = []
@@ -302,7 +310,7 @@ def level_polynomial_checks(
     """
     _check_stack(g, stack)
     source, levels, _ = _tree_structure(g)
-    units, shift = stack.in_units()
+    units, shift = CumulantStack(stack.s, stack.t).in_units()  # the orders read
     s, t = units.s, units.t
     e_balance, e_pair = 3 * shift[2] + 2 * shift[3], shift[2] + shift[3]
     checks: list[PolynomialCheck] = []
@@ -343,7 +351,7 @@ def top_trek_polynomial_check(
     _check_stack(g, stack)
     _vertex_ids(g, (i, j, top))
     source, levels, _ = _tree_structure(g)
-    units, shift = stack.in_units()
+    units, shift = CumulantStack(stack.s, stack.t).in_units()  # the orders read
     s, t = units.s, units.t
     return PolynomialCheck.of(
         "top-trek", (i, j, top),

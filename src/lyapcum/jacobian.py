@@ -144,12 +144,15 @@ def two_cycle_components(g: DirectedGraph) -> list[tuple[int, int]]:
 
 
 def augmentation_rows(g: DirectedGraph) -> dict[int, list[tuple[int, ...]]]:
-    """Row map repairing two-cycle pairs at order 4: both diagonals plus one mixed.
+    """Order-4 rows for each two-cycle pair with both loops: both diagonals plus one mixed.
 
-    ``{4: rows}``, or ``{}`` without a pair; a verdict escalates only to a nonempty
-    map, and reports each order's row count from it.
+    Such a pair has 4 edges on 3 off-diagonal rows at orders 2-3.  The edge block is
+    block-diagonal over skeleton components, and a pair with one loop is full at orders
+    2-3, one without loops rank 0 at every order.  ``{4: rows}``, or ``{}`` without such
+    a pair: a verdict augments exactly when the map is nonempty.
     """
-    rows = [row for i, j in two_cycle_components(g) for row in ((i,) * 4, (j,) * 4, (i, i, i, j))]
+    looped = [(i, j) for i, j in two_cycle_components(g) if {i, j} <= g.self_loops]
+    rows = [row for i, j in looped for row in ((i,) * 4, (j,) * 4, (i, i, i, j))]
     return {4: rows} if rows else {}
 
 
@@ -223,8 +226,9 @@ def local_identifiability_verdict(
 
     Each trial draws a stable parameter point (alternating between two
     magnitude scales) and measures the off-diagonal block rank at orders
-    {2,3}; two-cycle pair components escalate to the fourth-order
-    augmentation rows.  Any full-rank trial certifies the verdict.
+    {2,3}, or at {2,3,4} on the :func:`augmentation_rows` of a graph that has
+    them: one solve and one build per trial.  Any full-rank trial certifies
+    the verdict.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -241,22 +245,16 @@ def local_identifiability_verdict(
         )
         return report
     extra_rows = augmentation_rows(g)
-    # a pair with both loops has 4 edges on 3 off-diagonal rows at orders 2-3: every
-    # draw is deficient there, so its trials skip that solve
-    always_augmented = any({i, j} <= g.self_loops for i, j in two_cycle_components(g))
     for trial in range(trials):
         radius = 0.45 if trial % 2 == 0 else 0.85
         a = sample_stable_matrix(g, seed=seed * 1000 + trial, target_radius=radius)
         rng = np.random.default_rng(seed * 1000 + trial + 7)
         omegas = random_omegas(rng, g.p, (2, 3))  # drawn even when unused, so the rng stream holds
-        augmented = always_augmented
-        if not augmented:
-            rank, sing = numeric_rank(build_modified_jacobian(g, a, model_stack(a, omegas)).matrix)
-            augmented = rank < report.n_edges and bool(extra_rows)
-        if augmented:
-            stack = model_stack(a, random_omegas(rng, g.p, (2, 3, 4)))
-            rank, sing = numeric_rank(build_modified_jacobian(g, a, stack, rows=extra_rows).matrix)
-        report.trials.append(TrialRecord(rank, augmented, singular_values=tuple(sing.tolist())))
+        if extra_rows:
+            omegas = random_omegas(rng, g.p, (2, 3, 4))
+        mj = build_modified_jacobian(g, a, model_stack(a, omegas), rows=extra_rows)
+        rank, sing = numeric_rank(mj.matrix)
+        report.trials.append(TrialRecord(rank, bool(extra_rows), tuple(sing.tolist())))
     report.row_counts = {
         n: len(extra_rows[n]) if n in extra_rows else comb(g.p + n - 1, n) for n in report.orders
     }

@@ -556,8 +556,10 @@ TOO_LARGE = {
     "cumulants-p1e11": ("cumulants", {"p": 100_000_000_000, "edges": []}),
     "cumulants-p1e400": ("cumulants", {"p": 10**400, "edges": []}),
     "analyze-p1e11": ("analyze", {"p": 100_000_000_000, "edges": []}),
-    # order 3 fits at p = 130, but the two-cycle's augmentation solves order 4
-    "analyze-two-cycle-p130": ("analyze", {"p": 130, "edges": [[0, 1], [1, 0]]}),
+    # order 3 fits at p = 130, but the looped two-cycle's augmentation solves order 4
+    "analyze-two-cycle-p130": (
+        "analyze", {"p": 130, "edges": [[0, 0], [1, 1], [0, 1], [1, 0]]}
+    ),
 }
 
 

@@ -265,6 +265,22 @@ class TestToricMatrix:
                 for _, value, scale in kernel_binomial_values(tm, stack):
                     assert abs(value) / scale <= 1e-9
 
+    @pytest.mark.parametrize(
+        "matrix_tree, stack_tree, orders",
+        [
+            (four_node_tree, four_node_tree, (2, 3)),
+            (four_node_tree, five_node_tree, (2, 3, 4)),
+            (five_node_tree, four_node_tree, (2, 3, 4)),
+        ],
+        ids=["no-order-4", "p5-stack-p4-matrix", "p4-stack-p5-matrix"],
+    )
+    def test_kernel_refuses_a_stack_that_does_not_fit(self, matrix_tree, stack_tree, orders):
+        # a bare KeyError, or 49 binomials read off the wrong entries, before the refusal
+        tm = toric_matrix(matrix_tree(), 4)
+        stack = seeded_model(stack_tree(), seed=0, noise_offset=1, orders=orders)[2]
+        with pytest.raises(HypothesisViolated, match=r"^the toric matrix reads p=\d at orders"):
+            kernel_binomial_values(tm, stack)
+
     def test_two_node_ideal_generator_in_kernel(self):
         tm = toric_matrix(two_node_chain(), 3)
         generator = {
@@ -420,6 +436,13 @@ class TestUnits:
             warnings.simplefilter("error")
             scan = rank_constraints_scan(g, stack, max_subset=2)
         assert [r.rank for r in scan] == [r.rank for r in rank_constraints_scan(g, base, 2)]
+
+    def test_polynomial_checks_read_only_s_and_t(self):
+        # both checks read S and T alone, so a non-finite order-4 entry is not theirs to refuse
+        g = four_node_tree()
+        base, broken = (seeded_model(g, seed=0, noise_offset=1)[2] for _ in range(2))
+        broken.tensor(4).values[(0, 0, 0, 0)] = np.nan
+        assert every_check(g, broken) == every_check(g, base)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.data())

@@ -414,17 +414,18 @@ class TestVerdict:
                 (i, j) for i, j in (c for c in comps if len(c) == 2)
                 if (i, j) in g.edges and (j, i) in g.edges
             ], g
-            # three order-4 rows per pair, and an empty map without one
+            # three order-4 rows per pair with both loops, and an empty map without one
+            looped = [pair for pair in pairs if set(pair) <= g.self_loops]
             assert {n: len(rows) for n, rows in augmentation_rows(g).items()} == (
-                {4: 3 * len(pairs)} if pairs else {}
+                {4: 3 * len(looped)} if looped else {}
             ), g
             assert g.is_skeleton_connected == (len(comps) == 1), g
 
     def test_two_cycle_with_one_loop_needs_no_augmentation(self):
         # a two-cycle component is not always deficient at orders 2-3: with
-        # one loop its three edges are full rank, so no trial augments
+        # one loop its three edges are full rank, so it has no augmentation rows
         g = DirectedGraph(2, [(0, 0), (0, 1), (1, 0)])
-        assert augmentation_rows(g)
+        assert augmentation_rows(g) == {}
         report = local_identifiability_verdict(g, trials=5, seed=0)
         assert report.verdict == "locally-identifiable"
         assert report.generic_rank == 3
@@ -452,6 +453,64 @@ class TestVerdict:
         g = DirectedGraph(max(max(e) for e in edges) + 1, edges)
         local_identifiability_verdict(g, trials=4, seed=2)
         assert orders == solved * 4
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            two_cycle_with_loops(),
+            DirectedGraph(2, [(0, 0), (0, 1), (1, 0)]),
+            diamond(),
+            DirectedGraph(6, sorted(diamond().edges) + [(4, 4), (4, 5), (5, 4)]),
+        ],
+        ids=["both-loops-pair", "one-loop-pair", "diamond", "diamond-beside-one-loop-pair"],
+    )
+    def test_one_solve_and_one_build_per_trial(self, g, monkeypatch):
+        # augmentation is read off the graph before any trial, so no trial solves twice,
+        # not even where a deficient component sits beside a pair
+        from lyapcum import jacobian
+
+        calls = []
+        for name in ("model_stack", "build_modified_jacobian"):
+            inner = getattr(jacobian, name)
+            monkeypatch.setattr(
+                jacobian, name, lambda *a, _f=inner, _n=name, **k: calls.append(_n) or _f(*a, **k)
+            )
+        local_identifiability_verdict(g, trials=4, seed=0)
+        assert calls == ["model_stack", "build_modified_jacobian"] * 4
+
+    @pytest.mark.parametrize(
+        "pair, generic_rank",
+        [([(4, 4), (4, 5), (5, 4)], 7), ([(4, 5), (5, 4)], 4)],
+        ids=["one-loop-pair", "loop-less-pair"],
+    )
+    def test_pair_beside_the_diamond_is_not_augmented(self, pair, generic_rank):
+        # the diamond's deficiency once sent such a graph to order 4, which no
+        # pair short of a loop needs: the verdict and rank are as they were then
+        g = DirectedGraph(6, sorted(diamond().edges) + pair)
+        report = local_identifiability_verdict(g, trials=4, seed=0)
+        assert (report.verdict, report.generic_rank) == ("rank-deficient", generic_rank)
+        assert (report.orders, report.augmented) == ((2, 3), False)
+        assert report.row_counts == {2: 21, 3: 56}
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_order4_never_raises_a_pair_short_of_a_loop(self, p):
+        # what augmentation_rows rests on: the edge block is block-diagonal over
+        # components, and order 4 raises the rank only of a pair with both loops
+        checked = 0
+        for k, edges in enumerate(edge_sets(p)):
+            g = DirectedGraph(p, edges)
+            if not any(len({i, j} & g.self_loops) < 2 for i, j in two_cycle_components(g)):
+                continue
+            for radius in (0.45, 0.85):
+                pm = sample_stable_matrix(g, seed=k, target_radius=radius)
+                stack = model_stack(pm, random_omegas(np.random.default_rng(k), p, (2, 3, 4)))
+                ranks = [
+                    numeric_rank(build_modified_jacobian(g, pm, st).matrix)[0]
+                    for st in (CumulantStack(stack.s, stack.t), stack)
+                ]
+                assert ranks[0] == ranks[1], g
+            checked += 1
+        assert checked == {2: 3, 3: 18}[p]
 
     def test_diamond_deficiency_exactly_one(self):
         g = diamond()
