@@ -30,9 +30,9 @@ All toric arithmetic is exact (Python integers and Fractions) so that
 kernel vectors and row-equivalence checks are identities rather than
 float comparisons.  Both sides of a polynomial check, and both parts of a
 kernel binomial, have one degree in each order (for the binomial, as the
-v^(m) rows of the toric matrix sum to order m's column indicator), so they
-are formed on :meth:`CumulantStack.in_units`, where no product leaves the
-float range and no ratio depends on the stack's scale.
+v^(m) rows of the toric matrix sum to order m's column indicator), so each
+entry is read over ``2**e``, e its order's :meth:`SymmetricTensor.exponent`,
+where no product leaves the float range and no ratio depends on the scale.
 """
 
 from __future__ import annotations
@@ -42,14 +42,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, frexp, inf, ldexp, lcm, prod, sqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .graphs import DirectedGraph, _is_vertex_id
 from .identify import CumulantStack, HypothesisViolated, _check_stack
 from .jacobian import numeric_rank
-from .tensors import multiset_indices
+from .tensors import SymmetricTensor, multiset_indices
 
 VANISH_RTOL = 1e-9
 NONZERO_FLOOR = 1e-6
@@ -252,8 +252,8 @@ def kernel_binomial_values(
             f"the toric matrix reads p={p} at orders {orders}; "
             f"the stack has p={stack.p} and orders {list(stack.orders)}"
         )
-    units = stack.in_units()[0]
-    entries = [units.tensor(order)[key] for order, key in tm.col_labels]
+    shift = {n: stack.tensor(n).exponent() for n in orders}  # only the orders read
+    entries = [ldexp(stack.tensor(n)[key], -shift[n]) for n, key in tm.col_labels]
     results = []
     for vec in integer_kernel(tm.matrix):
         pos = prod(value ** int(k) for k, value in zip(vec, entries) if k > 0)
@@ -265,6 +265,12 @@ def kernel_binomial_values(
 # ---------------------------------------------------------------------------
 # level and top-trek polynomial checks
 # ---------------------------------------------------------------------------
+
+
+def _unit_reader(tensor: SymmetricTensor) -> tuple[Callable[..., float], int]:
+    """A reader of ``tensor[key]`` over ``2**e``, and e (:meth:`SymmetricTensor.exponent`)."""
+    e = tensor.exponent()
+    return lambda *key: ldexp(tensor[key], -e), e
 
 
 def _scale(lhs: float, rhs: float) -> float:
@@ -310,14 +316,13 @@ def level_polynomial_checks(
     """
     _check_stack(g, stack)
     source, levels, _ = _tree_structure(g)
-    units, shift = CumulantStack(stack.s, stack.t).in_units()  # the orders read
-    s, t = units.s, units.t
-    e_balance, e_pair = 3 * shift[2] + 2 * shift[3], shift[2] + shift[3]
+    (s, e2), (t, e3) = _unit_reader(stack.s), _unit_reader(stack.t)
+    e_balance, e_pair = 3 * e2 + 2 * e3, e2 + e3
     checks: list[PolynomialCheck] = []
     for i in range(g.p):
         # the all-zero baseline, then every j: max keeps the first largest ratio
         balances = [(0.0, 0.0)] + [
-            (s[(i, j)] ** 3 * t[(i, i, i)] ** 2, s[(i, i)] ** 3 * t[(i, i, j)] * t[(i, j, j)])
+            (s(i, j) ** 3 * t(i, i, i) ** 2, s(i, i) ** 3 * t(i, i, j) * t(i, j, j))
             for j in range(g.p)
             if j != i
         ]
@@ -325,14 +330,14 @@ def level_polynomial_checks(
         checks.append(PolynomialCheck.of("source-balance", (i,), lhs, rhs, e_balance, i == source))
     for i, j in itertools.combinations(range(g.p), 2):
         checks.append(PolynomialCheck.of(
-            "same-level", (i, j), s[(source, i)] * t[(source, source, j)],
-            s[(source, j)] * t[(source, source, i)], e_pair, levels[i] == levels[j],
+            "same-level", (i, j), s(source, i) * t(source, source, j),
+            s(source, j) * t(source, source, i), e_pair, levels[i] == levels[j],
         ))
     for i, j in itertools.permutations(range(g.p), 2):
         if levels[i] != levels[j]:
             checks.append(PolynomialCheck.of(
-                "level-order", (i, j), s[(i, j)] * t[(source, source, j)],
-                s[(source, j)] * t[(source, i, j)], e_pair, levels[j] > levels[i],
+                "level-order", (i, j), s(i, j) * t(source, source, j),
+                s(source, j) * t(source, i, j), e_pair, levels[j] > levels[i],
             ))
     return checks
 
@@ -351,13 +356,12 @@ def top_trek_polynomial_check(
     _check_stack(g, stack)
     _vertex_ids(g, (i, j, top))
     source, levels, _ = _tree_structure(g)
-    units, shift = CumulantStack(stack.s, stack.t).in_units()  # the orders read
-    s, t = units.s, units.t
+    (s, e2), (t, e3) = _unit_reader(stack.s), _unit_reader(stack.t)
     return PolynomialCheck.of(
         "top-trek", (i, j, top),
-        s[(source, top)] * s[(i, j)] * t[(top, top, j)],
-        s[(source, i)] * s[(top, top)] * t[(top, j, j)],
-        2 * shift[2] + shift[3],
+        s(source, top) * s(i, j) * t(top, top, j),
+        s(source, i) * s(top, top) * t(top, j, j),
+        2 * e2 + e3,
         levels[i] == levels[j] and top == shortest_equitrek_top(g, (i, j)),
     )
 

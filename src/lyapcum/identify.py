@@ -15,10 +15,9 @@ changes which work is repeated, not the arithmetic.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, frexp
+from math import comb
 
 import numpy as np
 
@@ -93,18 +92,6 @@ class CumulantStack:
 
     def relabel(self, perm) -> "CumulantStack":
         return CumulantStack(*(t.relabel(perm) for t in self._by_order.values()))
-
-    def in_units(self) -> tuple["CumulantStack", dict[int, int]]:
-        """The stack with each order over ``2**e_n``, ``e_n`` the binary exponent of
-        ``max|T_n|``, and the ``e_n``; ``ValueError`` on a non-finite entry."""
-        top = {n: tensor.max_abs() for n, tensor in self._by_order.items()}
-        if not np.isfinite(list(top.values())).all():
-            raise ValueError("stack has a non-finite entry")
-        shift = {n: frexp(m)[1] for n, m in top.items()}
-        units = CumulantStack(*map(copy, self._by_order.values()))  # new vectors below
-        for n, tensor in units._by_order.items():
-            tensor._vec = np.ldexp(tensor._vec, -shift[n])
-        return units, shift
 
 
 def _check_stack(g: DirectedGraph, stack: CumulantStack) -> None:
@@ -284,7 +271,8 @@ def identify_dag(
     - ``S_zj = sum_l (a_z S)_l a_jl``;
     - ``T_zzj = sum_l (T x_1 a_z x_2 a_z)_l a_jl``.
 
-    It reads :meth:`CumulantStack.in_units`, so no verdict depends on the stack's scale.
+    It reads each order n over ``2**e_n``, ``e_n`` its :meth:`SymmetricTensor.exponent`,
+    so no verdict depends on the stack's scale.
     Rows that vanish on j's unknowns are dropped and the rest are scaled to
     unit max; ``block_conditions`` holds the condition of that scaled block.
     The report's ``method`` names the graph's class: ``dag-all-loops`` when
@@ -317,8 +305,8 @@ def identify_dag(
     if missing:
         raise HypothesisViolated(f"sources {missing} lack self-loops")
     p = g.p
-    units, shift = stack.in_units()
-    dense = {n: units.tensor(n).to_dense() for n in units.orders}
+    shift = {n: stack.tensor(n).exponent() for n in stack.orders}  # refuses any non-finite order
+    dense = {n: np.ldexp(stack.tensor(n).to_dense(), -e) for n, e in shift.items()}
     s, t, r = dense[2], dense[3], dense.get(4)
     entries = np.zeros((p, p))
     coef = np.zeros((2 * p, p))  # rows z and p + z: a_z S and T x_1 a_z x_2 a_z

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Mapping, MutableMapping
 from functools import lru_cache
-from math import comb
+from math import comb, frexp
 
 import numpy as np
 
@@ -197,6 +197,13 @@ class SymmetricTensor:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self._vec), initial=0.0))
+
+    def exponent(self) -> int:
+        """The binary exponent e of ``max_abs()``: ``ldexp(T, -e)`` peaks in [1/2, 1), or is 0."""
+        top = self.max_abs()
+        if not np.isfinite(top):
+            raise ValueError("stack has a non-finite entry")
+        return frexp(top)[1]
 
     def relabel(self, perm: Iterable[int]) -> "SymmetricTensor":
         """New tensor with variable v renamed to perm[v]."""

@@ -13,6 +13,7 @@
   (``identify`` keeps only its a00, for each source's self-loop), with exact
   pair cumulants to evaluate it on, and every parameter point of the
   both-loops pair that fits (S, T) alone.
+- Every level and top-trek polynomial check of a tree, in one fixed order.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from lyapcum import (
     ParameterMatrix,
     SymmetricTensor,
     base_trek_coefficient,
+    level_polynomial_checks,
     placement_polynomial,
     solve_cumulant,
+    top_trek_polynomial_check,
 )
 
 
@@ -352,3 +355,12 @@ def two_node_st_solutions(stack: CumulantStack) -> list[TwoNodeCandidate]:
         )
     found.sort(key=lambda f: (round(f.a00, 9), round(f.a10, 9)))
     return found
+
+
+def every_check(g: DirectedGraph, stack: CumulantStack) -> list:
+    """The level checks, then the top-trek check of every pair i <= j and candidate top."""
+    return level_polynomial_checks(g, stack) + [
+        top_trek_polynomial_check(g, stack, i, j, top)
+        for i, j in itertools.combinations_with_replacement(range(g.p), 2)
+        for top in range(g.p)
+    ]

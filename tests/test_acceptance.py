@@ -19,7 +19,6 @@ from lyapcum import (
     count_equations_vs_parameters,
     effective_matrix,
     identify_dag,
-    level_polynomial_checks,
     local_identifiability_verdict,
     model_stack,
     placement_polynomial,
@@ -29,7 +28,6 @@ from lyapcum import (
     simulate_and_estimate,
     solve_cumulant,
     series_cumulant,
-    top_trek_polynomial_check,
     toric_matrix,
     tree_equivalence,
 )
@@ -38,6 +36,7 @@ from lyapcum.jacobian import augmentation_rows, numeric_rank
 from lyapcum.tensors import multiset_indices
 from oracles import (
     check_placement_recursions,
+    every_check,
     jacobian_entry_order2,
     jacobian_entry_order3,
     premultiplied_finite_difference,
@@ -473,21 +472,16 @@ def test_criterion_7_constraint_suite():
     for g in (four_node_tree(), five_node_tree()):
         for seed in range(10):
             _, _, stack = seeded_model(g, seed, 777)
-            for check in level_polynomial_checks(g, stack):
+            for check in every_check(g, stack):
+                if check.family == "top-trek":
+                    where = f"top-trek ({','.join(map(str, check.indices))})"
+                else:
+                    where = f"level family {check.family} {check.indices}"
                 crit.check(
                     check.ok,
-                    f"level family {check.family} {check.indices} seed {seed}: "
+                    f"{where} seed {seed}: "
                     f"{check.value:.2e} expected-zero={check.expected_zero}",
                 )
-            for i in range(g.p):
-                for j in range(i, g.p):
-                    for top in range(g.p):
-                        check = top_trek_polynomial_check(g, stack, i, j, top)
-                        crit.check(
-                            check.ok,
-                            f"top-trek ({i},{j},{top}) seed {seed}: "
-                            f"{check.value:.2e} expected-zero={check.expected_zero}",
-                        )
 
     # model equivalence decisions with the exact row-space cross-check
     g_swap = DirectedGraph(4, [(0, 0), (0, 1), (0, 2), (2, 3)])

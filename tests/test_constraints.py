@@ -30,6 +30,7 @@ from lyapcum import constraints
 from lyapcum.constraints import _minor_norm
 from lyapcum.identify import CumulantStack
 from lyapcum.tensors import SymmetricTensor
+from oracles import every_check
 from conftest import (
     diamond,
     edge_sets,
@@ -363,12 +364,7 @@ def test_polynomial_checks_golden_bytes():
     for g in (single, two_node_chain(), four_node_tree(), five_node_tree()):
         for seed in range(5):
             _, _, stack = tree_stack(g, seed=seed)
-            checks = level_polynomial_checks(g, stack) + [
-                top_trek_polynomial_check(g, stack, i, j, top)
-                for i, j in itertools.combinations_with_replacement(range(g.p), 2)
-                for top in range(g.p)
-            ]
-            for check in checks:
+            for check in every_check(g, stack):
                 digest.update(repr((check.family, check.indices, check.expected_zero)).encode())
                 digest.update(np.float64(check.value).tobytes())
                 digest.update(np.float64(check.scale).tobytes())
@@ -405,15 +401,6 @@ def scaled_stack(stack, factors):
     ))
 
 
-def every_check(g, stack):
-    """The level checks, then the top-trek check of every pair and candidate top."""
-    return level_polynomial_checks(g, stack) + [
-        top_trek_polynomial_check(g, stack, i, j, top)
-        for i, j in itertools.combinations_with_replacement(range(g.p), 2)
-        for top in range(g.p)
-    ]
-
-
 class TestUnits:
     """Every reader of a stack reads each order in its power-of-two units.
 
@@ -438,11 +425,19 @@ class TestUnits:
         assert [r.rank for r in scan] == [r.rank for r in rank_constraints_scan(g, base, 2)]
 
     def test_polynomial_checks_read_only_s_and_t(self):
-        # both checks read S and T alone, so a non-finite order-4 entry is not theirs to refuse
+        # both checks, and the order-3 kernel binomials, read S and T alone, so a
+        # non-finite order-4 entry is not theirs to refuse
         g = four_node_tree()
         base, broken = (seeded_model(g, seed=0, noise_offset=1)[2] for _ in range(2))
         broken.tensor(4).values[(0, 0, 0, 0)] = np.nan
-        assert every_check(g, broken) == every_check(g, base)
+
+        def binomials(stack):
+            values = kernel_binomial_values(toric_matrix(g, 3), stack)
+            return [(vec.tolist(), value, scale) for vec, value, scale in values]
+
+        assert binomials(base)
+        for read in (partial(every_check, g), binomials):
+            assert read(broken) == read(base)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.data())

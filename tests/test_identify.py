@@ -93,26 +93,22 @@ class TestCumulantStack:
 
     @pytest.mark.parametrize("c", [1e-300, 1e-150, 1.0, 3.0, 1e150, 1e300])
     def test_in_units_is_an_exact_power_of_two_scaling(self, c):
+        # each order over 2**exponent() peaks in [1/2, 1), and scaling back is exact
         stack = seeded_model(four_node_tree(), seed=3, noise_offset=1)[2]
-        stack = CumulantStack(*(
-            SymmetricTensor(n, 4, {k: c * v for k, v in stack.tensor(n).values.items()})
-            for n in stack.orders
-        ))
-        units, shift = stack.in_units()
-        assert units.orders == tuple(shift) == (2, 3, 4)
-        for n, e in shift.items():
-            assert 0.5 <= units.tensor(n).max_abs() < 1.0
-            np.testing.assert_array_equal(
-                np.ldexp(units.tensor(n).to_dense(), e), stack.tensor(n).to_dense()
-            )
+        for n in stack.orders:
+            tensor = SymmetricTensor(n, 4, {k: c * v for k, v in stack.tensor(n).values.items()})
+            dense, e = tensor.to_dense(), tensor.exponent()
+            assert 0.5 <= np.abs(np.ldexp(dense, -e)).max() < 1.0
+            np.testing.assert_array_equal(np.ldexp(np.ldexp(dense, -e), e), dense)
+        assert SymmetricTensor(2, 4, {}).exponent() == 0
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_entry_is_refused(self, bad):
-        # the elimination and the constraint checks read the stack through in_units
+        # the elimination and the constraint checks take each order's exponent() first
         g = two_node_both_loops()
         stack = model_stack(sample_stable_matrix(g, seed=0), unit_noise(2))
         stack.s.values[(0, 1)] = bad
-        for call in (stack.in_units, lambda: identify_dag(g, stack)):
+        for call in (stack.s.exponent, lambda: identify_dag(g, stack)):
             with pytest.raises(ValueError, match="^stack has a non-finite entry$"):
                 call()
 

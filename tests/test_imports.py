@@ -1,5 +1,6 @@
-"""Lazy package exports, and the modules each CLI command loads."""
+"""Lazy package exports, the modules each CLI command loads, and private state."""
 
+import ast
 import json
 import os
 import re
@@ -68,6 +69,18 @@ def test_unknown_name():
         lyapcum.check_placement_recursions
     with pytest.raises(ImportError):
         exec("from lyapcum import no_such_name", {})
+
+
+def test_only_tensors_touches_a_tensor_vector():
+    # every other module reads a tensor through its methods and scales what it reads
+    package = Path(lyapcum.__file__).resolve().parent
+    touching = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "_vec"
+    }
+    assert touching == {"tensors.py"}
 
 
 # test-only oracles, now in tests/oracles.py, wrappers of graph properties, or
