@@ -145,8 +145,10 @@ class ToricMatrix:
     """Integer exponent matrix of the shortest-equitrek parametrization.
 
     Rows: one block of v parameters per order (vertex-indexed), then the
-    edges (source loop first).  Columns: canonical cumulant multisets per
-    order.  Entry = exponent of the row parameter in the column's monomial.
+    edges in ``sorted(g.edges)`` order, which puts the source loop first only
+    when the source is the least-numbered vertex.  Columns: canonical
+    cumulant multisets per order.  Entry = exponent of the row parameter in
+    the column's monomial.
     """
 
     matrix: np.ndarray
@@ -347,11 +349,14 @@ def top_trek_polynomial_check(
 ) -> PolynomialCheck:
     """Evaluate ``s_0l s_ij t_llj - s_0i s_ll t_ljj`` for a candidate top l.
 
-    Vanishes exactly when l tops the shortest (i, j)-equitrek and that trek
-    needs no source padding, i.e. i and j sit on one level.  Cross-level
-    pairs leave an uncancelled source-loop power even at the padded top, so
-    they are predicted nonzero for every l.  An id that is not an integer in
-    ``range(p)``, a bool included, raises ``ValueError``.
+    Vanishes exactly when l tops the shortest (i, j)-equitrek and i is no
+    shallower than j.  On one level that trek needs no source padding.  With
+    i deeper, l is the source and the padding cancels: both sides equal
+    ``v2^2 v3 w_i w_j^2 a^(L_i + L_j)``, w the weight of a source path, a
+    the source loop and L the level.  With j deeper, an uncancelled
+    source-loop power is left at every l, so it is predicted nonzero.  An id
+    that is not an integer in ``range(p)``, a bool included, raises
+    ``ValueError``.
     """
     _check_stack(g, stack)
     _vertex_ids(g, (i, j, top))
@@ -362,7 +367,7 @@ def top_trek_polynomial_check(
         s(source, top) * s(i, j) * t(top, top, j),
         s(source, i) * s(top, top) * t(top, j, j),
         2 * e2 + e3,
-        levels[i] == levels[j] and top == shortest_equitrek_top(g, (i, j)),
+        levels[i] >= levels[j] and top == shortest_equitrek_top(g, (i, j)),
     )
 
 

@@ -349,6 +349,8 @@ class NoiseSpec:
         object.__setattr__(self, "scale", np.asarray(self.scale, dtype=float))
         if self.kind not in ("gaussian", "centered_exponential", "zero"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if self.scale.ndim != 1:
+            raise ValueError("noise scale must be a vector")
 
     @property
     def p(self) -> int:
@@ -405,7 +407,8 @@ def simulate_and_estimate(
     Runs ``burn_in + t_max`` steps from ``x = 0``, keeps the last ``t_max``,
     and returns the k-statistic of the window.  Standard errors come from
     ``BATCHES`` batch means, which absorb the serial correlation of the
-    trajectory.
+    trajectory; each batch needs ``order`` samples, so a ``t_max`` below
+    ``BATCHES * order`` or a negative ``burn_in`` raises ``ValueError``.
 
     The trajectory ``x_t = sum_k A^k eps_(t-k)`` is a doubling scan over the
     drawn noise: after the step with shift s every row holds its first 2s
@@ -417,6 +420,8 @@ def simulate_and_estimate(
         raise ValueError("simulation estimates support orders 2 and 3")
     if noise.p != a.p:
         raise DimensionMismatch("noise dimension does not match matrix")
+    if t_max < BATCHES * order or burn_in < 0:
+        raise ValueError(f"need t_max >= {BATCHES * order} and burn_in >= 0 at order {order}")
     a.require_stable()
     rng = np.random.default_rng(seed)
     x = noise.draw(rng, burn_in + t_max)

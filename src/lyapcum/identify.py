@@ -188,41 +188,6 @@ def _solve_block(matrix: np.ndarray, rhs: np.ndarray, vertex: int):
     return solution, float(cond)
 
 
-def _finish_report(
-    method: str,
-    g: DirectedGraph,
-    dense: dict[int, np.ndarray],
-    entries: np.ndarray,
-    conditions: dict[str, float],
-    tol: float,
-) -> IdentifiabilityReport:
-    """Recover noise at every order of the dense stack, attach residuals, verdict.
-
-    Each residual is the certified bound U of :func:`engine._forward_residual`
-    on ``max|solve(A, Omega_n) - T_n|``, at most twice that value and computed
-    from the recursion's defect without a second solve; an unstable A gets inf.
-    The verdict is ``recovered`` iff each order's residual is at most
-    ``tol * max|T_n|`` of that order's stack tensor.
-    """
-    recovered = ParameterMatrix(g, entries)
-    noise, residuals, certified = {}, {}, True
-    for order, tensor in dense.items():
-        noise[order], residuals[order] = _forward_residual(tensor, recovered)
-        certified &= residuals[order] <= tol * np.abs(tensor).max()
-    detail = "" if recovered.stable else (
-        f"recovered matrix is unstable (radius {recovered.radius():.4g})"
-    )
-    return IdentifiabilityReport(
-        method=method,
-        verdict="recovered" if certified else "degenerate",
-        a=entries,
-        noise=noise,
-        forward_residuals=residuals,
-        block_conditions=conditions,
-        detail=detail,
-    )
-
-
 # ---------------------------------------------------------------------------
 # DAGs with looped sources
 # ---------------------------------------------------------------------------
@@ -273,6 +238,12 @@ def identify_dag(
 
     It reads each order n over ``2**e_n``, ``e_n`` its :meth:`SymmetricTensor.exponent`,
     so no verdict depends on the stack's scale.
+    Each order's ``forward_residuals`` entry is the certified bound U of
+    :func:`engine._forward_residual` on ``max|solve(A, Omega_n) - T_n|``: at
+    most twice that value, computed from the recursion's defect without a
+    second solve, and inf for an unstable A.  The verdict is ``recovered`` iff
+    each order's U is at most ``tol * max|T_n|``, both in that order's units;
+    noise and residuals are reported back in the stack's units.
     Rows that vanish on j's unknowns are dropped and the rest are scaled to
     unit max; ``block_conditions`` holds the condition of that scaled block.
     The report's ``method`` names the graph's class: ``dag-all-loops`` when
@@ -344,12 +315,24 @@ def identify_dag(
         method = "polytree"
     else:
         method = "dag-looped-sources"
-    report = _finish_report(method, g, dense, entries, conditions, tol)
-    with np.errstate(over="ignore"):  # back to the stack's units; past the float range reads inf
-        for n, e in shift.items():
-            np.ldexp(report.noise[n], e, out=report.noise[n])
-            report.forward_residuals[n] = float(np.ldexp(report.forward_residuals[n], e))
-    return report
+    recovered = ParameterMatrix(g, entries)
+    noise, residuals, certified = {}, {}, True
+    for n, e in shift.items():
+        omega, bound = _forward_residual(dense[n], recovered)
+        certified &= bound <= tol * np.abs(dense[n]).max()
+        with np.errstate(over="ignore"):  # to the stack's units; past the float range reads inf
+            noise[n], residuals[n] = np.ldexp(omega, e), float(np.ldexp(bound, e))
+    return IdentifiabilityReport(
+        method=method,
+        verdict="recovered" if certified else "degenerate",
+        a=entries,
+        noise=noise,
+        forward_residuals=residuals,
+        block_conditions=conditions,
+        detail="" if recovered.stable else (
+            f"recovered matrix is unstable (radius {recovered.radius():.4g})"
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

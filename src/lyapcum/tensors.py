@@ -206,13 +206,15 @@ class SymmetricTensor:
         return frexp(top)[1]
 
     def relabel(self, perm: Iterable[int]) -> "SymmetricTensor":
-        """New tensor with variable v renamed to perm[v]."""
+        """New tensor, variable v renamed to perm[v]; orbits move whole, so ``sym_defect`` stays."""
         perm = check_permutation(perm, self.p)
-        return SymmetricTensor(
+        moved = SymmetricTensor(
             self.order,
             self.p,
             {tuple(perm[i] for i in k): v for k, v in zip(self.keys(), self._vec.tolist())},
         )
+        moved.sym_defect = self.sym_defect
+        return moved
 
     def __repr__(self) -> str:
         return f"SymmetricTensor(order={self.order}, p={self.p})"

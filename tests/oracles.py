@@ -14,6 +14,7 @@
   pair cumulants to evaluate it on, and every parameter point of the
   both-loops pair that fits (S, T) alone.
 - Every level and top-trek polynomial check of a tree, in one fixed order.
+- A stack with each order scaled by its own factor, entry by entry.
 """
 
 from __future__ import annotations
@@ -364,3 +365,11 @@ def every_check(g: DirectedGraph, stack: CumulantStack) -> list:
         for i, j in itertools.combinations_with_replacement(range(g.p), 2)
         for top in range(g.p)
     ]
+
+
+def scaled_stack(stack: CumulantStack, factors: dict[int, float]) -> CumulantStack:
+    """The stack with every entry of order n multiplied by ``factors[n]``."""
+    return CumulantStack(*(
+        SymmetricTensor(n, stack.p, {k: factors[n] * v for k, v in stack.tensor(n).values.items()})
+        for n in stack.orders
+    ))

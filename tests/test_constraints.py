@@ -29,8 +29,7 @@ from lyapcum import (
 from lyapcum import constraints
 from lyapcum.constraints import _minor_norm
 from lyapcum.identify import CumulantStack
-from lyapcum.tensors import SymmetricTensor
-from oracles import every_check
+from oracles import every_check, scaled_stack
 from conftest import (
     diamond,
     edge_sets,
@@ -351,6 +350,20 @@ class TestTopTrekPolynomial:
         assert not check.expected_zero
         assert check.ok  # generically nonzero as predicted
 
+    def test_deeper_i_at_the_source_top_vanishes(self):
+        # both sides equal v2^2 v3 w_i w_j^2 a^(L_i + L_j): the padding cancels
+        g = four_node_tree()
+        check = top_trek_polynomial_check(g, tree_stack(g, seed=0)[2], 2, 1, 0)
+        assert check.expected_zero and check.ok
+        assert check.value == 0.0
+
+    @pytest.mark.parametrize("tree", [two_node_chain, four_node_tree, five_node_tree])
+    def test_trees_numbered_against_depth(self, tree):
+        # numbered by reversal, every pair i < j on two levels has i deeper
+        g = tree().relabel(list(range(tree().p))[::-1])
+        for seed in range(3):
+            assert all(check.ok for check in every_check(g, tree_stack(g, seed=seed)[2]))
+
 
 def test_polynomial_checks_golden_bytes():
     """The sha256 of every level and top-trek check on the tree fixtures, seeds 0-4.
@@ -391,14 +404,6 @@ def test_kernel_ratios_golden_bytes():
     assert digest.hexdigest() == (
         "e1fa13214134d1a73a69f4496aa6feabd5b2cf3a2be4c5f82d489d7eb2ec454b"
     )
-
-
-def scaled_stack(stack, factors):
-    """The stack with every entry of order n multiplied by ``factors[n]``."""
-    return CumulantStack(*(
-        SymmetricTensor(n, stack.p, {k: factors[n] * v for k, v in stack.tensor(n).values.items()})
-        for n in stack.orders
-    ))
 
 
 class TestUnits:

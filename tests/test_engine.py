@@ -526,6 +526,22 @@ REFUSALS = {
         lambda: simulate_and_estimate(fig1_matrix(), NoiseSpec("zero", np.ones(2)), 10, 0, 4, 0),
         ValueError, "simulation estimates support orders 2 and 3",
     ),
+    "simulate-short-order-2": (
+        lambda: simulate_and_estimate(fig1_matrix(), NoiseSpec("zero", np.ones(2)), 79, 0, 2, 0),
+        ValueError, "need t_max >= 80 and burn_in >= 0 at order 2",
+    ),
+    "simulate-short-order-3": (
+        lambda: simulate_and_estimate(fig1_matrix(), NoiseSpec("zero", np.ones(2)), 119, 0, 3, 0),
+        ValueError, "need t_max >= 120 and burn_in >= 0 at order 3",
+    ),
+    "simulate-negative-t-max": (
+        lambda: simulate_and_estimate(fig1_matrix(), NoiseSpec("zero", np.ones(2)), -3, 0, 2, 0),
+        ValueError, "need t_max >= 80 and burn_in >= 0 at order 2",
+    ),
+    "simulate-negative-burn-in": (
+        lambda: simulate_and_estimate(fig1_matrix(), NoiseSpec("zero", np.ones(2)), 80, -5, 2, 0),
+        ValueError, "need t_max >= 80 and burn_in >= 0 at order 2",
+    ),
     "k-statistics-order-4": (
         lambda: _k_statistics(np.ones((10, 2)), 4),
         ValueError, "sample cumulants are implemented for orders 2 and 3",
@@ -540,6 +556,12 @@ REFUSALS = {
     ),
     "noise-kind": (
         lambda: NoiseSpec("uniform", [1.0]), ValueError, "unknown noise kind 'uniform'"
+    ),
+    "noise-scale-matrix": (
+        lambda: NoiseSpec("gaussian", [[1.0], [2.0]]), ValueError, "noise scale must be a vector"
+    ),
+    "noise-scale-scalar": (
+        lambda: NoiseSpec("gaussian", 3.0), ValueError, "noise scale must be a vector"
     ),
     "fold-non-hypercubic": (
         lambda: SymmetricTensor.from_dense(np.zeros((2, 3))),

@@ -25,12 +25,14 @@ from lyapcum import (
     solve_cumulant,
 )
 from lyapcum import identify
-from lyapcum.identify import NoMethodApplies, _finish_report
+from lyapcum.engine import _forward_residual
+from lyapcum.identify import NoMethodApplies
 from lyapcum.tensors import SymmetricTensor
 from oracles import (
     pair_both_loops,
     pair_cumulants,
     pair_source_loop_only,
+    scaled_stack,
     two_node_st_solutions,
 )
 from conftest import (
@@ -95,8 +97,9 @@ class TestCumulantStack:
     def test_in_units_is_an_exact_power_of_two_scaling(self, c):
         # each order over 2**exponent() peaks in [1/2, 1), and scaling back is exact
         stack = seeded_model(four_node_tree(), seed=3, noise_offset=1)[2]
-        for n in stack.orders:
-            tensor = SymmetricTensor(n, 4, {k: c * v for k, v in stack.tensor(n).values.items()})
+        scaled = scaled_stack(stack, {n: c for n in stack.orders})
+        for n in scaled.orders:
+            tensor = scaled.tensor(n)
             dense, e = tensor.to_dense(), tensor.exponent()
             assert 0.5 <= np.abs(np.ldexp(dense, -e)).max() < 1.0
             np.testing.assert_array_equal(np.ldexp(np.ldexp(dense, -e), e), dense)
@@ -528,12 +531,12 @@ class TestCertificate:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(constructive_models(max_p=6, max_radius=0.9), st.floats(-6.0, -3.0), st.data())
     def test_bound_brackets_the_resolved_residual(self, model, exponent, data):
-        """U lies in [old, 2 old] up to 1e-13 max|T|, so it decides as a second solve would.
+        """U lies in [old, 2 old] up to 1e-13 max|T|, and the verdict is U <= tol max|T_n|.
 
         ``old`` is the residual of a second solve, ``max|solve(A, Omega) - T|``;
         A is the true matrix, then A moved on its pattern by up to 10^exponent.
-        A ``recovered`` verdict holds under the old rule too, and the verdicts
-        can differ only where some old residual is within 2x below the bound.
+        The rule is read through ``identify_dag`` at a tol just either side of
+        the largest ratio of its forward residuals to ``max|T_n|``.
         """
         g, pm, stack = model
         dense = {n: stack.tensor(n).to_dense() for n in stack.orders}
@@ -541,17 +544,18 @@ class TestCertificate:
         for i, j in g.sorted_edges:
             bump[j, i] = data.draw(st.floats(-1.0, 1.0))
         for entries in (pm.entries, pm.entries + 10.0**exponent * bump):
-            report = _finish_report("test", g, dense, entries, {}, 1e-8)
             a = ParameterMatrix(g, entries)
-            old = {}
             for n, tensor in dense.items():
-                forward = solve_cumulant(a, DiagonalCumulant(n, report.noise[n]))
-                old[n] = np.max(np.abs(forward.to_dense() - tensor))
+                noise, bound = _forward_residual(tensor, a)
+                forward = solve_cumulant(a, DiagonalCumulant(n, noise))
+                old = np.max(np.abs(forward.to_dense() - tensor))
                 slack = 1e-13 * np.max(np.abs(tensor))
-                assert old[n] - slack <= report.forward_residuals[n] <= 2 * old[n] + slack
-            ratio = max(old[n] / (1e-8 * stack.tensor(n).max_abs()) for n in dense)
-            if not 0.45 < ratio <= 1.0 + 1e-4:  # outside this band U <= 2 old decides alike
-                assert report.verdict == ("recovered" if ratio <= 0.45 else "degenerate")
+                assert old - slack <= bound <= 2 * old + slack
+        report = identify_dag(g, stack)
+        need = max(report.forward_residuals[n] / stack.tensor(n).max_abs() for n in dense)
+        assert identify_dag(g, stack, tol=need * (1 + 1e-9)).verdict == "recovered"
+        if need > 0.0:
+            assert identify_dag(g, stack, tol=need * (1 - 1e-9)).verdict == "degenerate"
 
     def test_certificate_solves_nothing(self, monkeypatch):
         g = DirectedGraph(5, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)] + [(v, v) for v in range(5)])

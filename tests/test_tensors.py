@@ -113,12 +113,15 @@ class TestSymmetricTensor:
         data["entries"]["1,0"] = data["entries"].pop("0,1")
         assert SymmetricTensor.from_json_dict(data)[0, 1] == 2.0
 
-    def test_relabel(self):
+    def test_relabel(self, rng):
         t = SymmetricTensor(2, 2, {(0, 0): 1.0, (0, 1): 2.0, (1, 1): 3.0})
         swapped = t.relabel([1, 0])
         assert swapped[(1, 1)] == 1.0
         assert swapped[(0, 1)] == 2.0
         assert swapped[(0, 0)] == 3.0
+        # a relabeling moves each orbit whole, so a folded array keeps its defect
+        folded = SymmetricTensor.from_dense(rng.standard_normal((3, 3, 3)))
+        assert folded.relabel([2, 0, 1]).sym_defect == folded.sym_defect > 0.0
 
     def test_relabel_rejects_non_permutations(self):
         # [0, 0] would collide the keys (0, 0), (0, 1) and (1, 1)
