@@ -87,8 +87,18 @@ def _write(path: str | None, text: str) -> None:
             raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _finite(value):
+    """``value`` with each non-finite float in its dicts, lists and tuples as None."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _dump(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """RFC 8259 JSON, which has no inf or nan: a non-finite float is written as null."""
+    return json.dumps(_finite(document), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _document(args: argparse.Namespace, g: DirectedGraph) -> dict:

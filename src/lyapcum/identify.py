@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .engine import (
     _forward_residual,
     solve_cumulant,
 )
-from .graphs import DirectedGraph, _support_size
+from .graphs import CyclicGraph, DirectedGraph, _support_size
 from .tensors import SymmetricTensor
 
 DEGENERACY_TOL = 1e-12
@@ -194,31 +195,37 @@ def _solve_block(matrix: np.ndarray, rhs: np.ndarray, vertex: int):
 
 
 @lru_cache(maxsize=32)
-def _plan(g: DirectedGraph) -> tuple[tuple, ...]:
-    """The graph-only half of :func:`identify_dag`: one step per vertex, in topological order.
+def _plan(g: DirectedGraph) -> tuple[str, np.ndarray, MappingProxyType]:
+    """The graph-only half of :func:`identify_dag`: its class, topological order and first children.
 
-    A source j gets ``(j, child, looped, None, None)``: its first child, which
-    the refusal of isolated vertices guarantees, and whether that
-    child is looped.  No other parent q of the child is reachable from j, or
-    a child of j on the path to q would come first.  A non-source j gets
-    ``(j, None, False, unknowns, rows)``: its pattern row and the read-only
-    rows ``done`` and ``done + p`` of the ``(2p, p)`` buffers of the run.
+    It refuses isolated vertices, then a directed cycle, then unlooped sources.
+    The class is ``dag-all-loops`` when every vertex is looped, ``polytree``
+    when the skeleton is a tree, and ``dag-looped-sources`` otherwise, whose
+    blocks of orders 2-3 may be singular.  Each source maps to its first
+    child in topological order, which exists as no vertex is isolated; no
+    other parent q of it is reachable from the source, or a child of the
+    source on the path to q would come first.  The value is cached and
+    shared, so it is read-only.
     """
-    order = g.topological_order()  # raises CyclicGraph on cycles
-    pos = {v: idx for idx, v in enumerate(order)}
-    steps = []
-    for idx, j in enumerate(order):
-        if j in g.sources:
-            child = min((c for c in g.children[j] if c != j), key=pos.__getitem__)
-            steps.append((j, child, g.has_self_loop(child), None, None))
-        else:
-            done = np.array(order[:idx], dtype=np.intp)
-            unknowns = np.array(g.parents[j], dtype=np.intp)
-            rows = np.concatenate([done, done + g.p])
-            unknowns.setflags(write=False)
-            rows.setflags(write=False)
-            steps.append((j, None, False, unknowns, rows))
-    return tuple(steps)
+    if g.isolated_vertices:
+        raise HypothesisViolated(
+            f"isolated vertices {g.isolated_vertices} are never identifiable"
+        )
+    order = np.array(g.topological_order(), dtype=np.intp)  # raises CyclicGraph on cycles
+    order.setflags(write=False)
+    missing = [v for v in g.sources if not g.has_self_loop(v)]
+    if missing:
+        raise HypothesisViolated(f"sources {missing} lack self-loops")
+    first_child = {
+        j: next(c for c in order.tolist() if c != j and c in g.children[j]) for j in g.sources
+    }
+    if g.has_all_self_loops:
+        method = "dag-all-loops"
+    elif g.is_polytree:
+        method = "polytree"
+    else:
+        method = "dag-looped-sources"
+    return method, order, MappingProxyType(first_child)
 
 
 def identify_dag(
@@ -246,9 +253,7 @@ def identify_dag(
     noise and residuals are reported back in the stack's units.
     Rows that vanish on j's unknowns are dropped and the rest are scaled to
     unit max; ``block_conditions`` holds the condition of that scaled block.
-    The report's ``method`` names the graph's class: ``dag-all-loops`` when
-    every vertex is looped, ``polytree`` when the skeleton is a tree, and
-    ``dag-looped-sources`` otherwise.
+    The report's ``method`` is the graph's class, named by :func:`_plan`.
 
     Raises
     ------
@@ -267,28 +272,22 @@ def identify_dag(
         pattern such as the diamond whose rows of orders 2-3 are deficient).
     """
     _check_stack(g, stack)
-    if g.isolated_vertices:
-        raise HypothesisViolated(
-            f"isolated vertices {g.isolated_vertices} are never identifiable"
-        )
-    plan = _plan(g)
-    missing = [v for v in g.sources if not g.has_self_loop(v)]
-    if missing:
-        raise HypothesisViolated(f"sources {missing} lack self-loops")
+    method, order, first_child = _plan(g)
     p = g.p
     shift = {n: stack.tensor(n).exponent() for n in stack.orders}  # refuses any non-finite order
     dense = {n: np.ldexp(stack.tensor(n).to_dense(), -e) for n, e in shift.items()}
     s, t, r = dense[2], dense[3], dense.get(4)
     entries = np.zeros((p, p))
-    coef = np.zeros((2 * p, p))  # rows z and p + z: a_z S and T x_1 a_z x_2 a_z
-    diag = np.arange(p)
-    rhs = np.concatenate([s, t[diag, diag]])  # rows z and p + z: S_z. and T_zz.
+    # row k of each, z at topological position k: a_z S and T x_1 a_z x_2 a_z; S_z. and T_zz.
+    coef, rhs = np.zeros((2, p, p)), np.empty((2, p, p))
+    rhs[0], rhs[1] = s[order], t[order, order]
     conditions: dict[str, float] = {}
-    for j, child, looped, unknowns, rows in plan:
-        if unknowns is None:
+    for k, j in enumerate(order.tolist()):
+        if j in first_child:
+            child = first_child[j]
             see, sec = s.item(j, j), s.item(j, child)
             teee, teec = t.item(j, j, j), t.item(j, j, child)
-            if not looped:
+            if not g.has_self_loop(child):
                 entries[j, j] = _source_loop_only_edge(see, sec, teee, teec)
             elif r is None:
                 raise HypothesisViolated(
@@ -299,22 +298,18 @@ def identify_dag(
                     see, sec, teee, teec, r.item(j, j, j, j), r.item(j, j, j, child)
                 )
         else:
-            block, target = coef[rows[:, None], unknowns], rhs[rows, j]
+            parents = g.parents[j]  # take and put read a tuple faster than indexing does
+            block = coef[:, :k].take(parents, axis=2).reshape(2 * k, -1)
+            target = rhs[:, :k, j].ravel()
             scale = np.abs(block).max(axis=1)
             keep = scale > 0.0
             if not keep.all():  # the masks cost near the SVD's time, so only when needed
                 block, target, scale = block[keep], target[keep], scale[keep]
             solution, cond = _solve_block(block / scale[:, None], target / scale, j)
-            entries[j, unknowns] = solution
+            entries[j].put(parents, solution)
             conditions[f"vertex-{j}"] = cond
-        coef[j] = entries[j] @ s
-        coef[p + j] = entries[j] @ t @ entries[j]
-    if g.has_all_self_loops:
-        method = "dag-all-loops"
-    elif g.is_polytree:
-        method = "polytree"
-    else:
-        method = "dag-looped-sources"
+        coef[0, k] = entries[j] @ s
+        coef[1, k] = entries[j] @ t @ entries[j]
     recovered = ParameterMatrix(g, entries)
     noise, residuals, certified = {}, {}, True
     for n, e in shift.items():
@@ -391,19 +386,15 @@ class NoMethodApplies(Exception):
 
 
 def auto_identify(g: DirectedGraph, stack: CumulantStack, tol: float = 1e-8):
-    """Run :func:`identify_dag` on the graphs it is known to recover.
+    """Run :func:`identify_dag` on the graphs whose class it is known to recover.
 
-    Those are the DAGs without isolated vertices whose sources are looped and
-    that either have every self-loop or a tree skeleton; two-node pairs are
-    among them.  Every other graph raises ``NoMethodApplies``, including DAGs
-    with looped sources outside both classes, which ``identify_dag`` accepts
-    but whose blocks of orders 2-3 may be singular.
+    Every graph that :func:`_plan` refuses or names ``dag-looped-sources``
+    raises ``NoMethodApplies``.
     """
-    if (
-        g.is_dag
-        and (g.has_all_self_loops or g.is_polytree)
-        and not g.isolated_vertices
-        and all(g.has_self_loop(v) for v in g.sources)
-    ):
+    try:
+        routed = _plan(g)[0] != "dag-looped-sources"
+    except (HypothesisViolated, CyclicGraph):
+        routed = False
+    if routed:
         return identify_dag(g, stack, tol=tol)
     raise NoMethodApplies("graph matches neither constructive hypothesis class")

@@ -1,5 +1,8 @@
 """Shared graph fixtures: the small worked-example graphs used throughout, the
-seeded and exhaustive graph families the tests sweep, and one seeded model draw."""
+seeded and exhaustive graph families the tests sweep, one seeded model draw, and
+a JSON reader as strict as RFC 8259."""
+
+import json
 
 import numpy as np
 import pytest
@@ -137,6 +140,15 @@ def reachable(steps, v) -> set[int]:
                 seen.add(c)
                 stack.append(c)
     return seen
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and +-Infinity, which RFC 8259 JSON does not have."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def seeded_model(g, seed, noise_offset, radius=0.6, orders=(2, 3, 4)):

@@ -21,7 +21,7 @@ from lyapcum import (
     sample_stable_matrix,
 )
 from lyapcum.cli import _load_stack, build_parser, main
-from conftest import source_above_cycles
+from conftest import source_above_cycles, strict_json
 
 
 def write_json(path, data):
@@ -58,7 +58,7 @@ class TestCumulants:
             ]
         )
         assert code == 0
-        doc = json.loads(out.read_text())
+        doc = strict_json(out.read_text())
         assert doc["version"] == __version__
         assert doc["tensors"]["2"]["entries"]["0,1"] == pytest.approx(2 / 3)
         assert all(v <= 1e-12 for v in doc["recursive_residuals"].values())
@@ -73,7 +73,7 @@ class TestCumulants:
         )
         out = tmp_path / "dump.json"
         assert main(["cumulants", "--graph", fig1_graph, "--params", params, "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = strict_json(out.read_text())
         assert doc["tensors"]["2"]["entries"]["0,0"] == 1.0
         assert doc["tensors"]["2"]["entries"]["0,1"] == 0.0
         assert doc["tensors"]["3"]["entries"]["1,1,1"] == -0.5
@@ -115,7 +115,7 @@ class TestIdentify:
             out = tmp_path / "report.json"
             code = main(["identify", "--graph", graph, "--stack", str(stack), "--out", str(out)])
             assert code == 0
-            report = json.loads(out.read_text())["report"]
+            report = strict_json(out.read_text())["report"]
             assert (report["method"], report["verdict"]) == ("polytree", "recovered")
             assert max(report["forward_residuals"].values()) <= 1e-8
 
@@ -124,14 +124,14 @@ class TestIdentify:
         graph = write_json(tmp_path / "g.json", {"p": 2, "edges": [[0, 0], [0, 1], [1, 1]]})
         stack = tmp_path / "stack.json"
         assert main(["cumulants", "--graph", graph, "--out", str(stack)]) == 0
-        doc = json.loads(stack.read_text())
+        doc = strict_json(stack.read_text())
         for tensor in doc["tensors"].values():
             tensor["entries"] = {k: v * 1e60 for k, v in tensor["entries"].items()}
         write_json(stack, doc)
         out = tmp_path / "report.json"
         code = main(["identify", "--graph", graph, "--stack", str(stack), "--out", str(out)])
         assert code == 0
-        report = json.loads(out.read_text())["report"]
+        report = strict_json(out.read_text())["report"]
         assert report["verdict"] == "recovered"
         assert np.allclose(report["a"], doc["a"], rtol=1e-9, atol=0.0)
 
@@ -145,7 +145,7 @@ class TestIdentify:
         out = tmp_path / "report.json"
         code = main(["identify", "--graph", graph, "--stack", str(stack), "--out", str(out)])
         assert code == 4
-        doc = json.loads(out.read_text())
+        doc = strict_json(out.read_text())
         assert not doc["equation_count"]["bound_satisfied"]
         assert doc["equation_count"]["params"] == 2 + 2 * 3
         assert doc["equation_count"]["equations"] == 6
@@ -164,7 +164,7 @@ class TestIdentify:
         out = tmp_path / "report.json"
         code = main(["identify", "--graph", graph, "--stack", str(stack), "--out", str(out)])
         assert code == 4
-        doc = json.loads(out.read_text())
+        doc = strict_json(out.read_text())
         assert doc["report"]["method"] == "constructive"
         assert doc["report"]["verdict"] == "hypothesis-violated"
         assert detail in doc["report"]["detail"]
@@ -176,9 +176,33 @@ class TestIdentify:
         out = tmp_path / "report.json"
         argv = ["identify", "--graph", fig1_graph, "--stack", str(stack), "--tol", "1e-6"]
         assert main([*argv, "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = strict_json(out.read_text())
         assert doc["config"]["tol"] == 1e-6
         assert doc["report"]["verdict"] == "recovered"
+
+    def test_non_finite_values_are_written_as_null(self, tmp_path):
+        """The library's inf is null in a report, so the report stays RFC 8259 JSON.
+
+        A rank-0 trial has no nonzero singular value, so its gap is inf.  The
+        looped-source pair with ``T_001`` tripled recovers an A of radius
+        1.8, whose certified residuals are inf.
+        """
+        cycle = write_json(tmp_path / "cycle.json", {"p": 2, "edges": [[0, 1], [1, 0]]})
+        out = tmp_path / "an.json"
+        assert main(["analyze", "--graph", cycle, "--trials", "1", "--out", str(out)]) == 0
+        (trial,) = strict_json(out.read_text())["local_identifiability"]["trials"]
+        assert (trial["rank"], trial["gap"]) == (0, None)
+        pair = write_json(tmp_path / "pair.json", {"p": 2, "edges": [[0, 0], [0, 1]]})
+        stack = tmp_path / "stack.json"
+        assert main(["cumulants", "--graph", pair, "--orders", "2,3", "--out", str(stack)]) == 0
+        doc = strict_json(stack.read_text())
+        doc["tensors"]["3"]["entries"]["0,0,1"] *= 3
+        write_json(stack, doc)
+        out = tmp_path / "report.json"
+        assert main(["identify", "--graph", pair, "--stack", str(stack), "--out", str(out)]) == 4
+        report = strict_json(out.read_text())["report"]
+        assert report["detail"] == "recovered matrix is unstable (radius 1.8)"
+        assert report["forward_residuals"] == {"2": None, "3": None}
 
     def test_malformed_stack_exits_2(self, tmp_path, fig1_graph):
         stack = tmp_path / "stack.json"
@@ -322,7 +346,7 @@ def bad_dir(tmp_path_factory):
         write_json(d / f"omega-{name}.json", {**FIG1_PARAMS, "omega": omega})
     write_json(d / "list.json", [1, 2])
     assert main(["cumulants", "--graph", str(d / "g2.json"), "--out", str(d / "stack.json")]) == 0
-    good = json.loads((d / "stack.json").read_text())
+    good = strict_json((d / "stack.json").read_text())
     missing = copy.deepcopy(good)
     del missing["tensors"]["3"]["entries"]["0,1,1"]
     write_json(d / "missing.json", missing)
@@ -402,7 +426,7 @@ def test_non_integer_json_exits_2(bad_dir, tmp_path, capsys, case):
         argv = ["cumulants", "--graph", str(path), "--seed", "1"]
     else:
         tensor, field, value = spec
-        doc = json.loads((bad_dir / "stack.json").read_text())
+        doc = strict_json((bad_dir / "stack.json").read_text())
         doc["tensors"][tensor][field] = value
         write_json(path, doc)
         with pytest.raises(ValueError, match="must be a JSON integer"):
@@ -473,7 +497,7 @@ def test_malformed_json_never_raises(bad_dir, kind_and_doc):
                 "--orders", "2,3"]
     else:
         tensor, field, value = doc
-        doc = json.loads((bad_dir / "stack.json").read_text())
+        doc = strict_json((bad_dir / "stack.json").read_text())
         if field == "tensor":
             doc["tensors"][tensor] = value
         elif field == "entry":
@@ -497,7 +521,7 @@ def test_config_is_the_parsed_options(tmp_path, fig1_graph):
             out = tmp_path / f"{command}{k}.json"
             argv = [command, "--graph", fig1_graph, "--seed", "1", *extra, "--out", str(out)]
             assert main(argv) == 0
-            config = json.loads(out.read_text())["config"]
+            config = strict_json(out.read_text())["config"]
             parsed = vars(build_parser().parse_args(argv))
             assert config == {key: v for key, v in parsed.items() if key not in ("func", "out")}
             configs.append(config)
@@ -539,14 +563,14 @@ def test_stack_json_round_trip(stack_dir, graph_and_seed):
 
 def test_other_stack_keys_are_ignored(bad_dir, tmp_path):
     # a key outside 2-4 is not read, whatever it holds
-    doc = json.loads((bad_dir / "stack.json").read_text())
+    doc = strict_json((bad_dir / "stack.json").read_text())
     reports = []
     for k, extra in enumerate(({}, {"5": "not a tensor"}, {"5": doc["tensors"]["3"]})):
         stack = write_json(tmp_path / f"stack{k}.json", {"tensors": {**doc["tensors"], **extra}})
         out = tmp_path / f"out{k}.json"
         argv = ["identify", "--graph", str(bad_dir / "g2.json"), "--stack", stack, "--out", str(out)]
         assert main(argv) == 0
-        reports.append(json.loads(out.read_text())["report"])
+        reports.append(strict_json(out.read_text())["report"])
     assert reports[0] == reports[1] == reports[2]
 
 
@@ -603,7 +627,7 @@ def test_size_limit_is_per_order(tmp_path):
     graph = write_json(tmp_path / "g300.json", {"p": 300, "edges": []})
     out = tmp_path / "s.json"
     assert main(["cumulants", "--graph", graph, "--orders", "2", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["tensors"]["2"]["p"] == 300
+    assert strict_json(out.read_text())["tensors"]["2"]["p"] == 300
 
 
 def test_cumulants_p12(tmp_path):
@@ -612,7 +636,7 @@ def test_cumulants_p12(tmp_path):
     graph = write_json(tmp_path / "g12.json", {"p": 12, "edges": edges})
     out = tmp_path / "dump.json"
     assert main(["cumulants", "--graph", graph, "--seed", "4", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
+    doc = strict_json(out.read_text())
     for n, residual in doc["recursive_residuals"].items():
         scale = max(abs(v) for v in doc["tensors"][n]["entries"].values())
         assert residual <= 1e-9 * scale
@@ -657,7 +681,7 @@ def test_analyze_separates_only_marginal_pairs(tmp_path, monkeypatch, lengths):
     graph = write_json(tmp_path / "g.json", g.to_json_dict())
     out = tmp_path / "an.json"
     assert main(["analyze", "--graph", graph, "--trials", "1", "--out", str(out)]) == 0
-    marginal = json.loads(out.read_text())["marginal_independence"]
+    marginal = strict_json(out.read_text())["marginal_independence"]
     assert len(marginal) == (0 if lengths is None else 118)
     assert len(queries) == len(marginal) * (g.p - 2)
 
@@ -673,7 +697,7 @@ class TestAnalyze:
         )
         out = tmp_path / "an.json"
         assert main(["analyze", "--graph", graph, "--seed", "3", "--trials", "3", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = strict_json(out.read_text())
         assert doc["marginal_independence"] == [[0, 2], [1, 2]]
         ci = {(c["i"], c["j"], c["given"][0]) for c in doc["conditional_independence"]}
         assert ci == {(1, 2, 0), (0, 2, 1)}
@@ -686,7 +710,7 @@ class TestAnalyze:
         )
         out = tmp_path / "an.json"
         main(["analyze", "--graph", graph, "--trials", "2", "--out", str(out)])
-        doc = json.loads(out.read_text())
+        doc = strict_json(out.read_text())
         assert doc["marginal_independence"] == [[0, 1], [0, 2], [1, 2]]
 
     def test_csv_singular_values(self, tmp_path):
@@ -710,7 +734,7 @@ class TestAnalyze:
         graph = write_json(tmp_path / "g.json", {"p": 3, "edges": [[0, 2], [1, 0], [1, 2]]})
         out = tmp_path / "an.json"
         assert main(["analyze", "--graph", graph, "--max-subset", "2", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = strict_json(out.read_text())
         rows = {(r["kind"], tuple(r["U"])): r for r in doc["rank_constraints"]}
         assert set(rows) == {
             (kind, u)
@@ -727,7 +751,7 @@ class TestAnalyze:
         )
         out = tmp_path / "an.json"
         assert main(["analyze", "--graph", graph, "--trials", "3", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = strict_json(out.read_text())
         assert doc["local_identifiability"]["verdict"] == "locally-identifiable"
         assert doc["local_identifiability"]["augmented"] is True
         assert doc["local_identifiability"]["orders"] == [2, 3, 4]
@@ -759,7 +783,7 @@ class TestAnalyze:
         graph = write_json(tmp_path / "g.json", {"p": p, "edges": edges})
         out = tmp_path / "an.json"
         assert main(["analyze", "--graph", graph, "--trials", str(trials), "--out", str(out)]) == 0
-        got = json.loads(out.read_text())[section]
+        got = strict_json(out.read_text())[section]
         assert {key: got[key] for key in expected} == expected
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lyapcum import (
     CumulantStack,
+    CyclicGraph,
     DegenerateDenominator,
     DiagonalCumulant,
     DirectedGraph,
@@ -767,12 +768,39 @@ class TestErrorParity:
                  r"graph matches neither constructive hypothesis class"),
             ],
         ),
+        "looped-three-cycle": (
+            DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (2, 0)]), (2, 3, 4),
+            [
+                (identify_dag, CyclicGraph, r"graph has a directed cycle through \[0, 1, 2\]"),
+                (auto_identify, NoMethodApplies,
+                 r"graph matches neither constructive hypothesis class"),
+            ],
+        ),
+        # a fourth entry is the graph the stack is drawn on, here of another p:
+        # identify_dag checks the stack first, auto_identify the graph first
+        "unlooped-source-other-p": (
+            DirectedGraph(3, [(1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]), (2, 3, 4),
+            [
+                (identify_dag, HypothesisViolated, r"stack dimension does not match the graph"),
+                (auto_identify, NoMethodApplies,
+                 r"graph matches neither constructive hypothesis class"),
+            ],
+            two_node_both_loops(),
+        ),
+        "routed-other-p": (
+            DirectedGraph(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)]), (2, 3, 4),
+            [
+                (f, HypothesisViolated, r"stack dimension does not match the graph")
+                for f in (identify_dag, auto_identify)
+            ],
+            two_node_both_loops(),
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_same_refusal_twice(self, name):
-        g, orders, expected = self.CASES[name]
-        _, _, stack = stack_for(g, seed=21, orders=orders)
+        g, orders, expected, *drawn_on = self.CASES[name]
+        _, _, stack = stack_for(drawn_on[0] if drawn_on else g, seed=21, orders=orders)
         for method, error, message in expected:
             raised = []
             for _ in range(2):
@@ -794,15 +822,55 @@ class TestErrorParity:
     def test_first_child_is_never_contaminated(self, p):
         """No other parent of a source's first child is reachable from the source.
 
-        Over every DAG on p vertices: such a parent q would put a child of
-        the source on the path to q, before the first child.  So the plan
-        needs no contamination check.
+        Over every DAG on p vertices without isolated vertices, its sources
+        looped so that the plan takes it (the loops change neither children
+        nor order): such a parent q would put a child of the source on the
+        path to q, before the first child.  So the plan needs no
+        contamination check.
         """
+        checked = 0
         for edges in edge_sets(p, loops=False):
             g = DirectedGraph(p, edges)
             if not g.is_dag or g.isolated_vertices:
                 continue
-            for j, child, _, unknowns, _ in identify._plan(g):
-                if unknowns is None:
-                    others = set(g.parents[child]) - {j, child}
-                    assert not others & reachable(g.children, j)
+            _, _, first_child = identify._plan(
+                DirectedGraph(p, edges + [(v, v) for v in g.sources])
+            )
+            for j, child in first_child.items():
+                others = set(g.parents[child]) - {j, child}
+                assert not others & reachable(g.children, j)
+            checked += 1
+        assert checked == {2: 2, 3: 18, 4: 458}[p]
+
+    def test_plan_is_read_only(self):
+        _, order, first_child = identify._plan(two_node_both_loops())
+        with pytest.raises(ValueError, match="read-only"):
+            order[0] = 1
+        with pytest.raises(TypeError):
+            first_child[0] = 1
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_auto_identify_routes_the_old_predicate(self, p, monkeypatch):
+        """``auto_identify`` hands ``identify_dag`` exactly the graphs of its two classes.
+
+        Those are the DAGs without isolated vertices whose sources are looped
+        and that have every self-loop or a tree skeleton, written out here
+        as a predicate on the graph.
+        """
+        routed = []
+        monkeypatch.setattr(identify, "identify_dag", lambda g, stack, tol: routed.append(g))
+        expected = []
+        for edges in edge_sets(p):
+            g = DirectedGraph(p, edges)
+            if (
+                g.is_dag
+                and (g.has_all_self_loops or g.is_polytree)
+                and not g.isolated_vertices
+                and all(g.has_self_loop(v) for v in g.sources)
+            ):
+                expected.append(g)
+            try:
+                auto_identify(g, None)
+            except NoMethodApplies:
+                pass
+        assert routed == expected
