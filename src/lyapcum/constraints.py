@@ -8,15 +8,21 @@ their level partitions and shortest-equitrek tops agree.  For general
 graphs, the parent count of a vertex set bounds the rank of certain
 cumulant submatrices.
 
-Rank bounds.  Take the columns U of S, or of the slices of T, and rows
-that miss every diagonal entry ``S_jj``, ``T_jjj`` with j in U.  An
+Rank bounds.  Take the columns U of S stacked over the slices of T, and
+rows that miss every diagonal entry ``S_jj``, ``T_jjj`` with j in U.  An
 equitrek from a row index to j in U then has positive length (the length-0
 trek is the noise term, on the diagonal), so its j-leg enters j from a
 parent of j.  In formulas, ``S = A S A^T + W2`` and
 ``T = T x_1 A x_2 A x_3 A + W3`` with diagonal noise give, off the diagonal,
 column j = ``sum_{l in pa(j)} A_jl v_l`` for vectors ``v_l`` that depend on
-l alone.  So the off-diagonal S block and the stacked Q have rank at most
-|pa(U)|.
+l alone.  So this stacked Q has rank at most |pa(U)|; its first block, the
+off-diagonal S columns, needs no check of its own, as a rank above the
+bound there is one in Q.  A bound at or above Q's smaller side holds on
+every stack, as no (bound+1)-minor can be nonzero, so the scan skips such
+U; T's equal rows (i, j) and (j, i) count once, which matters only for
+U = {0, 1} at p = 2.  A looped vertex is its own parent, so every U of
+looped vertices is skipped, and a graph with all self-loops has no rank
+check.
 
 No grandparent bound is checked.  The sibling-pruned matrix that bound
 was checked on keeps only rows of Q (U is among its own siblings), and
@@ -313,8 +319,9 @@ def level_polynomial_checks(
     vanishes for every j iff i is the source; (same-level)
     ``s_0i t_00j - s_0j t_00i`` vanishes iff i and j share a level;
     (level-order) for cross-level pairs ``s_ij t_00j - s_0j t_0ij``
-    vanishes iff j is deeper than i.  The source-balance family is
-    aggregated over j; the others are per-pair.
+    vanishes iff j is deeper than i, and is skipped at i = 0, where it
+    vanishes on every stack.  The source-balance family is aggregated over
+    j; the others are per-pair.
     """
     _check_stack(g, stack)
     source, levels, _ = _tree_structure(g)
@@ -336,7 +343,7 @@ def level_polynomial_checks(
             s(source, j) * t(source, source, i), e_pair, levels[i] == levels[j],
         ))
     for i, j in itertools.permutations(range(g.p), 2):
-        if levels[i] != levels[j]:
+        if levels[i] != levels[j] and i != source:
             checks.append(PolynomialCheck.of(
                 "level-order", (i, j), s(i, j) * t(source, source, j),
                 s(source, j) * t(source, i, j), e_pair, levels[j] > levels[i],
@@ -356,10 +363,13 @@ def top_trek_polynomial_check(
     the source loop and L the level.  With j deeper, an uncancelled
     source-loop power is left at every l, so it is predicted nonzero.  An id
     that is not an integer in ``range(p)``, a bool included, raises
-    ``ValueError``.
+    ``ValueError``, as does i = j = l, where both sides are ``s_0i s_ii t_iii``
+    on every stack.
     """
     _check_stack(g, stack)
     _vertex_ids(g, (i, j, top))
+    if i == j == top:
+        raise ValueError(f"the top-trek check ({i}, {i}, {i}) vanishes on every stack")
     source, levels, _ = _tree_structure(g)
     (s, e2), (t, e3) = _unit_reader(stack.s), _unit_reader(stack.t)
     return PolynomialCheck.of(
@@ -423,7 +433,6 @@ def tree_equivalence(g: DirectedGraph, h: DirectedGraph) -> TreeEquivalence:
 
 @dataclass
 class RankConstraintResult:
-    kind: str  # parents-S | parents-stacked-Q
     u: tuple[int, ...]
     bound: int
     rank: int
@@ -433,7 +442,6 @@ class RankConstraintResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "kind": self.kind,
             "U": list(self.u),
             "bound": self.bound,
             "rank": self.rank,
@@ -469,35 +477,17 @@ def _minor_norm(sing: np.ndarray, size: int) -> float:
         return inf
 
 
-def _constraint_matrices(
-    g: DirectedGraph, stacked: np.ndarray, u: tuple[int, ...]
-) -> list[tuple[str, int, np.ndarray]]:
-    """The two rank-bounded matrices of U, gathered by one index array.
-
-    ``stacked`` is S over the ``(p^2, p)`` unfolding of T, whose row
-    ``p + i p + j`` is ``T_ij.``; Q keeps S's rows off U and T's rows off
-    the diagonals ``(i, i)`` with i in U, and its first block is S's.
-    """
-    p = g.p
-    rows = np.delete(np.arange(p + p * p), [*u, *(p + i * (p + 1) for i in u)])
-    q_matrix = stacked[np.ix_(rows, u)]
-    bound = len({v for i in u for v in g.parents[i]})  # |pa(U)|
-    return [
-        ("parents-S", bound, q_matrix[: p - len(u)]),
-        ("parents-stacked-Q", bound, q_matrix),
-    ]
-
-
 def rank_constraints_scan(
     g: DirectedGraph, stack: CumulantStack, max_subset: int
 ) -> list[RankConstraintResult]:
     """Check every parent rank bound over subsets U.
 
-    For each U with |U| <= max_subset: the off-diagonal S columns and the
-    stacked S-plus-T-slices matrix Q must have rank at most |pa(U)| (module
-    docstring).  Each result also
-    carries the root sum of squares of all (bound+1)-minors (``minor_norm``,
-    zero when the bound holds exactly).
+    For each U with |U| <= max_subset: the stacked S-plus-T-slices matrix Q
+    must have rank at most |pa(U)| (module docstring).  A U whose bound is at
+    or above Q's smaller side, its equal rows counted once, is skipped before
+    Q is gathered; so every result has ``bound < min(shape)``.
+    Each result also carries the root sum of squares of all (bound+1)-minors
+    (``minor_norm``, zero when the bound holds exactly).
 
     Raises
     ------
@@ -509,30 +499,36 @@ def rank_constraints_scan(
     """
     _check_stack(g, stack)
     p = g.p
+    # S over the (p^2, p) unfolding of T, whose row p + i p + j is T_ij.; Q
+    # keeps S's rows off U and T's rows off the diagonals (i, i) with i in U
     stacked = np.vstack([stack.s.to_dense(), stack.t.to_dense().reshape(p * p, p)])
     results = []
     violations = []
     for size in range(1, max_subset + 1):
         for u in itertools.combinations(range(p), size):
-            for kind, bound, matrix in _constraint_matrices(g, stacked, u):
-                rank, sing = numeric_rank(matrix)
-                rows, cols = matrix.shape
-                result = RankConstraintResult(
-                    kind=kind,
-                    u=u,
-                    bound=bound,
-                    rank=rank,
-                    shape=(rows, cols),
-                    minors_checked=comb(rows, bound + 1) * comb(cols, bound + 1),
-                    minor_norm=_minor_norm(sing, bound + 1),
-                )
-                results.append(result)
-                if rank > bound:
-                    violations.append(result)
+            bound = len({v for i in u for v in g.parents[i]})  # |pa(U)|
+            rows = p + p * p - 2 * size
+            # no (bound+1)-minor is nonzero unless both sides exceed the bound,
+            # counting T's equal rows (i, j) and (j, i) once
+            if bound >= min(rows - p * (p - 1) // 2, size):
+                continue
+            kept = np.delete(np.arange(p + p * p), [*u, *(p + i * (p + 1) for i in u)])
+            rank, sing = numeric_rank(stacked[np.ix_(kept, u)])
+            result = RankConstraintResult(
+                u=u,
+                bound=bound,
+                rank=rank,
+                shape=(rows, size),
+                minors_checked=comb(rows, bound + 1) * comb(size, bound + 1),
+                minor_norm=_minor_norm(sing, bound + 1),
+            )
+            results.append(result)
+            if rank > bound:
+                violations.append(result)
     if violations:
         worst = violations[0]
         raise ModelInconsistency(
-            f"{len(violations)} rank bounds violated, first: kind={worst.kind} "
+            f"{len(violations)} rank bounds violated, first: "
             f"U={worst.u} rank={worst.rank} > bound={worst.bound}"
         )
     return results

@@ -359,11 +359,13 @@ def two_node_st_solutions(stack: CumulantStack) -> list[TwoNodeCandidate]:
 
 
 def every_check(g: DirectedGraph, stack: CumulantStack) -> list:
-    """The level checks, then the top-trek check of every pair i <= j and candidate top."""
+    """The level checks, then the top-trek check of every pair i <= j and candidate
+    top but i = j = top, which the check refuses."""
     return level_polynomial_checks(g, stack) + [
         top_trek_polynomial_check(g, stack, i, j, top)
         for i, j in itertools.combinations_with_replacement(range(g.p), 2)
         for top in range(g.p)
+        if not i == j == top
     ]
 
 

@@ -730,19 +730,17 @@ class TestAnalyze:
 
     def test_parent_without_loop_reports(self, tmp_path):
         # 0 -> 2 <- 1 -> 0 without loops: the model's own stack passes the
-        # scan, which reports the two parent bounds of each U
+        # scan, which reports each U whose bound |pa(U)| is below its column
+        # count: pa(1) is empty and pa({0, 1}) = {1}
         graph = write_json(tmp_path / "g.json", {"p": 3, "edges": [[0, 2], [1, 0], [1, 2]]})
         out = tmp_path / "an.json"
         assert main(["analyze", "--graph", graph, "--max-subset", "2", "--out", str(out)]) == 0
         doc = strict_json(out.read_text())
-        rows = {(r["kind"], tuple(r["U"])): r for r in doc["rank_constraints"]}
-        assert set(rows) == {
-            (kind, u)
-            for kind in ("parents-S", "parents-stacked-Q")
-            for u in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
-        }
-        assert rows["parents-stacked-Q", (0,)]["bound"] == 1
-        assert rows["parents-stacked-Q", (0,)]["rank"] == 1
+        rows = {tuple(r["U"]): r for r in doc["rank_constraints"]}
+        assert list(rows) == [(1,), (0, 1)]
+        assert [(r["bound"], r["rank"], r["shape"]) for r in rows.values()] == [
+            (0, 0, [10, 1]), (1, 1, [8, 2]),
+        ]
 
     def test_two_cycle_notes_augmentation(self, tmp_path):
         graph = write_json(
@@ -827,35 +825,35 @@ def test_report_golden_bytes(tmp_path, monkeypatch):
     run("identify-cycle6", ["identify", "--graph", "cycle6.json", "--stack", "stack.json"], 0)
     assert digests == {
         "analyze-json-cycle6-0":
-            "02ff4a7571e095e15ebba7512c50fde6d61c1b09f64d02da59821ee3c9671639",
+            "2cee2d9278703207b63879fcb9098bff6f087ba7892f1043d9213a4da09f4146",
         "analyze-csv-cycle6-0":
             "45f31c45d2065ad23ba5f31c0d60ebb1b48126acd2a3f6690c2e3593e11be6b4",
         "analyze-json-cycle6-1":
-            "a812941c01b06c78a8bd6b628f5cfeeb57ff1f8e3d0f236ca3aa7ffaa8e3fc34",
+            "17080be4537c9adbc1f7714bf497058ad0fe4c7d7788de4b34731bfca8ca8cef",
         "analyze-csv-cycle6-1":
             "cec9c52e72af974933be26568c220b20e314d6d5251c6da4d3e25c2437d6d60d",
         "analyze-json-two-cycle-beside-loop-0":
-            "1b5101a6cb4dd02e85b05b2b9c098528ced1c8c367cd5cf7e66a2cc30bb07937",
+            "49df5a70b209376070dd57973cf2fb618d08db953a4660d4fcf746c8bbb30879",
         "analyze-csv-two-cycle-beside-loop-0":
             "9c22475e9678affdac7951224eb1a831d9e5ec6fac92d96098d446efc4ad59ef",
         "analyze-json-two-cycle-beside-loop-1":
-            "6c5769dc8e69a8afa9e7232089d29741235b5b12ded3030024e53eaa74f91c51",
+            "41fb65ca4ab4a650a9ea4bda26d13618b6adc6a746661bbc90cc5488dd955648",
         "analyze-csv-two-cycle-beside-loop-1":
             "94ab57526c11ce012855ea99b289b936d38ed924bc29d9b07b40e9221c8e050c",
         "analyze-json-diamond-0":
-            "22ae2977019278faa19bf6d9d3d883166e386a28abc00f35abcbe15639cacaa4",
+            "375d2fab32ae256835fc451086a19e9a6a998b8788fd2fa72ab7d540793b2876",
         "analyze-csv-diamond-0":
             "8d50a1d77e32037fb8b51f2654da5b1f5eaf5251d71ee4c9ccef493f8fc1a92f",
         "analyze-json-diamond-1":
-            "b2f3fd304f91a5cee72e91b7480516df6b994880fd49df9b95814d9017ec6f92",
+            "96241b6548d598e9de934c316a42f4d4e43123acc912b10c4f9f5d37fa550c92",
         "analyze-csv-diamond-1":
             "e4ddadf87f461c8ce9747388d23bb0bbc157bdac56ca8207ddb4bd6c2a10ae1a",
         "analyze-json-isolated-0":
-            "f505169f3e9ae0cf449e2d8bffa755a61b53edfa7613b1af18f2dbf3c0d0889f",
+            "82d608d9038f170f417c050bf65e702180a4f7209878373fe344843970f7df8a",
         "analyze-csv-isolated-0":
             "8c6d459314a9c48a773a631a9f38af798d8fa8b3b73369f769a81da68f36cece",
         "analyze-json-isolated-1":
-            "3fc7d0af8d3e292a7cc55ec94066de8796274162adbf250d8251d8f21dbc2978",
+            "41e90b83e0ea21cdb85a67fe0d8f3bcda53244f0beb9cb2feacb03af5a79e49a",
         "analyze-csv-isolated-1":
             "8c6d459314a9c48a773a631a9f38af798d8fa8b3b73369f769a81da68f36cece",
         "identify-cycle6":

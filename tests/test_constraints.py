@@ -15,6 +15,7 @@ from lyapcum import (
     HypothesisViolated,
     ModelInconsistency,
     ParameterMatrix,
+    SymmetricTensor,
     integer_kernel,
     kernel_binomial_values,
     level_partition,
@@ -29,6 +30,7 @@ from lyapcum import (
 from lyapcum import constraints
 from lyapcum.constraints import _minor_norm
 from lyapcum.identify import CumulantStack
+from lyapcum.tensors import multiset_indices
 from oracles import every_check, scaled_stack
 from conftest import (
     diamond,
@@ -37,6 +39,7 @@ from conftest import (
     five_node_tree,
     fork_three,
     four_node_tree,
+    random_graph,
     reachable,
     seeded_model,
     two_node_chain,
@@ -337,11 +340,12 @@ class TestTopTrekPolynomial:
             assert check.value == pytest.approx(value, rel=1e-12)
 
     def test_trivial_source_case(self):
+        # i = j = top puts s_0i s_ii t_iii on both sides, so no stack can fail it
         g = five_node_tree()
         _, _, stack = tree_stack(g, seed=1)
-        check = top_trek_polynomial_check(g, stack, 0, 0, 0)
-        assert check.expected_zero
-        assert check.value == 0.0
+        for i in range(g.p):
+            with pytest.raises(ValueError, match=rf"^the top-trek check \({i}, {i}, {i}\) vanishes"):
+                top_trek_polynomial_check(g, stack, i, i, i)
 
     def test_wrong_top_nonzero(self):
         g = five_node_tree()
@@ -382,7 +386,7 @@ def test_polynomial_checks_golden_bytes():
                 digest.update(np.float64(check.value).tobytes())
                 digest.update(np.float64(check.scale).tobytes())
     assert digest.hexdigest() == (
-        "8b270e3b7ad0625fa5354b05d801cd23b561777aaed4fa2fae5d5e868a1cc084"
+        "f46a00a72f13569a3c84ca9431507d7878469945905b267bc5962c96538cf898"
     )
 
 
@@ -504,9 +508,7 @@ class TestRankConstraints:
         for seed in range(5):
             _, _, stack = tree_stack(g, seed=seed)
             results = rank_constraints_scan(g, stack, max_subset=2)
-            q = next(
-                r for r in results if r.kind == "parents-stacked-Q" and r.u == (1, 2)
-            )
+            q = next(r for r in results if r.u == (1, 2))
             assert q.bound == 1
             assert q.rank <= 1
             assert q.minor_norm <= 1e-9
@@ -561,18 +563,21 @@ class TestRankConstraints:
             slice_matrix = td[3][:, [1, 2]]
             assert np.linalg.matrix_rank(slice_matrix, tol=1e-9) <= 1
             # the scan checks parent bounds only: pa(U) = {0, 1} for U = (1, 2)
+            # fills both columns, so it is skipped; of all U with |U| <= 2 only
+            # U = (0, 1), with pa(U) = {0}, has a bound below its column count
             results = rank_constraints_scan(g, stack, max_subset=2)
-            assert {r.kind for r in results} == {"parents-S", "parents-stacked-Q"}
-            q = next(r for r in results if r.kind == "parents-stacked-Q" and r.u == (1, 2))
-            assert q.bound == 2 and q.rank <= 2
+            assert [(r.u, r.bound) for r in results] == [((0, 1), 1)]
+            assert results[0].rank == 1
 
     def test_parent_without_loop_meets_q_bound(self):
-        # 0 -> 2 <- 1 -> 0 without loops: pa({0}) = {1} has no parents, yet
-        # S_20 holds the trek 0 <- 1 -> 2, which the Q bound |pa(U)| = 1 counts
+        # 0 -> 2 <- 1 -> 0 without loops: pa({0, 1}) = {1} has no parents, yet
+        # S_20 holds the trek 0 <- 1 -> 2, which the Q bound |pa(U)| = 1 counts;
+        # U = (0,) alone, with bound 1 against 1 column, is not checked
         g = DirectedGraph(3, [(0, 2), (1, 0), (1, 2)])
         _, _, stack = tree_stack(g, seed=0)
         results = rank_constraints_scan(g, stack, max_subset=2)
-        q = next(r for r in results if r.kind == "parents-stacked-Q" and r.u == (0,))
+        assert (0,) not in {r.u for r in results}
+        q = next(r for r in results if r.u == (0, 1))
         assert q.bound == 1 and q.rank == 1
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -587,11 +592,11 @@ class TestRankConstraints:
             assert r.rank <= r.bound
 
     def test_full_subset_is_vacuous(self):
+        # pa(U) contains U when every vertex of U is looped, so no bound is
+        # below U's column count: the full subset, like every U, is not listed
         g = DirectedGraph(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
         _, _, stack = tree_stack(g, seed=3)
-        results = rank_constraints_scan(g, stack, max_subset=2)
-        full = [r for r in results if r.u == (0, 1)]
-        assert all(r.rank <= r.bound for r in full)
+        assert rank_constraints_scan(g, stack, max_subset=2) == []
 
     def test_some_bound_is_tight(self):
         g = fork_three()
@@ -617,3 +622,38 @@ class TestRankConstraints:
         broken.s.values[(1, 2)] += 0.5  # breaks the parent bound
         with pytest.raises(ModelInconsistency):
             rank_constraints_scan(g, broken, max_subset=2)
+
+
+def random_stack(rng, p):
+    """Independent normal entries for S and T: generically no model point of any graph."""
+    return CumulantStack(*(
+        SymmetricTensor(n, p, {key: rng.standard_normal() for key in multiset_indices(p, n)})
+        for n in (2, 3)
+    ))
+
+
+class TestEveryCheckCanFail:
+    """A check that holds on every stack tests nothing: each one reported fails off the model."""
+
+    @pytest.mark.parametrize("tree", [two_node_chain, four_node_tree, five_node_tree])
+    def test_vanishing_polynomials_fail_on_a_random_stack(self, tree, rng):
+        g = tree()
+        for _ in range(5):
+            checks = [c for c in every_check(g, random_stack(rng, g.p)) if c.expected_zero]
+            assert checks
+            for c in checks:
+                assert not c.ok, (c.family, c.indices, c.value, c.scale)
+
+    def test_every_rank_check_fails_on_a_random_stack(self, rng):
+        # the model stack lists the checks; on a random stack each of them is violated
+        for seed in range(60):
+            g = random_graph(rng, int(rng.integers(2, 8)), 0.3)
+            results = rank_constraints_scan(g, tree_stack(g, seed, orders=(2, 3))[2], 3)
+            for r in results:
+                assert r.bound < min(r.shape) and r.minors_checked > 0, r
+            noise = random_stack(rng, g.p)
+            if not results:
+                assert rank_constraints_scan(g, noise, 3) == []
+                continue
+            with pytest.raises(ModelInconsistency, match=f"^{len(results)} rank bounds violated"):
+                rank_constraints_scan(g, noise, 3)
