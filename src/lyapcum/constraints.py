@@ -321,14 +321,15 @@ def level_polynomial_checks(
     (level-order) for cross-level pairs ``s_ij t_00j - s_0j t_0ij``
     vanishes iff j is deeper than i, and is skipped at i = 0, where it
     vanishes on every stack.  The source-balance family is aggregated over
-    j; the others are per-pair.
+    j, so the single vertex, which has no j, gets none; the others are
+    per-pair.
     """
     _check_stack(g, stack)
     source, levels, _ = _tree_structure(g)
     (s, e2), (t, e3) = _unit_reader(stack.s), _unit_reader(stack.t)
     e_balance, e_pair = 3 * e2 + 2 * e3, e2 + e3
     checks: list[PolynomialCheck] = []
-    for i in range(g.p):
+    for i in range(g.p) if g.p > 1 else ():
         # the all-zero baseline, then every j: max keeps the first largest ratio
         balances = [(0.0, 0.0)] + [
             (s(i, j) ** 3 * t(i, i, i) ** 2, s(i, i) ** 3 * t(i, i, j) * t(i, j, j))
@@ -483,7 +484,8 @@ def rank_constraints_scan(
     """Check every parent rank bound over subsets U.
 
     For each U with |U| <= max_subset: the stacked S-plus-T-slices matrix Q
-    must have rank at most |pa(U)| (module docstring).  A U whose bound is at
+    must have rank at most |pa(U)| (module docstring).  No U has more than p
+    vertices, so a ``max_subset`` above p scans every U.  A U whose bound is at
     or above Q's smaller side, its equal rows counted once, is skipped before
     Q is gathered; so every result has ``bound < min(shape)``.
     Each result also carries the root sum of squares of all (bound+1)-minors
@@ -504,7 +506,7 @@ def rank_constraints_scan(
     stacked = np.vstack([stack.s.to_dense(), stack.t.to_dense().reshape(p * p, p)])
     results = []
     violations = []
-    for size in range(1, max_subset + 1):
+    for size in range(1, min(max_subset, p) + 1):
         for u in itertools.combinations(range(p), size):
             bound = len({v for i in u for v in g.parents[i]})  # |pa(U)|
             rows = p + p * p - 2 * size

@@ -338,8 +338,8 @@ def random_omegas(
 class NoiseSpec:
     """Independent diagonal noise: per-coordinate scale and distribution kind.
 
-    Kinds: ``gaussian`` (scale = standard deviation), ``centered_exponential``
-    (scale * (Exp(1) - 1)), and ``zero``.
+    Kinds: ``gaussian`` (scale = standard deviation, so zero noise is scale 0)
+    and ``centered_exponential`` (scale * (Exp(1) - 1)).
     """
 
     kind: str
@@ -347,7 +347,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "scale", np.asarray(self.scale, dtype=float))
-        if self.kind not in ("gaussian", "centered_exponential", "zero"):
+        if self.kind not in ("gaussian", "centered_exponential"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.scale.ndim != 1:
             raise ValueError("noise scale must be a vector")
@@ -359,17 +359,13 @@ class NoiseSpec:
     def cumulant(self, order: int) -> DiagonalCumulant:
         """Exact noise cumulant of the given order."""
         s = self.scale
-        if self.kind == "zero":
-            w = np.zeros_like(s)
-        elif self.kind == "gaussian":
+        if self.kind == "gaussian":
             w = s**2 if order == 2 else np.zeros_like(s)
         else:  # centered exponential: the order-n cumulant of Exp(1) is (n-1)!
             w = math.factorial(order - 1) * s**order
         return DiagonalCumulant(order, w)
 
     def draw(self, rng: np.random.Generator, steps: int) -> np.ndarray:
-        if self.kind == "zero":
-            return np.zeros((steps, self.p))
         if self.kind == "gaussian":
             return rng.standard_normal((steps, self.p)) * self.scale
         return (rng.exponential(1.0, (steps, self.p)) - 1.0) * self.scale
@@ -391,7 +387,6 @@ def _k_statistics(window: np.ndarray, order: int) -> np.ndarray:
 class SimulationEstimate:
     estimate: SymmetricTensor
     stderr: SymmetricTensor
-    nsamples: int
 
 
 def simulate_and_estimate(
@@ -441,5 +436,4 @@ def simulate_and_estimate(
     return SimulationEstimate(
         estimate=SymmetricTensor.from_dense(estimate),
         stderr=SymmetricTensor.from_dense(stderr),
-        nsamples=t_max,
     )

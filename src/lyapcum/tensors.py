@@ -160,14 +160,13 @@ class SymmetricTensor:
             if key not in rows:
                 raise ValueError(f"bad index multiset {key}")
             self._vec[rows[key]] = float(value)
-        self.sym_defect: float = 0.0
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "SymmetricTensor":
         """Fold a dense tensor to the mean of each multiset's n! permuted entries.
 
-        The sum runs over the transposes in ``itertools.permutations`` order;
-        ``sym_defect`` is the largest spread (max - min) within one orbit.
+        The sum runs over the transposes in ``itertools.permutations`` order.
+        Only the mean is kept: an asymmetric input is averaged, not refused.
         """
         dense = np.asarray(dense, dtype=float)
         p = dense.shape[0]
@@ -176,9 +175,10 @@ class SymmetricTensor:
         orbit = dense.reshape(-1)[_orbits(p, dense.ndim)]
         tensor = cls.__new__(cls)  # the vector is in multiset order: skip __init__
         tensor.order, tensor.p = dense.ndim, p
-        # axis 0 of a C-contiguous array sums row by row, in order, as n! adds do
-        tensor._vec = orbit.sum(axis=0) / len(orbit)
-        tensor.sym_defect = float(np.ptp(orbit, axis=0).max())
+        # axis 0 of a C-contiguous array sums row by row, in order, as n! adds
+        # do; at p = 1 it is one contiguous run, which numpy sums pairwise
+        total = orbit.sum(axis=0) if p > 1 else orbit.cumsum(axis=0)[-1]
+        tensor._vec = total / len(orbit)
         return tensor
 
     @property
@@ -206,15 +206,13 @@ class SymmetricTensor:
         return frexp(top)[1]
 
     def relabel(self, perm: Iterable[int]) -> "SymmetricTensor":
-        """New tensor, variable v renamed to perm[v]; orbits move whole, so ``sym_defect`` stays."""
+        """New tensor, variable v renamed to perm[v]."""
         perm = check_permutation(perm, self.p)
-        moved = SymmetricTensor(
+        return SymmetricTensor(
             self.order,
             self.p,
             {tuple(perm[i] for i in k): v for k, v in zip(self.keys(), self._vec.tolist())},
         )
-        moved.sym_defect = self.sym_defect
-        return moved
 
     def __repr__(self) -> str:
         return f"SymmetricTensor(order={self.order}, p={self.p})"
@@ -230,6 +228,8 @@ class SymmetricTensor:
     def from_json_dict(cls, data: dict) -> "SymmetricTensor":
         try:
             order, p = json_int(data["order"], "'order'"), json_int(data["p"], "'p'")
+            if order < 1 or p < 1:
+                raise ValueError(f"'order' and 'p' must be positive, got {order} and {p}")
             entries = data["entries"]
             values = {
                 tuple(sorted(map(json_key_int, key.split(",")))): json_number(v, "an entry")

@@ -17,6 +17,11 @@ from lyapcum import (
 )
 
 
+def single_looped_vertex() -> DirectedGraph:
+    """Vertex 0 with its self-loop: the one-vertex tree."""
+    return DirectedGraph(1, [(0, 0)])
+
+
 def two_node_chain() -> DirectedGraph:
     """0 -> 1 with a self-loop at the source only."""
     return DirectedGraph(2, [(0, 0), (0, 1)])

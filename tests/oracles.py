@@ -15,6 +15,8 @@
   both-loops pair that fits (S, T) alone.
 - Every level and top-trek polynomial check of a tree, in one fixed order.
 - A stack with each order scaled by its own factor, entry by entry.
+- The fold as the mean of all n! axis transposes, and the largest
+  disagreement between entries at permuted indices.
 """
 
 from __future__ import annotations
@@ -375,3 +377,17 @@ def scaled_stack(stack: CumulantStack, factors: dict[int, float]) -> CumulantSta
         SymmetricTensor(n, stack.p, {k: factors[n] * v for k, v in stack.tensor(n).values.items()})
         for n in stack.orders
     ))
+
+
+def symmetrize(dense: np.ndarray) -> np.ndarray:
+    """Brute-force fold: the mean over all n! axis transposes, summed in order."""
+    perms = list(itertools.permutations(range(dense.ndim)))
+    return sum(dense.transpose(perm) for perm in perms) / len(perms)
+
+
+def symmetry_defect(dense: np.ndarray) -> float:
+    """Brute-force defect: max disagreement between entries at permuted indices."""
+    return max(
+        float(np.max(np.abs(dense - dense.transpose(perm))))
+        for perm in itertools.permutations(range(dense.ndim))
+    )

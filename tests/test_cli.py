@@ -742,6 +742,17 @@ class TestAnalyze:
             (0, 0, [10, 1]), (1, 1, [8, 2]),
         ]
 
+    def test_max_subset_above_p_scans_every_subset(self, tmp_path):
+        # the scan stops at p, so a huge --max-subset reports what 3 does
+        graph = write_json(tmp_path / "g.json", {"p": 3, "edges": [[0, 1], [1, 2]]})
+        docs = []
+        for size in ("3", "1000000000"):
+            out = tmp_path / f"an-{size}.json"
+            assert main(["analyze", "--graph", graph, "--max-subset", size, "--out", str(out)]) == 0
+            docs.append(strict_json(out.read_text()))
+        assert [doc.pop("config")["max_subset"] for doc in docs] == [3, 1000000000]
+        assert docs[0] == docs[1] and docs[0]["rank_constraints"]
+
     def test_two_cycle_notes_augmentation(self, tmp_path):
         graph = write_json(
             tmp_path / "tc.json",

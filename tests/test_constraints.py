@@ -42,6 +42,7 @@ from conftest import (
     random_graph,
     reachable,
     seeded_model,
+    single_looped_vertex,
     two_node_chain,
 )
 
@@ -373,12 +374,10 @@ def test_polynomial_checks_golden_bytes():
     """The sha256 of every level and top-trek check on the tree fixtures, seeds 0-4.
 
     Each check contributes its family, indices and expected_zero, and the
-    bytes of its value and scale; the single vertex has no j for its
-    source-balance check, so it reads the all-zero baseline.
+    bytes of its value and scale; the single vertex lists no check.
     """
     digest = hashlib.sha256()
-    single = DirectedGraph(1, [(0, 0)])
-    for g in (single, two_node_chain(), four_node_tree(), five_node_tree()):
+    for g in (single_looped_vertex(), two_node_chain(), four_node_tree(), five_node_tree()):
         for seed in range(5):
             _, _, stack = tree_stack(g, seed=seed)
             for check in every_check(g, stack):
@@ -386,7 +385,7 @@ def test_polynomial_checks_golden_bytes():
                 digest.update(np.float64(check.value).tobytes())
                 digest.update(np.float64(check.scale).tobytes())
     assert digest.hexdigest() == (
-        "f46a00a72f13569a3c84ca9431507d7878469945905b267bc5962c96538cf898"
+        "59c4d91a21c1258c24ce9e1e4a6c9651af72c839c4706d08b20efd3744b68879"
     )
 
 
@@ -604,6 +603,21 @@ class TestRankConstraints:
         results = rank_constraints_scan(g, stack, max_subset=2)
         assert any(r.rank == r.bound for r in results)
 
+    def test_scan_stops_at_p(self, monkeypatch):
+        # no U has more than p vertices, so no larger size is enumerated
+        g = fork_three()
+        _, _, stack = tree_stack(g, seed=7)
+        expected = rank_constraints_scan(g, stack, max_subset=g.p)
+        sizes, combinations = [], itertools.combinations
+
+        def recording(items, size):
+            sizes.append(size)
+            return combinations(items, size)
+
+        monkeypatch.setattr(constraints.itertools, "combinations", recording)
+        assert rank_constraints_scan(g, stack, max_subset=g.p + 50) == expected
+        assert sizes == list(range(1, g.p + 1))
+
     def test_stack_of_another_p_is_refused(self):
         # every reader of a stack refuses one of another p, as identify_dag does
         g2, stack3 = two_node_chain(), tree_stack(fork_three(), seed=1)[2]
@@ -635,12 +649,15 @@ def random_stack(rng, p):
 class TestEveryCheckCanFail:
     """A check that holds on every stack tests nothing: each one reported fails off the model."""
 
-    @pytest.mark.parametrize("tree", [two_node_chain, four_node_tree, five_node_tree])
+    @pytest.mark.parametrize(
+        "tree", [single_looped_vertex, two_node_chain, four_node_tree, five_node_tree]
+    )
     def test_vanishing_polynomials_fail_on_a_random_stack(self, tree, rng):
         g = tree()
         for _ in range(5):
             checks = [c for c in every_check(g, random_stack(rng, g.p)) if c.expected_zero]
-            assert checks
+            # the single vertex has no j, so no source balance to check
+            assert bool(checks) == (g.p > 1), checks
             for c in checks:
                 assert not c.ok, (c.family, c.indices, c.value, c.scale)
 
