@@ -391,7 +391,6 @@ def top_trek_polynomial_check(
 class TreeEquivalence:
     equal: bool
     witness: str | None = None
-    row_equivalence_checked: bool = False
 
 
 def tree_equivalence(g: DirectedGraph, h: DirectedGraph) -> TreeEquivalence:
@@ -424,7 +423,7 @@ def tree_equivalence(g: DirectedGraph, h: DirectedGraph) -> TreeEquivalence:
             "tops and levels agree but exponent row spaces differ; "
             "this contradicts the swap construction"
         )
-    return TreeEquivalence(equal=True, row_equivalence_checked=True)
+    return TreeEquivalence(equal=True)
 
 
 # ---------------------------------------------------------------------------

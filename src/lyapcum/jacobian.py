@@ -15,8 +15,10 @@ is ``mult_beta(K) * U[alpha, K minus one beta]``.
 
 Generic rank is certified by the maximum numeric rank over repeated random
 draws: one full-rank witness suffices because rank is lower semicontinuous
-on the parameter variety, while a deficiency verdict requires unanimity
-across trials plus a wide singular-value gap.
+on the parameter variety, while a deficiency verdict needs one rank in every
+trial.  A deficient trial's wide singular-value gap follows: the block has at
+least |E| rows, so a rank below |E| puts ``smax / smin`` at 1e12 / rows or
+more, at least 1e6 for any block of up to 1e6 rows.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .identify import CumulantStack, HypothesisViolated, _check_stack, model_sta
 from .tensors import _tucker, multiset_indices
 
 RANK_EPS = 1e-12
-GAP_STRUCTURAL = 1e6
 
 
 @dataclass
@@ -162,12 +163,6 @@ class TrialRecord:
     augmented: bool
     singular_values: tuple[float, ...] = ()  # descending
 
-    @property
-    def gap(self) -> float:
-        """Largest over smallest nonzero singular value; infinite when none is nonzero."""
-        nonzero = [s for s in self.singular_values if s > 0]
-        return nonzero[0] / nonzero[-1] if nonzero else np.inf
-
 
 @dataclass
 class LocalIdReport:
@@ -205,7 +200,7 @@ class LocalIdReport:
             "reason": self.reason,
             "trials": [
                 {"rank": t.rank, "top_singular": sing[0], "bottom_singular": sing[-1],
-                 "gap": t.gap, "augmented": t.augmented}
+                 "gap": sing[0] / sing[-1] if sing[-1] else None, "augmented": t.augmented}
                 for t in self.trials
                 for sing in [t.singular_values or (0.0,)]
             ],
@@ -228,15 +223,14 @@ def local_identifiability_verdict(
     magnitude scales) and measures the off-diagonal block rank at orders
     {2,3}, or at {2,3,4} on the :func:`augmentation_rows` of a graph that has
     them: one solve and one build per trial.  Any full-rank trial certifies
-    the verdict.
+    the verdict; a deficiency needs one rank in every trial, and trials that
+    disagree leave the verdict ``inconclusive``.  Each deficient trial has a
+    wide gap: the block has at least |E| rows, so its smallest singular value
+    is at most ``smax * rows * RANK_EPS``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    report = LocalIdReport(
-        verdict="inconclusive",
-        n_edges=len(g.edges),
-        reason="trials disagree or sit near the rank threshold",
-    )
+    report = LocalIdReport("inconclusive", len(g.edges), reason="trials disagree on the rank")
     if g.isolated_vertices:
         report.verdict = "not-identifiable"
         report.reason = (
@@ -258,11 +252,10 @@ def local_identifiability_verdict(
     report.row_counts = {
         n: len(extra_rows[n]) if n in extra_rows else comb(g.p + n - 1, n) for n in report.orders
     }
-    generic_rank = report.generic_rank  # read once: the property scans every trial
     if report.deficiency == 0:
         report.verdict = "locally-identifiable"
         report.reason = "a full-rank witness certifies generic full rank"
-    elif all(r.rank == generic_rank and r.gap >= GAP_STRUCTURAL for r in report.trials):
+    elif len({t.rank for t in report.trials}) == 1:
         report.verdict = "rank-deficient"
         report.reason = f"all trials agree on deficiency {report.deficiency} with a wide gap"
     return report

@@ -153,6 +153,8 @@ class SymmetricTensor:
         """Keys may be unsorted; multisets absent from ``values`` hold zero."""
         self.order = int(order)
         self.p = int(p)
+        if self.order < 1 or self.p < 1:
+            raise ValueError(f"order and p must be positive, got {self.order} and {self.p}")
         rows = _rows(self.p, self.order)
         self._vec = np.zeros(len(rows))
         for key, value in values.items():
@@ -169,6 +171,8 @@ class SymmetricTensor:
         Only the mean is kept: an asymmetric input is averaged, not refused.
         """
         dense = np.asarray(dense, dtype=float)
+        if dense.ndim == 0 or dense.size == 0:
+            raise DimensionMismatch(f"dense tensor needs an axis and a variable, got {dense.shape}")
         p = dense.shape[0]
         if dense.shape != (p,) * dense.ndim:
             raise DimensionMismatch("dense tensor must be hypercubic")

@@ -183,7 +183,7 @@ class TestIdentify:
     def test_non_finite_values_are_written_as_null(self, tmp_path):
         """The library's inf is null in a report, so the report stays RFC 8259 JSON.
 
-        A rank-0 trial has no nonzero singular value, so its gap is inf.  The
+        A rank-0 trial's smallest singular value is 0, so its gap is null.  The
         looped-source pair with ``T_001`` tripled recovers an A of radius
         1.8, whose certified residuals are inf.
         """
@@ -752,6 +752,16 @@ class TestAnalyze:
             docs.append(strict_json(out.read_text()))
         assert [doc.pop("config")["max_subset"] for doc in docs] == [3, 1000000000]
         assert docs[0] == docs[1] and docs[0]["rank_constraints"]
+
+    def test_exact_zero_trial_is_rank_deficient(self, tmp_path):
+        # every trial's smallest singular value is an exact 0 here, so each gap is null
+        # and the unanimous rank is a deficiency, not a disagreement
+        graph = write_json(tmp_path / "g.json", {"p": 3, "edges": [[0, 0], [0, 2], [1, 0]]})
+        out = tmp_path / "an.json"
+        assert main(["analyze", "--graph", graph, "--out", str(out)]) == 0
+        report = strict_json(out.read_text())["local_identifiability"]
+        assert (report["verdict"], report["deficiency"]) == ("rank-deficient", 1)
+        assert [t["gap"] for t in report["trials"]] == [None] * 5
 
     def test_two_cycle_notes_augmentation(self, tmp_path):
         graph = write_json(

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import re
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -420,6 +421,29 @@ class TestVerdict:
                 {4: 3 * len(looped)} if looped else {}
             ), g
             assert g.is_skeleton_connected == (len(comps) == 1), g
+
+    def test_no_small_graph_is_inconclusive(self):
+        # every trial of a deficient graph at p <= 3 finds the same rank, whether its
+        # smallest singular value comes out as an exact 0 or as rounding noise
+        for p in (1, 2, 3):
+            counts = Counter(
+                local_identifiability_verdict(DirectedGraph(p, edges)).verdict
+                for edges in edge_sets(p)
+            )
+            assert "inconclusive" not in counts, p
+        assert counts == {"locally-identifiable": 307, "rank-deficient": 125, "not-identifiable": 80}
+
+    def test_invariant_under_relabeling(self):
+        # the verdict and the generic rank depend on the graph, not on its vertex labels
+        rng, checked = np.random.default_rng(0), 0
+        while checked < 40:
+            g = random_graph(rng, 4, 0.35)
+            perm = [int(v) for v in rng.permutation(4)]
+            if g.isolated_vertices:
+                continue
+            reports = [local_identifiability_verdict(h) for h in (g, g.relabel(perm))]
+            assert len({(r.verdict, r.generic_rank) for r in reports}) == 1, (g, perm)
+            checked += 1
 
     def test_two_cycle_with_one_loop_needs_no_augmentation(self):
         # a two-cycle component is not always deficient at orders 2-3: with

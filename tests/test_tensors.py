@@ -102,6 +102,19 @@ class TestSymmetricTensor:
         )):
             SymmetricTensor.from_json_dict(data)
 
+    # the constructor and the fold refuse the sizes that the JSON reader refuses
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: SymmetricTensor(0, 2, {}), ValueError, "order and p must be positive, got 0 and 2"),
+        (lambda: SymmetricTensor(2, 0, {}), ValueError, "order and p must be positive, got 2 and 0"),
+        (lambda: SymmetricTensor.from_dense(np.array(5.0)), DimensionMismatch,
+         r"dense tensor needs an axis and a variable, got \(\)"),
+        (lambda: SymmetricTensor.from_dense(np.zeros((0, 0))), DimensionMismatch,
+         r"dense tensor needs an axis and a variable, got \(0, 0\)"),
+    ], ids=["order-0", "p-0", "dense-0-d", "dense-empty"])
+    def test_refuses_sizes_below_one(self, build, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            build()
+
     def test_json_reads_unsorted_keys(self):
         data = SymmetricTensor(2, 2, {(0, 1): 2.0}).to_json_dict()
         data["entries"]["1,0"] = data["entries"].pop("0,1")
